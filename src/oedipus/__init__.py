@@ -2,7 +2,6 @@
 
 from .baselines import (
     BaselineSpec,
-    best_of_realizations,
     caipi_pattern,
     poisson_disc_pattern,
     uniform_pattern,

@@ -8,7 +8,6 @@ to designed patterns.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "uniform_pattern",
     "caipi_pattern",
     "poisson_disc_pattern",
-    "best_of_realizations",
 ]
 
 
@@ -179,26 +177,3 @@ def poisson_disc_pattern(
         f"could not hit target {target_groups} +/- {tol} in 50 bisections"
     )
 
-
-def best_of_realizations(
-    specs, scorer, candidates: CandidateSet, target_groups: int
-) -> SamplingPattern:
-    """Pattern minimizing ``scorer`` over seeded Poisson-disc realizations.
-
-    Ties go to the lowest seed.  Raises
-    :class:`GenerationFailureError` when every realization scores +inf.
-    """
-    specs = sorted(specs, key=lambda s: s.seed)
-    if not specs:
-        raise ValueError("at least one realization spec is required")
-    best = None
-    best_score = math.inf
-    for s in specs:
-        pattern = poisson_disc_pattern(s, candidates, target_groups)
-        score = float(scorer(pattern))
-        if score < best_score:
-            best = pattern
-            best_score = score
-    if best is None:
-        raise GenerationFailureError("all realizations scored +inf")
-    return best

@@ -1,17 +1,19 @@
 """Command-line front end: design, baseline, evaluate, selftest.
 
-All experiment parameters live in a YAML config (documented in the README).
-Exit codes: 0 success, 1 selftest failure, 2 config error, 3 infeasible
-acceleration, 4 I/O error.  The environment variable ``OEDIPUS_THREADS``
-caps the worker count used for candidate scoring during design.
+All experiment parameters live in a YAML config; ``CONFIG_KEYS`` lists
+every accepted key with its default (see the README).  Exit codes:
+0 success, 1 selftest failure, 2 config error, 3 infeasible acceleration,
+4 I/O error, 5 some evaluation cells failed (see the ``status`` column).
+The environment variable ``OEDIPUS_THREADS`` caps the worker count used for
+candidate scoring during design.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ from .encoding import (
     single_channel_model,
     synthesize_coil_maps,
 )
-from .errors import InfeasibleDesignError, OedipusError
+from .errors import InfeasibleDesignError, SolverFailureError
 from .phantoms import default_phantom_spec, render_phantom
 from .recon import ReconProblem, irls_solve, nrmse, retrospective_undersample, tv_operator
 from .sparsity import SupportSet, TransformSpec, extract_support, forward_transform
@@ -46,215 +48,154 @@ SCALING_NOTE = (
     "# scaling: phantom magnitudes in [0,1]; unnormalized DFT encoding rows; "
     "lambda applies to the raw squared-l2 data term"
 )
-REPORT_COLUMNS = "pattern_id,R,channels,regularizer,lambda,iters,nrmse,phantom"
+REPORT_COLUMNS = "pattern_id R channels regularizer lambda iters nrmse phantom status".split()
+POISSON_COLUMNS = [*REPORT_COLUMNS[:4], "iters", "nrmse", "phantom", "crb_objective", "status"]
 
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass
-class MultiChannelConfig:
-    n_coils: int = 4
-    decay: float = 5.0
-    map_seeds: tuple[int, ...] = (7,)
-    eval_map_seed: int = 7
+def _tuple(convert):
+    return lambda values: tuple(convert(v) for v in values)
 
 
-@dataclass
-class ReconConfig:
-    lam: float = 0.01
-    max_iters: int = 50
-    tol: float = 1e-6
-    inner_tol: float = 1e-6
-    inner_max_iters: int = 200
-    epsilon_scale: float = 1e-6
-    regularizers: tuple[str, ...] = ("wavelet", "tv")
+REQUIRED = object()
+# Every accepted key, as a dotted path into the YAML document: (converter,
+# default).  A None default is derived in load_config (eval_map_seed) or
+# per acceleration in _baselines (rz).
+CONFIG_KEYS = {
+    "experiment": (str, "experiment"),
+    "output_dir": (Path, REQUIRED),
+    "grid.dims": (_tuple(int), REQUIRED),
+    "grid.fov": (_tuple(float), (200.0, 200.0)),
+    "basis": (VoxelBasis, "dirac"),
+    "oversampling": (float, 1.0),
+    "undersample_axes": (_tuple(int), (0, 1)),
+    "transform.family": (str, "daub4"),
+    "transform.levels": (int, 3),
+    "fraction": (float, 0.15),
+    "objective": (DesignObjective, "average"),
+    "accelerations": (_tuple(float), REQUIRED),
+    "channels.single": (bool, False),
+    "channels.multi.n_coils": (int, 4),
+    "channels.multi.decay": (float, 5.0),
+    "channels.multi.map_seeds": (_tuple(int), (7,)),
+    "channels.multi.eval_map_seed": (int, None),
+    "exemplars.phantom_seeds": (_tuple(int), (0,)),
+    "test_phantoms.seeds": (_tuple(int), (1,)),
+    "test_phantoms.noise_sigma": (float, 0.0),
+    "test_phantoms.noise_seed": (int, 1),
+    "baselines.uniform": (bool, True),
+    "baselines.caipi.ry": (int, 1),
+    "baselines.caipi.rz": (int, None),
+    "baselines.caipi.shift": (int, 1),
+    "baselines.poisson.seeds": (_tuple(int), ()),
+    "baselines.poisson.center_block": (int, 16),
+    "recon.lambda": (float, 0.01),
+    "recon.max_iters": (int, 50),
+    "recon.tol": (float, 1e-6),
+    "recon.inner_tol": (float, 1e-6),
+    "recon.inner_max_iters": (int, 200),
+    "recon.epsilon_scale": (float, 1e-6),
+    "recon.regularizers": (_tuple(str), ("wavelet", "tv")),
+    "evaluate_channels": (_tuple(str), ("single",)),
+}
+SECTIONS = {key.rsplit(".", n)[0] for key in CONFIG_KEYS for n in range(1, key.count(".") + 1)}
 
 
-@dataclass
-class RunConfig:
-    experiment: str
-    grid_dims: tuple[int, int]
-    fov: tuple[float, float]
-    basis: str
-    oversampling: float
-    undersample_axes: tuple[int, ...]
-    transform: TransformSpec
-    fraction: float
-    objective: DesignObjective
-    accelerations: tuple[float, ...]
-    design_single: bool
-    multi: MultiChannelConfig | None
-    exemplar_seeds: tuple[int, ...]
-    test_seeds: tuple[int, ...]
-    noise_sigma: float
-    noise_seed: int
-    baseline_uniform: bool
-    baseline_caipi: dict | None
-    poisson_seeds: tuple[int, ...]
-    center_block: int
-    recon: ReconConfig
-    evaluate_channels: tuple[str, ...]
-    output_dir: Path
+def _flatten(doc, prefix="") -> dict:
+    """Dotted key -> value of every leaf and section of a config mapping."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{prefix[:-1] or 'top level'} must be a mapping, got {doc!r}")
+    flat = {}
+    for key, value in doc.items():
+        name = f"{prefix}{key}"
+        if name not in SECTIONS and name not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {name!r}")
+        flat[name] = value
+        if name in SECTIONS:  # null, false and {} sections take every default
+            flat.update(_flatten(value or {}, name + "."))
+    return flat
 
 
-def _get(doc, key, default=None, required=False):
-    if key in doc:
-        return doc[key]
-    if required:
-        raise ConfigError(f"missing config key {key!r}")
-    return default
-
-
-def load_config(path) -> RunConfig:
+def load_config(path) -> dict:
+    """Dotted key of CONFIG_KEYS -> converted value, plus ``grid``, ``transform``
+    and the switches ``multi`` (nonempty channels.multi) and ``caipi``."""
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
-    except OSError:
-        raise
     except yaml.YAMLError as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+    flat = _flatten(doc)
+    if "channels" not in flat:  # no channels section: single-channel design
+        flat["channels.single"] = True
+    cfg = {
+        "multi": bool(flat.get("channels.multi")),
+        "caipi": isinstance(flat.get("baselines.caipi"), dict),
+    }
+    for key, (convert, default) in CONFIG_KEYS.items():
+        value = flat.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing config key {key!r}")
+        try:
+            cfg[key] = None if value is None and key not in flat else convert(value)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{path}: {key}: {err}") from err
     try:
-        return _config_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as err:
+        cfg["grid"] = ImageGrid(dims=cfg["grid.dims"], fov=cfg["grid.fov"])
+        cfg["transform"] = TransformSpec(cfg["transform.family"], cfg["transform.levels"])
+    except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
-
-
-def _config_from_dict(doc) -> RunConfig:
-    grid = _get(doc, "grid", required=True)
-    dims = tuple(int(v) for v in grid["dims"])
-    fov = tuple(float(v) for v in _get(grid, "fov", [200.0, 200.0]))
-    transform_doc = _get(doc, "transform", {})
-    transform = TransformSpec(
-        family=_get(transform_doc, "family", "daub4"),
-        levels=int(_get(transform_doc, "levels", 3)),
-    )
-    channels = _get(doc, "channels", {"single": True})
-    multi = None
-    if channels.get("multi"):
-        m = channels["multi"]
-        multi = MultiChannelConfig(
-            n_coils=int(_get(m, "n_coils", 4)),
-            decay=float(_get(m, "decay", 5.0)),
-            map_seeds=tuple(int(v) for v in _get(m, "map_seeds", [7])),
-            eval_map_seed=int(_get(m, "eval_map_seed", _get(m, "map_seeds", [7])[0])),
-        )
-    baselines = _get(doc, "baselines", {})
-    poisson_doc = _get(baselines, "poisson", {}) or {}
-    recon_doc = _get(doc, "recon", {})
-    recon = ReconConfig(
-        lam=float(_get(recon_doc, "lambda", 0.01)),
-        max_iters=int(_get(recon_doc, "max_iters", 50)),
-        tol=float(_get(recon_doc, "tol", 1e-6)),
-        inner_tol=float(_get(recon_doc, "inner_tol", 1e-6)),
-        inner_max_iters=int(_get(recon_doc, "inner_max_iters", 200)),
-        epsilon_scale=float(_get(recon_doc, "epsilon_scale", 1e-6)),
-        regularizers=tuple(_get(recon_doc, "regularizers", ["wavelet", "tv"])),
-    )
-    for reg in recon.regularizers:
+    if not cfg["accelerations"]:
+        raise ConfigError("accelerations must be nonempty")
+    if not cfg["channels.single"] and not cfg["multi"]:
+        raise ConfigError("at least one of channels.single / channels.multi required")
+    if cfg["multi"] and cfg["channels.multi.eval_map_seed"] is None:
+        if not cfg["channels.multi.map_seeds"]:
+            raise ConfigError("channels.multi.map_seeds must be nonempty")
+        cfg["channels.multi.eval_map_seed"] = cfg["channels.multi.map_seeds"][0]
+    for reg in cfg["recon.regularizers"]:
         if reg not in ("wavelet", "tv"):
             raise ConfigError(f"unknown regularizer {reg!r}")
-    test_doc = _get(doc, "test_phantoms", {})
-    cfg = RunConfig(
-        experiment=str(_get(doc, "experiment", "experiment")),
-        grid_dims=dims,
-        fov=fov,
-        basis=str(_get(doc, "basis", "dirac")),
-        oversampling=float(_get(doc, "oversampling", 1.0)),
-        undersample_axes=tuple(int(a) for a in _get(doc, "undersample_axes", [0, 1])),
-        transform=transform,
-        fraction=float(_get(doc, "fraction", 0.15)),
-        objective=DesignObjective(str(_get(doc, "objective", "average"))),
-        accelerations=tuple(float(r) for r in _get(doc, "accelerations", required=True)),
-        design_single=bool(channels.get("single", False)),
-        multi=multi,
-        exemplar_seeds=tuple(
-            int(v) for v in _get(_get(doc, "exemplars", {}), "phantom_seeds", [0])
-        ),
-        test_seeds=tuple(int(v) for v in _get(test_doc, "seeds", [1])),
-        noise_sigma=float(_get(test_doc, "noise_sigma", 0.0)),
-        noise_seed=int(_get(test_doc, "noise_seed", 1)),
-        baseline_uniform=bool(_get(baselines, "uniform", True)),
-        baseline_caipi=_get(baselines, "caipi"),
-        poisson_seeds=tuple(int(v) for v in _get(poisson_doc, "seeds", [])),
-        center_block=int(_get(poisson_doc, "center_block", 16)),
-        recon=recon,
-        evaluate_channels=tuple(_get(doc, "evaluate_channels", ["single"])),
-        output_dir=Path(_get(doc, "output_dir", required=True)),
-    )
-    if not cfg.accelerations:
-        raise ConfigError("accelerations must be nonempty")
-    if not cfg.design_single and cfg.multi is None:
-        raise ConfigError("at least one of channels.single / channels.multi required")
-    for mode in cfg.evaluate_channels:
+    for mode in cfg["evaluate_channels"]:
         if mode not in ("single", "multi"):
             raise ConfigError(f"unknown evaluate channel {mode!r}")
-        if mode == "multi" and cfg.multi is None:
+        if mode == "multi" and not cfg["multi"]:
             raise ConfigError("evaluate_channels includes multi but channels.multi unset")
-    if cfg.baseline_caipi is not None and tuple(sorted(set(cfg.undersample_axes))) != (0, 1):
+    if cfg["caipi"] and tuple(sorted(set(cfg["undersample_axes"]))) != (0, 1):
         raise ConfigError("caipi baseline requires 2D undersampling")
     return cfg
 
 
-def _grid(cfg: RunConfig) -> ImageGrid:
-    return ImageGrid(dims=cfg.grid_dims, fov=cfg.fov)
-
-
-def _candidates(cfg: RunConfig, n_coils: int):
-    return build_cartesian_candidates(
-        _grid(cfg),
-        oversampling=cfg.oversampling,
-        undersample_axes=cfg.undersample_axes,
-        n_coils=n_coils,
+def _model(cfg, mode: str, map_seeds) -> EncodingModel:
+    """Encoding model of a channel mode; ``multi`` has one coil-map set per seed."""
+    grid = cfg["grid"]
+    n_coils = cfg["channels.multi.n_coils"] if mode == "multi" else 1
+    candidates = build_cartesian_candidates(
+        grid, cfg["oversampling"], cfg["undersample_axes"], n_coils
     )
-
-
-def _design_model(cfg: RunConfig, mode: str) -> EncodingModel:
-    grid = _grid(cfg)
-    basis = VoxelBasis(cfg.basis)
     if mode == "single":
-        return single_channel_model(grid, _candidates(cfg, 1), basis)
-    mc = cfg.multi
-    maps = tuple(
-        synthesize_coil_maps(grid, mc.n_coils, mc.decay, seed) for seed in mc.map_seeds
-    )
-    return EncodingModel(
-        grid=grid, candidates=_candidates(cfg, mc.n_coils), coil_maps=maps, basis=basis
-    )
+        return single_channel_model(grid, candidates, cfg["basis"])
+    decay = cfg["channels.multi.decay"]
+    maps = tuple(synthesize_coil_maps(grid, n_coils, decay, seed) for seed in map_seeds)
+    return EncodingModel(grid=grid, candidates=candidates, coil_maps=maps, basis=cfg["basis"])
 
 
-def _eval_model(cfg: RunConfig, mode: str) -> EncodingModel:
-    grid = _grid(cfg)
-    basis = VoxelBasis(cfg.basis)
-    if mode == "single":
-        return single_channel_model(grid, _candidates(cfg, 1), basis)
-    mc = cfg.multi
-    maps = (synthesize_coil_maps(grid, mc.n_coils, mc.decay, mc.eval_map_seed),)
-    return EncodingModel(
-        grid=grid, candidates=_candidates(cfg, mc.n_coils), coil_maps=maps, basis=basis
-    )
+def _exemplars(cfg):
+    """Exemplar phantom images and their supports."""
+    seeds = cfg["exemplars.phantom_seeds"]
+    dims = cfg["grid"].dims
+    images = [render_phantom(default_phantom_spec(cfg["grid"], s)).reshape(dims) for s in seeds]
+    supports = [
+        extract_support(img, cfg["transform"], cfg["fraction"], source_label=f"seed{s}")
+        for img, s in zip(images, seeds)
+    ]
+    return images, supports
 
 
-def _exemplar_supports(cfg: RunConfig) -> list[SupportSet]:
-    grid = _grid(cfg)
-    supports = []
-    for seed in cfg.exemplar_seeds:
-        img = render_phantom(default_phantom_spec(grid, seed)).reshape(grid.dims)
-        supports.append(
-            extract_support(img, cfg.transform, cfg.fraction, source_label=f"seed{seed}")
-        )
-    return supports
-
-
-def _pattern_dir(cfg: RunConfig) -> Path:
-    return cfg.output_dir / "patterns"
-
-
-def _write_pattern(cfg: RunConfig, name: str, pattern) -> None:
-    pdir = _pattern_dir(cfg)
+def _write_pattern(cfg, name: str, pattern) -> None:
+    pdir = cfg["output_dir"] / "patterns"
     pdir.mkdir(parents=True, exist_ok=True)
     (pdir / f"{name}.json").write_text(oio.pattern_to_json(pattern))
     oio.write_pgm(pdir / f"{name}.pgm", pattern.mask.astype(float))
@@ -264,185 +205,180 @@ def _write_pattern(cfg: RunConfig, name: str, pattern) -> None:
         (pdir / f"{name}_log.csv").write_text("\n".join(lines) + "\n")
 
 
-def _target_groups(cfg: RunConfig, candidates, r: float) -> int:
+def _target_groups(candidates, r: float) -> int:
     target = int(round(candidates.L / r))
     if target < 1:
         raise ConfigError(f"acceleration {r} leaves no groups")
     return target
 
 
-def cmd_design(cfg: RunConfig) -> int:
-    supports = _exemplar_supports(cfg)
-    grid = _grid(cfg)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    for i, seed in enumerate(cfg.exemplar_seeds):
-        img = render_phantom(default_phantom_spec(grid, seed)).reshape(grid.dims)
-        oio.write_image_oedm(cfg.output_dir / f"exemplar_{i}.oedm", img)
-
-    modes = []
-    if cfg.design_single:
-        modes.append("single")
-    if cfg.multi is not None:
-        modes.append("multi")
+def cmd_design(cfg) -> int:
+    images, supports = _exemplars(cfg)
+    out = cfg["output_dir"]
+    out.mkdir(parents=True, exist_ok=True)
+    for i, img in enumerate(images):
+        oio.write_image_oedm(out / f"exemplar_{i}.oedm", img)
 
     infeasible = []
-    for mode in modes:
-        model = _design_model(cfg, mode)
+    modes = (("single", cfg["channels.single"]), ("multi", cfg["multi"]))
+    for mode in [mode for mode, wanted in modes if wanted]:
+        model = _model(cfg, mode, cfg["channels.multi.map_seeds"])
         if mode == "multi":
-            oio.write_oedm(
-                cfg.output_dir / "coil_maps_design.oedm",
-                np.stack(
-                    [m.reshape(cfg.multi.n_coils, *grid.dims) for m in model.coil_maps]
-                ),
-            )
-        for r in cfg.accelerations:
+            maps = [m.reshape(-1, *cfg["grid"].dims) for m in model.coil_maps]
+            oio.write_oedm(out / "coil_maps_design.oedm", np.stack(maps))
+        for r in cfg["accelerations"]:
             name = f"designed_{mode}_R{r:g}"
             try:
-                target = _target_groups(cfg, model.candidates, r)
-                pattern = sbs_design(
-                    model, supports, cfg.objective, target, cfg.transform
-                )
+                target = _target_groups(model.candidates, r)
+                pattern = sbs_design(model, supports, cfg["objective"], target, cfg["transform"])
             except InfeasibleDesignError as err:
                 infeasible.append((name, str(err)))
                 continue
             _write_pattern(cfg, name, pattern)
             print(f"designed {name}: kept {len(pattern.kept_groups)} groups")
-    if infeasible:
-        for name, msg in infeasible:
-            print(f"infeasible acceleration: {name}: {msg}", file=sys.stderr)
-        return 3
-    return 0
+    for name, msg in infeasible:
+        print(f"infeasible acceleration: {name}: {msg}", file=sys.stderr)
+    return 3 if infeasible else 0
 
 
-def cmd_baseline(cfg: RunConfig) -> int:
-    n_coils = 1  # group structure is coil-independent; generate on 1-coil candidates
-    candidates = _candidates(cfg, n_coils)
-    for r in cfg.accelerations:
-        if cfg.baseline_uniform:
-            spec = BaselineSpec(kind="uniform", R=r)
-            _write_pattern(cfg, f"uniform_R{r:g}", uniform_pattern(spec, candidates))
-        if cfg.baseline_caipi is not None:
-            c = cfg.baseline_caipi
-            spec = BaselineSpec(
-                kind="caipi",
-                R=r,
-                ry=int(c.get("ry", 1)),
-                rz=int(c.get("rz", int(r))),
-                caipi_shift=int(c.get("shift", 1)),
-            )
-            _write_pattern(cfg, f"caipi_R{r:g}", caipi_pattern(spec, candidates))
-        target = _target_groups(cfg, candidates, r)
-        for seed in cfg.poisson_seeds:
-            spec = BaselineSpec(
-                kind="poisson", R=r, center_block=cfg.center_block, seed=seed
-            )
-            pattern = poisson_disc_pattern(spec, candidates, target)
-            _write_pattern(cfg, f"poisson_R{r:g}_seed{seed:02d}", pattern)
-    print(f"baselines written to {_pattern_dir(cfg)}")
-    return 0
-
-
-def _load_patterns(cfg: RunConfig, candidates):
-    pdir = _pattern_dir(cfg)
-    files = sorted(pdir.glob("*.json"))
-    if not files:
-        raise FileNotFoundError(f"no pattern files in {pdir}")
+def _baselines(cfg, candidates, r: float):
+    """(name, pattern) of every baseline the config asks for at acceleration ``r``."""
     out = []
-    for f in files:
-        out.append((f.stem, oio.pattern_from_json(f.read_text(), candidates)))
+    if cfg["baselines.uniform"]:
+        out.append((f"uniform_R{r:g}", uniform_pattern(BaselineSpec("uniform", r), candidates)))
+    if cfg["caipi"]:
+        rz = cfg["baselines.caipi.rz"]
+        ry, shift = cfg["baselines.caipi.ry"], cfg["baselines.caipi.shift"]
+        spec = BaselineSpec("caipi", r, ry=ry, rz=int(r) if rz is None else rz, caipi_shift=shift)
+        out.append((f"caipi_R{r:g}", caipi_pattern(spec, candidates)))
+    target = _target_groups(candidates, r)
+    block = cfg["baselines.poisson.center_block"]
+    for seed in cfg["baselines.poisson.seeds"]:
+        spec = BaselineSpec(kind="poisson", R=r, center_block=block, seed=seed)
+        pattern = poisson_disc_pattern(spec, candidates, target)
+        out.append((f"poisson_R{r:g}_seed{seed:02d}", pattern))
     return out
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def cmd_baseline(cfg) -> int:
+    # group structure is coil-independent; generate on 1-coil candidates
+    candidates = _model(cfg, "single", ()).candidates
+    patterns = []
+    for r in cfg["accelerations"]:
+        try:
+            patterns += _baselines(cfg, candidates, r)
+        except ValueError as err:  # nothing is written for an unusable acceleration
+            raise ConfigError(f"acceleration {r:g}: {err}") from err
+    for name, pattern in patterns:
+        _write_pattern(cfg, name, pattern)
+    print(f"baselines written to {cfg['output_dir'] / 'patterns'}")
+    return 0
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
-    grid = _grid(cfg)
-    supports = _exemplar_supports(cfg)
-    recon_dir = cfg.output_dir / "recon"
-    recon_dir.mkdir(parents=True, exist_ok=True)
+def _load_patterns(cfg, candidates):
+    pdir = cfg["output_dir"] / "patterns"
+    files = sorted(pdir.glob("*.json"))
+    if not files:
+        raise FileNotFoundError(f"no pattern files in {pdir}")
+    return [(f.stem, oio.pattern_from_json(f.read_text(), candidates)) for f in files]
 
-    golds = []
-    for seed in cfg.test_seeds:
-        golds.append((f"phantom{seed}", render_phantom(default_phantom_spec(grid, seed))))
 
-    rows = []
-    poisson_rows = []
-    cell = 0
-    for mode in cfg.evaluate_channels:
-        model = _eval_model(cfg, mode)
-        patterns = _load_patterns(cfg, model.candidates)
-        crb_scores = {}
-        for stem, pattern in patterns:
-            if stem.startswith("poisson"):
-                crb_scores[stem] = evaluate_pattern_crb(
-                    pattern, model, supports, cfg.objective, cfg.transform
-                )
-        best_poisson = {}
-        for stem, pattern in patterns:
+def _cells(cfg, supports, golds):
+    """Every evaluation cell in report order: (n, model, pattern, gold, record).
+
+    ``n`` numbers the cells from 1 and seeds the cell's noise, so this order
+    is part of the output; ``record`` holds the cell's key columns and, for
+    Poisson patterns, the CRB objective.
+    """
+    n = 0
+    for mode in cfg["evaluate_channels"]:
+        model = _model(cfg, mode, (cfg["channels.multi.eval_map_seed"],))
+        for stem, pattern in _load_patterns(cfg, model.candidates):
             if stem.startswith("designed") and f"_{mode}_" not in stem:
                 continue  # designs are channel-specific; baselines are shared
-            for label, gold in golds:
-                for reg in cfg.recon.regularizers:
-                    cell += 1
-                    data = retrospective_undersample(
-                        gold,
-                        pattern,
-                        model,
-                        noise_sigma=cfg.noise_sigma,
-                        seed=cfg.noise_seed * 1000003 + cell,
-                    )
-                    problem = ReconProblem(
-                        data=data,
-                        pattern=pattern,
-                        model=model,
-                        regularizer=reg,
-                        transform=cfg.transform,
-                        lam=cfg.recon.lam,
-                        max_iters=cfg.recon.max_iters,
-                        tol=cfg.recon.tol,
-                        inner_tol=cfg.recon.inner_tol,
-                        inner_max_iters=cfg.recon.inner_max_iters,
-                        epsilon_scale=cfg.recon.epsilon_scale,
-                    )
-                    result = irls_solve(problem)
-                    err = nrmse(result.image, gold)
-                    oio.write_pgm(
-                        recon_dir / f"{stem}_{mode}_{label}_{reg}.pgm",
-                        result.image.reshape(grid.dims),
-                        max_abs=float(np.abs(gold).max()),
-                    )
-                    row = (stem, pattern.R, mode, reg, result.iterations, err, label)
-                    if stem.startswith("poisson"):
-                        key = (mode, f"{pattern.R:g}", reg, label)
-                        prev = best_poisson.get(key)
-                        if prev is None or err < prev[5]:
-                            best_poisson[key] = row
-                        poisson_rows.append(row + (crb_scores[stem],))
-                    else:
-                        rows.append(row)
-    rows.extend(best_poisson.values())
-    rows.sort(key=lambda r: (r[0], r[2], r[3], r[6]))
+            crb = None
+            if stem.startswith("poisson"):
+                crb = evaluate_pattern_crb(
+                    pattern, model, supports, cfg["objective"], cfg["transform"]
+                )
+            for (label, gold), reg in itertools.product(golds, cfg["recon.regularizers"]):
+                n += 1
+                yield n, model, pattern, gold, {
+                    "pattern_id": stem, "R": pattern.R, "channels": mode, "regularizer": reg,
+                    "lambda": cfg["recon.lambda"], "phantom": label, "crb_objective": crb,
+                }
 
-    lines = [REPORT_HEADER, SCALING_NOTE, REPORT_COLUMNS]
-    for stem, r_val, mode, reg, iters, err, label in rows:
-        lines.append(
-            f"{stem},{_fmt(r_val)},{mode},{reg},{_fmt(cfg.recon.lam)},"
-            f"{iters},{_fmt(err)},{label}"
-        )
-    (cfg.output_dir / "report.csv").write_text("\n".join(lines) + "\n")
 
-    if poisson_rows:
-        plines = ["pattern_id,R,channels,regularizer,iters,nrmse,phantom,crb_objective"]
-        poisson_rows.sort(key=lambda r: (r[0], r[2], r[3], r[6]))
-        for stem, r_val, mode, reg, iters, err, label, crb in poisson_rows:
-            plines.append(
-                f"{stem},{_fmt(r_val)},{mode},{reg},{iters},{_fmt(err)},"
-                f"{label},{_fmt(crb)}"
-            )
-        (cfg.output_dir / "poisson_seeds.csv").write_text("\n".join(plines) + "\n")
-    print(f"report written to {cfg.output_dir / 'report.csv'} ({len(rows)} rows)")
+def _run_cell(cfg, n, model, pattern, gold, record) -> dict:
+    """Reconstruct one cell; returns its record with iters, nrmse and status."""
+    seed = cfg["test_phantoms.noise_seed"] * 1000003 + n
+    data = retrospective_undersample(gold, pattern, model, cfg["test_phantoms.noise_sigma"], seed)
+    limits = ("max_iters", "tol", "inner_tol", "inner_max_iters", "epsilon_scale")
+    problem = ReconProblem(
+        data, pattern, model, record["regularizer"], cfg["transform"], cfg["recon.lambda"],
+        **{key: cfg[f"recon.{key}"] for key in limits},
+    )
+    try:
+        result = irls_solve(problem)
+    except SolverFailureError:
+        return {**record, "iters": None, "nrmse": None, "status": "solver_failure"}
+    name = "_".join(record[k] for k in ("pattern_id", "channels", "phantom", "regularizer"))
+    oio.write_pgm(
+        cfg["output_dir"] / "recon" / f"{name}.pgm",
+        result.image.reshape(cfg["grid"].dims),
+        max_abs=float(np.abs(gold).max()),
+    )
+    err = nrmse(result.image, gold)
+    return {**record, "iters": result.iterations, "nrmse": err, "status": "ok"}
+
+
+def _write_csv(path: Path, preamble, columns, records) -> None:
+    """One line per record, sorted by pattern, channels, regularizer, phantom."""
+    def fmt(value):
+        if value is None:
+            return ""
+        return repr(float(value)) if isinstance(value, float) else str(value)
+
+    order = ("pattern_id", "channels", "regularizer", "phantom")
+    lines = [*preamble, ",".join(columns)]
+    for rec in sorted(records, key=lambda rec: [rec[k] for k in order]):
+        lines.append(",".join(fmt(rec[c]) for c in columns))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def cmd_evaluate(cfg) -> int:
+    _, supports = _exemplars(cfg)
+    out = cfg["output_dir"]
+    (out / "recon").mkdir(parents=True, exist_ok=True)
+    golds = [
+        (f"phantom{seed}", render_phantom(default_phantom_spec(cfg["grid"], seed)))
+        for seed in cfg["test_phantoms.seeds"]
+    ]
+    records = [_run_cell(cfg, *cell) for cell in _cells(cfg, supports, golds)]
+
+    # the report keeps, per cell, the Poisson seed of least NRMSE (failed seeds
+    # last, ties to the first seed); poisson_seeds.csv keeps every seed
+    def score(rec):
+        return math.inf if rec["nrmse"] is None else rec["nrmse"]
+
+    report, poisson, best = [], [], {}
+    for rec in records:
+        if not rec["pattern_id"].startswith("poisson"):
+            report.append(rec)
+            continue
+        poisson.append(rec)
+        key = tuple(rec[k] for k in ("channels", "R", "regularizer", "phantom"))
+        if key not in best or score(rec) < score(best[key]):
+            best[key] = rec
+    report += best.values()
+    _write_csv(out / "report.csv", [REPORT_HEADER, SCALING_NOTE], REPORT_COLUMNS, report)
+    if poisson:
+        _write_csv(out / "poisson_seeds.csv", [], POISSON_COLUMNS, poisson)
+    print(f"report written to {out / 'report.csv'} ({len(report)} rows)")
+    failed = sum(rec["status"] != "ok" for rec in records)
+    if failed:
+        print(f"{failed} of {len(records)} cells failed; see the status column", file=sys.stderr)
+        return 5
     return 0
 
 
@@ -564,6 +500,7 @@ def cmd_selftest(inject_fault: str | None = None) -> int:
     finally:
         if patched is not None:
             sparsity._FILTERS["daub4"] = patched
+
 
 
 def main(argv=None) -> int:

@@ -3,9 +3,7 @@ import pytest
 
 from oedipus import (
     BaselineSpec,
-    GenerationFailureError,
     ImageGrid,
-    best_of_realizations,
     build_cartesian_candidates,
     caipi_pattern,
     poisson_disc_pattern,
@@ -154,37 +152,6 @@ def test_poisson_target_validation():
         poisson_disc_pattern(
             BaselineSpec(kind="poisson", R=2, center_block=16, seed=0), cand, 64
         )
-
-
-def test_best_of_realizations_scoring():
-    cand = lines_candidates(64)
-    specs = [
-        BaselineSpec(kind="poisson", R=2, center_block=8, seed=s) for s in range(5)
-    ]
-    scores = {}
-
-    def scorer(pattern):
-        val = float(np.sum(np.array(pattern.kept_groups) ** 1.5))
-        scores[pattern.extra["seed"]] = val
-        return val
-
-    best = best_of_realizations(specs, scorer, cand, 32)
-    assert scores[best.extra["seed"]] == min(scores.values())
-    # re-scoring the winner reproduces its score
-    assert scorer(best) == scores[best.extra["seed"]]
-
-
-def test_best_of_realizations_tie_and_failure():
-    cand = lines_candidates(64)
-    specs = [
-        BaselineSpec(kind="poisson", R=2, center_block=8, seed=s) for s in (4, 1, 2)
-    ]
-    best = best_of_realizations(specs, lambda p: 1.0, cand, 32)
-    assert best.extra["seed"] == 1  # ties resolve to the lowest seed
-    with pytest.raises(GenerationFailureError):
-        best_of_realizations(specs, lambda p: np.inf, cand, 32)
-    with pytest.raises(ValueError):
-        best_of_realizations([], lambda p: 1.0, cand, 32)
 
 
 def test_baseline_spec_validation():

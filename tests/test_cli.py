@@ -1,0 +1,148 @@
+import csv
+from pathlib import Path
+
+import pytest
+import yaml
+
+from oedipus import cli
+from oedipus.errors import SolverFailureError
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.yaml"))
+
+
+def write_config(tmp_path, **overrides):
+    """Tiny single-channel 2D experiment: 16x16, R=2, one test phantom."""
+    doc = {
+        "grid": {"dims": [16, 16]},
+        "transform": {"family": "daub4", "levels": 2},
+        "accelerations": [2],
+        "test_phantoms": {"seeds": [3], "noise_sigma": 0.001},
+        "baselines": {"caipi": {}, "poisson": {"seeds": [1, 2], "center_block": 4}},
+        "recon": {"max_iters": 10},
+        "output_dir": str(tmp_path / "out"),
+    }
+    doc.update(overrides)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def read_csv(path, skip=0):
+    lines = path.read_text().splitlines()[skip:]
+    return list(csv.DictReader(lines))
+
+
+def run(*argv):
+    return cli.main([str(a) for a in argv])
+
+
+def test_baseline_then_evaluate_end_to_end(tmp_path):
+    config = write_config(tmp_path)
+    assert run("baseline", config) == 0
+    assert run("evaluate", config) == 0
+    out = tmp_path / "out"
+    report = read_csv(out / "report.csv", skip=2)
+    seeds = read_csv(out / "poisson_seeds.csv")
+
+    cells = [(r["pattern_id"].split("_")[0], r["phantom"], r["regularizer"]) for r in report]
+    kinds, regs = ("uniform", "caipi", "poisson"), ("wavelet", "tv")
+    assert sorted(cells) == sorted((k, "phantom3", reg) for k in kinds for reg in regs)
+    assert all(r["status"] == "ok" and float(r["nrmse"]) > 0 for r in report + seeds)
+    assert len(seeds) == 4 and {r["pattern_id"] for r in seeds} == {
+        "poisson_R2_seed01",
+        "poisson_R2_seed02",
+    }
+    for row in report:
+        if row["pattern_id"].startswith("poisson"):
+            same = [s for s in seeds if s["regularizer"] == row["regularizer"]]
+            best = min(same, key=lambda s: float(s["nrmse"]))
+            assert (row["pattern_id"], row["nrmse"], row["iters"]) == (
+                best["pattern_id"],
+                best["nrmse"],
+                best["iters"],
+            )
+
+
+def test_solver_failures_are_rows_and_exit_5(tmp_path, capsys):
+    config = write_config(tmp_path, recon={"max_iters": 10, "inner_max_iters": 1})
+    assert run("baseline", config) == 0
+    assert run("evaluate", config) == 5
+    out = tmp_path / "out"
+    report = read_csv(out / "report.csv", skip=2)
+    seeds = read_csv(out / "poisson_seeds.csv")
+    assert len(report) == 6 and len(seeds) == 4
+    for row in report + seeds:
+        assert (row["status"], row["iters"], row["nrmse"]) == ("solver_failure", "", "")
+    # every Poisson seed failed: the report keeps the first seed's row
+    poisson = {r["pattern_id"] for r in report if r["pattern_id"].startswith("poisson")}
+    assert poisson == {"poisson_R2_seed01"}
+    assert "cells failed" in capsys.readouterr().err
+
+
+def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
+    solve = cli.irls_solve
+
+    def failing_seed1(problem):
+        if problem.pattern.mode == "poisson/R2/seed1":
+            raise SolverFailureError("injected")
+        return solve(problem)
+
+    monkeypatch.setattr(cli, "irls_solve", failing_seed1)
+    config = write_config(tmp_path)
+    assert run("baseline", config) == 0
+    assert run("evaluate", config) == 5
+    out = tmp_path / "out"
+    report = read_csv(out / "report.csv", skip=2)
+    seeds = read_csv(out / "poisson_seeds.csv")
+    assert all(r["status"] == "ok" for r in report)
+    assert {r["pattern_id"] for r in report if r["pattern_id"].startswith("poisson")} == {
+        "poisson_R2_seed02"
+    }
+    status = {(r["pattern_id"], r["regularizer"]): r["status"] for r in seeds}
+    assert status[("poisson_R2_seed01", "tv")] == "solver_failure"
+    assert status[("poisson_R2_seed02", "tv")] == "ok"
+    assert sorted(p.name for p in (out / "recon").iterdir()) == sorted(
+        f"{stem}_single_phantom3_{reg}.pgm"
+        for stem in ("uniform_R2", "caipi_R2", "poisson_R2_seed02")
+        for reg in ("wavelet", "tv")
+    )
+
+
+@pytest.mark.parametrize(
+    "command, override, key",
+    [
+        ("design", {"channels": "single"}, "channels"),
+        ("baseline", {"baselines": {"caipi": True}}, "baselines.caipi"),
+        ("evaluate", {"recon": {"lamda": 5.0}}, "recon.lamda"),
+    ],
+)
+def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):
+    config = write_config(tmp_path, **override)
+    assert run(command, config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_poisson_centre_block_above_target_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, baselines={"poisson": {"seeds": [1]}})
+    assert run("baseline", config) == 2
+    assert "acceleration 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "patterns").exists()
+
+
+def test_selftest_exit_codes(capsys):
+    assert run("selftest") == 0
+    assert run("selftest", "--inject-fault", "wavelet") == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_example_configs_load(path):
+    cfg = cli.load_config(path)
+    assert cfg["accelerations"] and cfg["output_dir"].parts[0] == "runs"
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert [key for key in cli.CONFIG_KEYS if f"| `{key}` |" not in readme] == []
