@@ -4,8 +4,6 @@ All experiment parameters live in a YAML config; ``CONFIG_KEYS`` lists
 every accepted key with its default (see the README).  Exit codes:
 0 success, 1 selftest failure, 2 config error, 3 infeasible acceleration,
 4 I/O error, 5 some evaluation cells failed (see the ``status`` column).
-The environment variable ``OEDIPUS_THREADS`` caps the worker count used for
-candidate scoring during design.
 """
 
 from __future__ import annotations
@@ -147,6 +145,12 @@ def load_config(path) -> dict:
         cfg["transform"] = TransformSpec(cfg["transform.family"], cfg["transform.levels"])
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
+    try:
+        sparsity.check_dims(cfg["grid"].dims, cfg["transform"])
+    except ValueError as err:
+        raise ConfigError(f"{path}: transform.levels: {err}") from err
+    if cfg["recon.lambda"] <= 0:
+        raise ConfigError(f"{path}: recon.lambda: must be positive, got {cfg['recon.lambda']}")
     if not cfg["accelerations"]:
         raise ConfigError("accelerations must be nonempty")
     if not cfg["channels.single"] and not cfg["multi"]:

@@ -4,13 +4,15 @@ For a candidate row set restricted to a known transform-domain support, the
 covariance of any unbiased estimator is bounded below by the inverse of the
 restricted Gram matrix.  This module builds that inverse for the full
 candidate set, removes acquisition groups from it via the matrix inversion
-lemma (a rank-C "downdate" that only inverts a C x C system), tracks the
-trace recursively, and provides the support-aware least-squares estimator
-that attains the bound.
+lemma (a rank-C "downdate" that only inverts a C x C system), prices the
+removal of every group of a stacked (groups, C, S) row array as batched
+array code, tracks the trace recursively, and provides the support-aware
+least-squares estimator that attains the bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,9 +25,15 @@ __all__ = [
     "COND_LIMIT",
     "CrbState",
     "GroupBlock",
+    "SLICE_ENTRIES",
+    "restricted_matrix",
     "restricted_block",
+    "gram_inverse",
+    "restricted_gram",
+    "state_from_gram",
     "build_full_crb",
     "smw_downdate",
+    "downdate_traces",
     "downdate_trace",
     "image_domain_crb_trace",
     "oracle_lsq_estimate",
@@ -34,6 +42,11 @@ __all__ = [
 # Condition number beyond which a Gram matrix is treated as singular
 # (double precision rule of thumb).
 COND_LIMIT = 1e12
+
+# Complex entries a temporary built per slice of groups may hold: dense rows
+# during assembly (the DWT works on several copies of them) or (groups x C x S)
+# while pricing deletions.  Keeps peak memory flat however many groups there are.
+SLICE_ENTRIES = 2**13
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +76,29 @@ class GroupBlock:
     k: int
 
 
+def restricted_matrix(
+    model: EncodingModel,
+    support: SupportSet,
+    spec: TransformSpec,
+    t: int,
+    groups,
+) -> np.ndarray:
+    """Support-restricted rows of ``groups`` under map set ``t``, (len(groups), C, S).
+
+    Rows are pushed through the transform a slice of groups at a time: as
+    many as fit in :data:`SLICE_ENTRIES` dense entries, and at least one.
+    """
+    groups = list(groups)
+    c, n = model.candidates.C, model.N
+    out = np.empty((len(groups), c, support.S), dtype=complex)
+    step = max(1, SLICE_ENTRIES // (c * n))
+    for i in range(0, len(groups), step):
+        rows = np.concatenate([group_rows(model, g, t) for g in groups[i : i + step]])
+        b = restricted_rows(rows, support, spec, model.grid.dims)
+        out[i : i + step] = b.reshape(-1, c, support.S)
+    return out
+
+
 def restricted_block(
     model: EncodingModel,
     support: SupportSet,
@@ -72,28 +108,53 @@ def restricted_block(
     k: int = 0,
 ) -> GroupBlock:
     """Build the (C, S) restricted row block of one group."""
-    rows = group_rows(model, group_index, t)
-    b = restricted_rows(rows, support, spec, model.grid.dims)
+    b = restricted_matrix(model, support, spec, t, [group_index])[0]
     return GroupBlock(b_tilde=b, group_index=group_index, t=t, k=k)
 
 
-def _hermitian_inverse(gram: np.ndarray):
-    """Eigendecomposition-based inverse; returns (inverse, trace, cond).
+def _h(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return np.swapaxes(a.conj(), -1, -2)
 
-    Raises :class:`InfeasibleDesignError` when the matrix is singular or
-    its condition number exceeds :data:`COND_LIMIT`.
+
+def gram_inverse(gram: np.ndarray):
+    """Inverse, trace and condition number of Hermitian Grams, shape (..., S, S).
+
+    A Gram is singular when its smallest eigenvalue is not positive or its
+    condition number exceeds :data:`COND_LIMIT`; its trace is then ``+inf``
+    and its inverse meaningless.
     """
-    w, v = np.linalg.eigh(gram)
-    wmax = w[-1]
-    if wmax <= 0 or w[0] <= 0 or wmax / w[0] > COND_LIMIT:
-        cond = np.inf if w[0] <= 0 else wmax / w[0]
+    w, v = np.linalg.eigh(0.5 * (gram + _h(gram)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(w[..., 0] > 0, w[..., -1] / w[..., 0], np.inf)
+        inv = (v / w[..., None, :]) @ _h(v)
+    inv = 0.5 * (inv + _h(inv))
+    trace = np.trace(inv, axis1=-2, axis2=-1).real
+    return inv, np.where(cond > COND_LIMIT, np.inf, trace), cond
+
+
+def restricted_gram(rows: np.ndarray) -> np.ndarray:
+    """Restricted Gram sum_g B_g^H B_g of stacked rows (groups, C, S), one GEMM."""
+    b = rows.reshape(-1, rows.shape[-1])
+    return b.conj().T @ b
+
+
+def state_from_gram(gram: np.ndarray, groups, t: int, k: int = 0) -> CrbState:
+    """CRB state of the restricted Gram of ``groups``.
+
+    Raises :class:`InfeasibleDesignError` when the support cannot be
+    identified (rank deficiency or condition above :data:`COND_LIMIT`).
+    """
+    inv, trace, cond = gram_inverse(gram)
+    trace, cond = float(trace), float(cond)
+    if math.isinf(trace):
         raise InfeasibleDesignError(
             f"restricted Gram is singular or near-singular (cond ~ {cond:.3g})",
             cond=cond,
         )
-    inv = (v / w) @ v.conj().T
-    inv = 0.5 * (inv + inv.conj().T)
-    return inv, float(np.trace(inv).real), float(wmax / w[0])
+    return CrbState(
+        inv_gram=inv, trace=trace, k=k, t=t, active_groups=frozenset(groups), cond=cond
+    )
 
 
 def build_full_crb(
@@ -106,32 +167,19 @@ def build_full_crb(
 ) -> CrbState:
     """CRB state for the candidate rows of ``groups`` (default: all groups).
 
-    Accumulates the restricted Gram group by group and inverts it.  Raises
-    :class:`InfeasibleDesignError` when the support cannot be identified
-    from the given rows (rank deficiency or condition above 1e12).
+    Raises :class:`InfeasibleDesignError` when the support cannot be
+    identified from the given rows (rank deficiency or condition above
+    :data:`COND_LIMIT`).
     """
-    cand = model.candidates
-    group_list = sorted(range(cand.L)) if groups is None else sorted(groups)
-    n_rows = sum(len(cand.groups[g]) for g in group_list)
+    groups = sorted(range(model.candidates.L) if groups is None else groups)
+    n_rows = len(groups) * model.candidates.C
     if support.S > n_rows:
         raise InfeasibleDesignError(
             f"support size {support.S} exceeds candidate row count {n_rows}"
         )
-    s = support.S
-    gram = np.zeros((s, s), dtype=complex)
-    for g in group_list:
-        b = restricted_block(model, support, spec, g, t, k).b_tilde
-        gram += b.conj().T @ b
-    gram = 0.5 * (gram + gram.conj().T)
-    inv, trace, cond = _hermitian_inverse(gram)
-    return CrbState(
-        inv_gram=inv,
-        trace=trace,
-        k=k,
-        t=t,
-        active_groups=frozenset(group_list),
-        cond=cond,
-    )
+    # no reference to the rows outlives the Gram: they are freed before the inversion
+    gram = restricted_gram(restricted_matrix(model, support, spec, t, groups))
+    return state_from_gram(gram, groups, t, k)
 
 
 def _check_block(state: CrbState, block: GroupBlock):
@@ -144,18 +192,18 @@ def _check_block(state: CrbState, block: GroupBlock):
         )
 
 
-def _downdate_pieces(state: CrbState, block: GroupBlock):
-    """G = C B~^H and the C x C middle matrix I - B~ G, plus its spectrum.
+def _downdate_pieces(inv_gram: np.ndarray, rows: np.ndarray):
+    """For row blocks B (g, C, S) and G = inv_gram B^H: G^H, the middle
+    matrices I - B G (g, C, C) and which of them are singular.
 
-    The middle matrix has eigenvalues in [0, 1] in exact arithmetic, so
+    A middle matrix has eigenvalues in [0, 1] in exact arithmetic, so
     near-singularity is tested on an absolute scale.
     """
-    g = state.inv_gram @ block.b_tilde.conj().T
-    mid = np.eye(block.b_tilde.shape[0], dtype=complex) - block.b_tilde @ g
-    mid = 0.5 * (mid + mid.conj().T)
-    w = np.linalg.eigvalsh(mid)
-    singular = w[0] <= 1.0 / COND_LIMIT
-    return g, mid, singular
+    gh = (rows.reshape(-1, rows.shape[-1]) @ inv_gram).reshape(rows.shape)
+    mid = np.eye(rows.shape[1]) - rows @ _h(gh)
+    mid = 0.5 * (mid + _h(mid))
+    singular = np.linalg.eigvalsh(mid)[:, 0] <= 1.0 / COND_LIMIT
+    return gh, mid, singular
 
 
 def smw_downdate(state: CrbState, block: GroupBlock) -> CrbState:
@@ -166,13 +214,12 @@ def smw_downdate(state: CrbState, block: GroupBlock) -> CrbState:
     identifiability (the C x C system is singular within tolerance).
     """
     _check_block(state, block)
-    g, mid, singular = _downdate_pieces(state, block)
-    if singular:
+    gh, mid, singular = _downdate_pieces(state.inv_gram, block.b_tilde[None])
+    if singular[0]:
         raise InfeasibleDesignError(
             f"removing group {block.group_index} makes the design singular"
         )
-    update = g @ np.linalg.solve(mid, g.conj().T)
-    inv = state.inv_gram + update
+    inv = state.inv_gram + _h(gh[0]) @ np.linalg.solve(mid[0], gh[0])
     inv = 0.5 * (inv + inv.conj().T)
     return replace(
         state,
@@ -182,6 +229,26 @@ def smw_downdate(state: CrbState, block: GroupBlock) -> CrbState:
     )
 
 
+def downdate_traces(state: CrbState, rows: np.ndarray) -> np.ndarray:
+    """Trace of the CRB after removing each group of ``rows`` (g, C, S) alone.
+
+    Each trace is ``trace + tr(mid^-1 G^H G)``, without the S x S update;
+    it is ``+inf`` when the group is mandatory (its removal makes the
+    reduced Gram singular).  Groups are priced a slice at a time: as many
+    as fit in :data:`SLICE_ENTRIES` entries of (g, C, S), and at least one.
+    """
+    out = np.empty(len(rows))
+    c, s = rows.shape[1:]
+    step = max(1, SLICE_ENTRIES // (c * s))
+    for i in range(0, len(rows), step):
+        gh, mid, singular = _downdate_pieces(state.inv_gram, rows[i : i + step])
+        mid[singular] = np.eye(c)  # keeps the batched solve regular; priced +inf below
+        x = np.linalg.solve(mid, gh @ _h(gh))
+        traces = state.trace + np.trace(x, axis1=-2, axis2=-1).real
+        out[i : i + step] = np.where(singular, np.inf, traces)
+    return out
+
+
 def downdate_trace(state: CrbState, block: GroupBlock) -> float:
     """Trace of the CRB after removing one group, without the S x S update.
 
@@ -189,11 +256,7 @@ def downdate_trace(state: CrbState, block: GroupBlock) -> float:
     reduced Gram singular), which lets design loops skip it cheaply.
     """
     _check_block(state, block)
-    g, mid, singular = _downdate_pieces(state, block)
-    if singular:
-        return np.inf
-    x = np.linalg.solve(mid, g.conj().T)
-    return state.trace + float(np.einsum("ij,ji->", g, x).real)
+    return float(downdate_traces(state, block.b_tilde[None])[0])
 
 
 def image_domain_crb_trace(

@@ -4,28 +4,30 @@ Starting from the full candidate set, the driver repeatedly deletes the
 acquisition group whose removal degrades the design objective least, until
 the measurement budget is reached.  The objective aggregates the CRB traces
 over an ensemble of (exemplar support, coil-map set) pairs, either as their
-sum (average case) or their maximum (worst case).  Each candidate deletion
-is scored with the recursive trace downdate, so one iteration costs L small
-linear solves instead of L full matrix inversions.
+sum (average case) or their maximum (worst case).  The restricted rows of
+every ensemble pair are assembled once into a (groups, C, S) array; each
+iteration prices every remaining group of a pair with the matrix inversion
+lemma in batched array code (C x C systems, not S x S inversions), then
+commits the chosen deletion with one rank-C downdate.
 """
 
 from __future__ import annotations
 
 import math
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .crb import (
-    COND_LIMIT,
-    CrbState,
+    GroupBlock,
     build_full_crb,
-    downdate_trace,
-    restricted_block,
+    downdate_traces,
+    gram_inverse,
+    restricted_gram,
+    restricted_matrix,
     smw_downdate,
+    state_from_gram,
 )
 from .encoding import EncodingModel
 from .errors import InfeasibleDesignError
@@ -56,9 +58,10 @@ class DesignObjective:
         if self.mode not in ("average", "worst"):
             raise ValueError(f"unknown objective mode {self.mode!r}")
 
-    def combine(self, traces) -> float:
-        values = [float(v) for v in traces]
-        return max(values) if self.mode == "worst" else sum(values)
+    def combine(self, traces):
+        """Aggregate over the first axis (the pairs): +inf if any trace is."""
+        values = np.asarray(traces, dtype=float)
+        return values.max(axis=0) if self.mode == "worst" else values.sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +122,6 @@ def pattern_from_groups(
     )
 
 
-def _worker_count() -> int:
-    env = os.environ.get("OEDIPUS_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def _select(costs_by_group) -> tuple[int, float]:
     """Lowest group index whose cost is within the tie slack of the minimum."""
     best = min(cost for _, cost in costs_by_group)
@@ -156,7 +152,6 @@ def sbs_design(
     target_groups: int,
     spec: TransformSpec,
     method: str = "smw",
-    workers: int | None = None,
 ) -> SamplingPattern:
     """Greedy backward selection down to ``target_groups`` groups.
 
@@ -166,9 +161,11 @@ def sbs_design(
     unidentifiable priced at ``+inf`` and therefore never removed.  The
     result is deterministic.
 
-    ``method="smw"`` maintains one CRB state per (exemplar, map set) via
-    rank-C downdates; ``method="direct"`` rescoring rebuilds every reduced
-    Gram from scratch (slow, used to validate the downdate path).
+    Each (exemplar, map set) pair keeps its restricted rows in one
+    (groups, C, S) array, built once.  ``method="smw"`` prices its groups
+    with :func:`~oedipus.crb.downdate_traces` and commits each deletion as
+    a rank-C downdate; ``method="direct"`` re-inverts every reduced Gram
+    (slow, used to validate the downdate path).
 
     Raises :class:`InfeasibleDesignError` if the initial full-candidate
     CRB cannot be built or every remaining group becomes mandatory before
@@ -184,60 +181,45 @@ def sbs_design(
             f"target_groups {target_groups} exceeds group count {cand.L}"
         )
 
+    active = list(range(cand.L))
     pairs = [(k, t) for k in range(len(supports)) for t in range(model.T)]
-    blocks = {}
-    for k, t in pairs:
-        for g in range(cand.L):
-            blocks[(k, t, g)] = restricted_block(
-                model, supports[k], spec, g, t, k
-            )
-
+    rows = {(k, t): restricted_matrix(model, supports[k], spec, t, active) for k, t in pairs}
     try:
-        states = {
-            (k, t): build_full_crb(model, supports[k], spec, t, k)
-            for (k, t) in pairs
-        }
+        grams = {p: restricted_gram(rows[p]) for p in pairs}
+        states = {(k, t): state_from_gram(grams[k, t], active, t, k) for k, t in pairs}
     except InfeasibleDesignError as err:
         raise InfeasibleDesignError(
             f"full-candidate CRB build failed: {err}", iteration=0, cond=err.cond
         ) from err
 
-    active = list(range(cand.L))
     log = []
     deleted = []
-    n_workers = _worker_count() if workers is None else max(1, workers)
-    pool = ThreadPoolExecutor(n_workers) if n_workers > 1 else None
-    try:
-        while len(active) > target_groups:
-            iteration = len(deleted) + 1
+    while len(active) > target_groups:
+        iteration = len(deleted) + 1
+        if method == "smw":
+            traces = [downdate_traces(states[p], rows[p]) for p in pairs]
+        else:  # each reduced Gram is the sum of all groups' Grams minus the group's own
+            traces = [gram_inverse(g.sum(axis=0) - g)[1] for g in map(_grams, rows.values())]
+        costs = objective.combine(traces)
+        chosen, best = _select(list(zip(active, costs.tolist())))
+        if chosen < 0:
+            raise InfeasibleDesignError(
+                "every remaining group is mandatory; acceleration "
+                f"infeasible at iteration {iteration} "
+                f"({len(active)} groups left, target {target_groups})",
+                iteration=iteration,
+            )
+        i = active.index(chosen)
+        for k, t in pairs:  # one pair at a time, so one row array is copied at once
             if method == "smw":
-                costs = _score_smw(states, blocks, pairs, active, objective, pool)
-            else:
-                costs = _score_direct(blocks, pairs, active, objective)
-            chosen, best = _select(list(zip(active, costs)))
-            if chosen < 0:
-                raise InfeasibleDesignError(
-                    "every remaining group is mandatory; acceleration "
-                    f"infeasible at iteration {iteration} "
-                    f"({len(active)} groups left, target {target_groups})",
-                    iteration=iteration,
-                )
-            if method == "smw":
-                states = {
-                    (k, t): smw_downdate(states[(k, t)], blocks[(k, t, chosen)])
-                    for (k, t) in pairs
-                }
-                committed = objective.combine(
-                    [states[p].trace for p in pairs]
-                )
-            else:
-                committed = best
-            active.remove(chosen)
-            deleted.append(chosen)
-            log.append(committed)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                block = GroupBlock(rows[k, t][i], chosen, t, k)
+                states[k, t] = smw_downdate(states[k, t], block)
+            rows[k, t] = np.delete(rows[k, t], i, axis=0)
+        if method == "smw":
+            best = objective.combine([states[p].trace for p in pairs])  # as committed
+        del active[i]
+        deleted.append(chosen)
+        log.append(best)
 
     return pattern_from_groups(
         cand,
@@ -248,49 +230,9 @@ def sbs_design(
     )
 
 
-def _score_smw(states, blocks, pairs, active, objective, pool):
-    def cost_for(g):
-        traces = []
-        for p in pairs:
-            tr = downdate_trace(states[p], blocks[(p[0], p[1], g)])
-            if math.isinf(tr):
-                return math.inf
-            traces.append(tr)
-        return objective.combine(traces)
-
-    if pool is not None and len(active) * len(pairs) >= 16:
-        return list(pool.map(cost_for, active))
-    return [cost_for(g) for g in active]
-
-
-def _trace_of_gram(gram) -> float:
-    """Trace of the inverse of a Hermitian Gram, +inf if near-singular."""
-    w = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    if w[0] <= 0 or w[-1] / w[0] > COND_LIMIT:
-        return math.inf
-    return float(np.sum(1.0 / w))
-
-
-def _score_direct(blocks, pairs, active, objective):
-    grams = {}
-    for p in pairs:
-        grams[p] = {
-            g: blocks[(p[0], p[1], g)].b_tilde.conj().T
-            @ blocks[(p[0], p[1], g)].b_tilde
-            for g in active
-        }
-    totals = {p: sum(grams[p].values()) for p in pairs}
-    costs = []
-    for g in active:
-        traces = []
-        for p in pairs:
-            tr = _trace_of_gram(totals[p] - grams[p][g])
-            if math.isinf(tr):
-                traces = None
-                break
-            traces.append(tr)
-        costs.append(math.inf if traces is None else objective.combine(traces))
-    return costs
+def _grams(rows) -> np.ndarray:
+    """Restricted Gram of each group of ``rows`` (g, C, S), shape (g, S, S)."""
+    return np.swapaxes(rows.conj(), 1, 2) @ rows
 
 
 def exhaustive_design(
@@ -313,27 +255,15 @@ def exhaustive_design(
         raise ValueError(
             f"{n_subsets} subsets exceed the enumeration budget of 10^6"
         )
-    grams = {}
-    for t in range(model.T):
-        per_group = []
-        for g in range(cand.L):
-            b = restricted_block(model, support, spec, g, t).b_tilde
-            per_group.append(b.conj().T @ b)
-        grams[t] = per_group
+    # per-group Grams of every map set, (T, L, S, S)
+    grams = np.stack(
+        [_grams(restricted_matrix(model, support, spec, t, range(cand.L))) for t in range(model.T)]
+    )
     best_cost = math.inf
     best_subset = None
     for subset in itertools.combinations(range(cand.L), target_groups):
-        traces = []
-        for t in range(model.T):
-            gram = sum(grams[t][g] for g in subset)
-            tr = _trace_of_gram(gram)
-            if math.isinf(tr):
-                traces = None
-                break
-            traces.append(tr)
-        if traces is None:
-            continue
-        cost = objective.combine(traces)
+        # singular subsets cost +inf and are never kept
+        cost = float(objective.combine(gram_inverse(grams[:, subset].sum(axis=1))[1]))
         if cost < best_cost:
             best_cost = cost
             best_subset = subset
@@ -376,4 +306,4 @@ def evaluate_pattern_crb(
             except InfeasibleDesignError:
                 return math.inf
             traces.append(state.trace)
-    return objective.combine(traces)
+    return float(objective.combine(traces))

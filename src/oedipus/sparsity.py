@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "TransformSpec",
     "SupportSet",
+    "check_dims",
     "forward_transform",
     "inverse_transform",
     "extract_support",
@@ -89,9 +90,10 @@ def _filters(spec: TransformSpec):
     return h, g
 
 
-def _check_dims(dims, spec: TransformSpec):
+def check_dims(dims, spec: TransformSpec):
+    """Raise ``ValueError`` unless a grid of ``dims`` admits the wavelet levels."""
     step = 2 ** spec.levels
-    if dims[0] % step or dims[1] % step:
+    if spec.family != "identity" and (dims[0] % step or dims[1] % step):
         raise ValueError(
             f"grid dims {dims} not divisible by 2**levels = {step}"
         )
@@ -148,7 +150,7 @@ def forward_transform(image: np.ndarray, spec: TransformSpec) -> np.ndarray:
     if out.ndim < 2:
         raise ValueError("image must be at least 2-dimensional")
     dims = out.shape[-2:]
-    _check_dims(dims, spec)
+    check_dims(dims, spec)
     out = out.copy()
     h, g = _filters(spec)
     n1, n2 = dims
@@ -167,7 +169,7 @@ def inverse_transform(coeffs: np.ndarray, spec: TransformSpec) -> np.ndarray:
     if out.ndim < 2:
         raise ValueError("coefficients must be at least 2-dimensional")
     dims = out.shape[-2:]
-    _check_dims(dims, spec)
+    check_dims(dims, spec)
     out = out.copy()
     h, g = _filters(spec)
     n1 = dims[0] >> spec.levels

@@ -114,6 +114,8 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
         ("design", {"channels": "single"}, "channels"),
         ("baseline", {"baselines": {"caipi": True}}, "baselines.caipi"),
         ("evaluate", {"recon": {"lamda": 5.0}}, "recon.lamda"),
+        ("design", {"transform": {"levels": 5}}, "transform.levels"),
+        ("design", {"recon": {"lambda": 0.0}}, "recon.lambda"),
     ],
 )
 def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):

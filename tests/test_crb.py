@@ -13,6 +13,7 @@ from oedipus import (
     single_channel_model,
     smw_downdate,
 )
+from oedipus import crb
 from oedipus.crb import CrbState, GroupBlock
 
 from conftest import dense_candidate_matrix, dense_transform_matrix, make_model, random_support
@@ -161,6 +162,27 @@ def test_mandatory_group_gives_infinite_trace():
     assert downdate_trace(state_small, block) == np.inf
     with pytest.raises(InfeasibleDesignError):
         smw_downdate(state, block)
+
+
+def test_sliced_downdate_traces_match_per_group(monkeypatch):
+    # 8 lines of a 4x8 grid; voxel pairs 4 apart alias on every even line,
+    # so of the even lines plus one odd line, the odd line is mandatory
+    model = make_model((4, 8), undersample_axes=(1,))
+    spec = TransformSpec("identity", 0)
+    voxels = [(0, 0), (0, 4), (1, 1), (1, 5), (2, 2), (3, 3)]
+    support = SupportSet(indices=np.array([8 * r0 + r1 for r0, r1 in voxels]), q=32)
+    cand = model.candidates
+    parity = [cand.kidx[cand.group_locs[g][0], 1] % 2 for g in range(cand.L)]
+    groups = [g for g in range(cand.L) if parity[g] == 0] + [parity.index(1)]
+    rows = crb.restricted_matrix(model, support, spec, 0, groups)
+    state = crb.state_from_gram(crb.restricted_gram(rows), groups, 0)
+    want = [downdate_trace(state, restricted_block(model, support, spec, g, 0)) for g in groups]
+    assert np.isinf(want).tolist() == [False] * 4 + [True]
+    c, s = rows.shape[1:]
+    monkeypatch.setattr(crb, "SLICE_ENTRIES", 2 * c * s)  # slices of 2, 2 and 1 groups
+    got = crb.downdate_traces(state, rows)
+    np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+    np.testing.assert_allclose(got[:4], want[:4], rtol=1e-12)
 
 
 def test_block_state_mismatch_rejected(rng):

@@ -6,6 +6,7 @@ import pytest
 
 from oedipus import (
     DesignObjective,
+    EncodingModel,
     InfeasibleDesignError,
     SupportSet,
     TransformSpec,
@@ -17,6 +18,7 @@ from oedipus import (
     pattern_from_groups,
     sbs_design,
     single_channel_model,
+    synthesize_coil_maps,
 )
 from oedipus.design import _select
 
@@ -132,6 +134,64 @@ def test_smw_and_direct_methods_agree(rng):
     assert a.deleted == b.deleted
     assert a.kept_groups == b.kept_groups
     np.testing.assert_allclose(a.log, b.log, rtol=1e-7)
+
+
+def aliasing_ensemble(dims, axes, voxels):
+    """Single-coil model with two coil-map sets and one support per voxel list.
+
+    Voxels N/2 apart along an undersampled axis alias on every group at an
+    even k offset along it, so late in a design the last odd group turns
+    mandatory.
+    """
+    grid = ImageGrid(dims, (100.0, 100.0))
+    cand = build_cartesian_candidates(grid, undersample_axes=axes, n_coils=1)
+    maps = tuple(synthesize_coil_maps(grid, 1, seed=s) for s in (1, 2))
+    model = EncodingModel(grid=grid, candidates=cand, coil_maps=maps)
+    q = dims[0] * dims[1]
+    supports = [
+        SupportSet(indices=np.array([r0 * dims[1] + r1 for r0, r1 in vox]), q=q)
+        for vox in voxels
+    ]
+    return model, supports
+
+
+ALIASING_CASES = {
+    "C1-2d": (
+        (4, 4), (0, 1), 5,
+        [[(0, 0), (0, 2), (1, 1), (2, 2)], [(0, 0), (2, 0), (1, 3), (3, 3), (2, 1)]],
+    ),
+    "C4-lt-S": (
+        (4, 8), (1,), 2,
+        [
+            [(0, 0), (0, 4), (1, 1), (1, 5), (2, 2), (3, 3)],
+            [(0, 1), (0, 5), (1, 2), (2, 6), (3, 0), (3, 7), (2, 3)],
+        ],
+    ),
+    "C4-gt-S": ((4, 8), (1,), 2, [[(0, 0), (0, 4), (1, 2)], [(1, 1), (1, 5), (3, 3)]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALIASING_CASES))
+def test_smw_and_direct_methods_agree_on_ensembles(case):
+    # 2 supports x 2 map sets, worst case; the last deletion prices a
+    # mandatory (+inf) group, found here by rebuilding without each group
+    dims, axes, target, voxels = ALIASING_CASES[case]
+    model, supports = aliasing_ensemble(dims, axes, voxels)
+    objective = DesignObjective("worst")
+    a = sbs_design(model, supports, objective, target, IDENT, method="smw")
+    b = sbs_design(model, supports, objective, target, IDENT, method="direct")
+    assert a.deleted == b.deleted
+    assert a.kept_groups == b.kept_groups
+    np.testing.assert_allclose(a.log, b.log, rtol=1e-7)
+    last = sorted(a.kept_groups + a.deleted[-1:])
+    rebuilt = [
+        evaluate_pattern_crb(
+            pattern_from_groups(model.candidates, [x for x in last if x != g], mode="x"),
+            model, supports, objective, IDENT,
+        )
+        for g in last
+    ]
+    assert math.inf in rebuilt and min(rebuilt) == pytest.approx(a.log[-1], rel=1e-7)
 
 
 def test_multi_ensemble_average_objective(rng):
