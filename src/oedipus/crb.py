@@ -2,12 +2,15 @@
 
 For a candidate row set restricted to a known transform-domain support, the
 covariance of any unbiased estimator is bounded below by the inverse of the
-restricted Gram matrix.  This module builds that inverse for the full
-candidate set, removes acquisition groups from it via the matrix inversion
-lemma (a rank-C "downdate" that only inverts a C x C system), prices the
-removal of every group of a stacked (groups, C, S) row array as batched
-array code, tracks the trace recursively, and provides the support-aware
-least-squares estimator that attains the bound.
+restricted Gram matrix.  The restricted rows are assembled from the S support
+atoms: each atom's voxel image is weighted by the coil maps, its spectrum is
+taken with the separable DFT factors of the row phases and gathered at the
+candidate locations.  Groups are removed via the matrix inversion lemma (a
+rank-C "downdate" that only inverts a C x C system); the removal of every
+group of a stacked (groups, C, S) row array is priced as batched array code,
+with one Cholesky clearing a whole slice of regular groups.  The module also
+tracks the trace recursively and provides the support-aware least-squares
+estimator that attains the bound.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import EncodingModel, group_rows
+from .encoding import EncodingModel
 from .errors import InfeasibleDesignError
-from .sparsity import SupportSet, TransformSpec, inverse_transform, restricted_rows
+from .sparsity import SupportSet, TransformSpec, support_atoms
 
 __all__ = [
     "COND_LIMIT",
@@ -43,9 +46,9 @@ __all__ = [
 # (double precision rule of thumb).
 COND_LIMIT = 1e12
 
-# Complex entries a temporary built per slice of groups may hold: dense rows
-# during assembly (the DWT works on several copies of them) or (groups x C x S)
-# while pricing deletions.  Keeps peak memory flat however many groups there are.
+# Complex entries a temporary built per slice may hold: support atoms times
+# coils during assembly, or (groups x C x S) while pricing deletions.  Keeps
+# peak memory flat however large the support or the candidate set.
 SLICE_ENTRIES = 2**13
 
 
@@ -76,6 +79,19 @@ class GroupBlock:
     k: int
 
 
+def _axis_phases(model: EncodingModel, locs: np.ndarray):
+    """Per-axis factors F1 (d1, N1), F2 (N2, d2) of the row phases over the
+    distinct offsets of ``locs``: ``(F1 @ x @ F2)[j1, j2]`` is the spectrum of
+    image x at each location, for any oversampling."""
+    (n1, n2), ov = model.grid.dims, model.candidates.oversampling
+    m = model.candidates.kidx[locs]
+    u1, j1 = np.unique(m[:, 0], return_inverse=True)
+    u2, j2 = np.unique(m[:, 1], return_inverse=True)
+    f1 = np.exp(-2j * np.pi * (u1[:, None] * (np.arange(n1)[None, :] / (ov * n1))))
+    f2 = np.exp(-2j * np.pi * ((np.arange(n2)[:, None] / (ov * n2)) * u2[None, :]))
+    return f1, f2, j1, j2
+
+
 def restricted_matrix(
     model: EncodingModel,
     support: SupportSet,
@@ -85,18 +101,26 @@ def restricted_matrix(
 ) -> np.ndarray:
     """Support-restricted rows of ``groups`` under map set ``t``, (len(groups), C, S).
 
-    Rows are pushed through the transform a slice of groups at a time: as
-    many as fit in :data:`SLICE_ENTRIES` dense entries, and at least one.
+    Entry (p, s) is ``w_p sum_n c_p(r_n) psi_s(r_n) exp(-i 2 pi k_p . r_n)``
+    with ``psi_s`` the voxel image of support atom s.  Atoms are synthesized
+    a slice of support columns at a time: as many as fit in
+    :data:`SLICE_ENTRIES` voxel entries times coils, and at least one.
     """
+    cand = model.candidates
     groups = list(groups)
-    c, n = model.candidates.C, model.N
-    out = np.empty((len(groups), c, support.S), dtype=complex)
-    step = max(1, SLICE_ENTRIES // (c * n))
-    for i in range(0, len(groups), step):
-        rows = np.concatenate([group_rows(model, g, t) for g in groups[i : i + step]])
-        b = restricted_rows(rows, support, spec, model.grid.dims)
-        out[i : i + step] = b.reshape(-1, c, support.S)
-    return out
+    if not 0 <= t < model.T or any(not 0 <= g < cand.L for g in groups):
+        raise ValueError(f"map set {t} or a group index out of range (T={model.T}, L={cand.L})")
+    locs = np.concatenate([cand.group_locs[g] for g in groups] or [np.zeros(0, int)])
+    f1, f2, j1, j2 = _axis_phases(model, locs)
+    w = model.basis.weights(cand.klocs[locs], model.grid)[:, None, None]
+    maps = model.coil_maps[t].reshape(cand.n_coils, 1, *model.grid.dims)
+    out = np.empty((locs.size, cand.n_coils, support.S), dtype=complex)
+    step = max(1, SLICE_ENTRIES // (cand.n_coils * model.N))
+    for i in range(0, support.S, step):
+        atoms = support_atoms(support, spec, model.grid.dims, slice(i, i + step))
+        spectra = f1 @ (maps * atoms) @ f2  # (coils, atoms, d1, d2)
+        out[..., i : i + step] = np.moveaxis(spectra[..., j1, j2], -1, 0) * w
+    return out.reshape(len(groups), cand.C, support.S)
 
 
 def restricted_block(
@@ -202,8 +226,21 @@ def _downdate_pieces(inv_gram: np.ndarray, rows: np.ndarray):
     gh = (rows.reshape(-1, rows.shape[-1]) @ inv_gram).reshape(rows.shape)
     mid = np.eye(rows.shape[1]) - rows @ _h(gh)
     mid = 0.5 * (mid + _h(mid))
-    singular = np.linalg.eigvalsh(mid)[:, 0] <= 1.0 / COND_LIMIT
-    return gh, mid, singular
+    return gh, mid, _singular(mid)
+
+
+def _singular(mid: np.ndarray) -> np.ndarray:
+    """Which middle matrices (g, C, C) have smallest eigenvalue <= 1/COND_LIMIT.
+
+    A batched Cholesky of ``mid - I/COND_LIMIT`` clears a slice of regular
+    groups at once; only a slice where it fails gets the eigenvalue test.
+    """
+    tau = 1.0 / COND_LIMIT
+    try:
+        np.linalg.cholesky(mid - tau * np.eye(mid.shape[-1]))
+        return np.zeros(len(mid), dtype=bool)
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvalsh(mid)[:, 0] <= tau
 
 
 def smw_downdate(state: CrbState, block: GroupBlock) -> CrbState:
@@ -272,13 +309,7 @@ def image_domain_crb_trace(
     equals ``state.trace``; the explicit route makes that a checkable
     dual computation rather than an identity.
     """
-    s = support.S
-    basis = np.zeros((s, dims[0] * dims[1]), dtype=complex)
-    unit = np.zeros(dims[0] * dims[1], dtype=complex)
-    for j, idx in enumerate(support.indices):
-        unit[:] = 0.0
-        unit[idx] = 1.0
-        basis[j] = inverse_transform(unit.reshape(dims), spec).ravel()
+    basis = support_atoms(support, spec, dims).reshape(support.S, -1)
     # Trace[V^T C conj(V)] with V[j] the synthesized coefficient image.
     w = state.inv_gram @ np.conj(basis)
     return float(np.einsum("sn,sn->", basis, w).real)

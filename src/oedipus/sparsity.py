@@ -21,6 +21,7 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "extract_support",
+    "support_atoms",
     "restricted_row",
     "restricted_rows",
 ]
@@ -199,6 +200,17 @@ def extract_support(
     s = math.ceil(fraction * q)
     order = np.argsort(-np.abs(coeffs), kind="stable")
     return SupportSet(indices=np.sort(order[:s]), q=q, source_label=source_label)
+
+
+def support_atoms(support: SupportSet, spec: TransformSpec, dims, columns=slice(None)):
+    """Voxel images ``inverse_transform(e_s)`` of the support atoms selected
+    by ``columns`` (default: all), one batched transform, shape (s, N1, N2)."""
+    if support.q != dims[0] * dims[1]:
+        raise ValueError("support length does not match grid size")
+    idx = support.indices[columns]
+    units = np.zeros((idx.size, support.q), dtype=complex)
+    units[np.arange(idx.size), idx] = 1.0
+    return inverse_transform(units.reshape(-1, *dims), spec)
 
 
 def restricted_row(

@@ -5,6 +5,7 @@ from oedipus import (
     EncodingModel,
     ImageGrid,
     SupportSet,
+    VoxelBasis,
     build_cartesian_candidates,
     single_channel_model,
     synthesize_coil_maps,
@@ -16,16 +17,19 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def make_model(dims=(8, 8), n_coils=1, undersample_axes=(0, 1), seed=0, oversampling=1.0):
+def make_model(
+    dims=(8, 8), n_coils=1, undersample_axes=(0, 1), seed=0, oversampling=1.0, basis=None
+):
     """Small encoding model with synthetic coil maps (unit map for 1 coil)."""
     grid = ImageGrid(dims, (float(dims[0]) * 2, float(dims[1]) * 2))
     cand = build_cartesian_candidates(
         grid, oversampling=oversampling, undersample_axes=undersample_axes, n_coils=n_coils
     )
+    basis = VoxelBasis(basis or "dirac")
     if n_coils == 1:
-        return single_channel_model(grid, cand)
+        return single_channel_model(grid, cand, basis)
     maps = (synthesize_coil_maps(grid, n_coils, seed=seed),)
-    return EncodingModel(grid=grid, candidates=cand, coil_maps=maps)
+    return EncodingModel(grid=grid, candidates=cand, coil_maps=maps, basis=basis)
 
 
 def random_support(rng, q, s):

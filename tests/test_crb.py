@@ -7,6 +7,7 @@ from oedipus import (
     TransformSpec,
     build_full_crb,
     downdate_trace,
+    group_rows,
     image_domain_crb_trace,
     oracle_lsq_estimate,
     restricted_block,
@@ -15,6 +16,7 @@ from oedipus import (
 )
 from oedipus import crb
 from oedipus.crb import CrbState, GroupBlock
+from oedipus.sparsity import restricted_rows
 
 from conftest import dense_candidate_matrix, dense_transform_matrix, make_model, random_support
 
@@ -183,6 +185,83 @@ def test_sliced_downdate_traces_match_per_group(monkeypatch):
     got = crb.downdate_traces(state, rows)
     np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
     np.testing.assert_allclose(got[:4], want[:4], rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dims,n_coils,axes,oversampling,basis,family,levels",
+    [
+        ((8, 8), 1, (0, 1), 1.0, "dirac", "haar", 2),
+        ((8, 8), 3, (0,), 1.5, "rect", "daub4", 2),
+        ((8, 16), 3, (1,), 2.0, "dirac", "identity", 0),
+        ((8, 8), 1, (0, 1), 2.0, "rect", "daub4", 1),
+        ((16, 8), 3, (0, 1), 1.5, "dirac", "haar", 3),
+        ((8, 8), 1, (1,), 1.0, "rect", "identity", 0),
+    ],
+)
+def test_restricted_matrix_matches_dense_rows(
+    rng, monkeypatch, dims, n_coils, axes, oversampling, basis, family, levels
+):
+    model = make_model(dims, n_coils, axes, seed=5, oversampling=oversampling, basis=basis)
+    spec = TransformSpec(family, levels)
+    support = random_support(rng, model.N, 11)
+    cand = model.candidates
+    groups = rng.permutation(cand.L)[: cand.L // 2 + 1].tolist()  # unsorted subset
+    monkeypatch.setattr(crb, "SLICE_ENTRIES", 4 * n_coils * model.N)  # 4, 4 and 3 atoms
+    got = crb.restricted_matrix(model, support, spec, 0, groups)
+    want = np.stack(
+        [restricted_rows(group_rows(model, g, 0), support, spec, dims) for g in groups]
+    )
+    assert got.shape == (len(groups), cand.C, support.S)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert crb.restricted_matrix(model, support, spec, 0, []).shape == (0, cand.C, 11)
+    for t, bad in ((0, [0, cand.L]), (0, [-1]), (1, [0])):
+        with pytest.raises(ValueError):
+            crb.restricted_matrix(model, support, spec, t, bad)
+
+
+def _middle_matrix(rng, c, lam_min):
+    """Hermitian C x C matrix with eigenvalues from lam_min to 1."""
+    q, _ = np.linalg.qr(rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c)))
+    mid = (q * np.linspace(lam_min, 1.0, c)) @ q.conj().T
+    return 0.5 * (mid + mid.conj().T)
+
+
+def test_singularity_rule_flags_eigenvalues_up_to_the_limit(rng, monkeypatch):
+    tau = 1.0 / crb.COND_LIMIT
+    mids = np.stack([_middle_matrix(rng, 6, lam) for lam in (0.5 * tau, 2 * tau, 0.5)])
+    assert crb._singular(mids).tolist() == [True, False, False]
+    assert [bool(crb._singular(m[None])[0]) for m in mids] == [True, False, False]
+
+    def no_fallback(_):
+        raise AssertionError("a regular slice took the eigenvalue test")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_fallback)
+    assert crb._singular(mids[1:]).tolist() == [False, False]
+
+
+def test_mandatory_group_in_a_one_row_slice_takes_the_fallback(monkeypatch):
+    # one line of 16 locations; voxels 0 and 8 alias on every even location,
+    # so of the even locations plus one odd location, the odd one is mandatory
+    model = make_model((1, 16))
+    spec = TransformSpec("identity", 0)
+    support = SupportSet(indices=np.array([0, 1, 8]), q=16)
+    cand = model.candidates
+    odd = [g for g in range(cand.L) if cand.kidx[g, 1] % 2]
+    groups = [g for g in range(cand.L) if cand.kidx[g, 1] % 2 == 0] + odd[:1]
+    rows = crb.restricted_matrix(model, support, spec, 0, groups)
+    state = crb.state_from_gram(crb.restricted_gram(rows), groups, 0)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    got = crb.downdate_traces(state, rows)
+    monkeypatch.undo()
+    assert calls == [len(groups)]  # one slice, decided by its eigenvalues
+    assert np.isinf(got).tolist() == [False] * 8 + [True]
+    for g, trace in zip(groups[:-1], got):
+        block = restricted_block(model, support, spec, g, 0)
+        assert trace == pytest.approx(downdate_trace(state, block), rel=1e-12)
+    with pytest.raises(InfeasibleDesignError):
+        smw_downdate(state, restricted_block(model, support, spec, odd[0], 0))
 
 
 def test_block_state_mismatch_rejected(rng):
