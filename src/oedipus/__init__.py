@@ -8,7 +8,6 @@ from .baselines import (
 )
 from .crb import (
     CrbState,
-    GroupBlock,
     build_full_crb,
     downdate_trace,
     image_domain_crb_trace,

@@ -20,7 +20,13 @@ import yaml
 from . import io as oio
 from . import sparsity
 from .baselines import BaselineSpec, caipi_pattern, poisson_disc_pattern, uniform_pattern
-from .crb import build_full_crb, downdate_trace, oracle_lsq_estimate, restricted_block, smw_downdate
+from .crb import (
+    build_full_crb,
+    downdate_traces,
+    oracle_lsq_estimate,
+    restricted_matrix,
+    smw_downdate,
+)
 from .design import (
     DesignObjective,
     evaluate_pattern_crb,
@@ -411,18 +417,14 @@ def _selftest_checks():
     tspec = TransformSpec("haar", 1)
     support = SupportSet(indices=rng.choice(64, size=12, replace=False), q=64)
     state = build_full_crb(model, support, tspec, t=0)
-    groups = list(rng.choice(cand.L, size=5, replace=False))
-    removed = []
+    groups = rng.choice(cand.L, size=5, replace=False).tolist()
+    kept = list(range(cand.L))
     worst = 0.0
-    for g in groups:
-        block = restricted_block(model, support, tspec, int(g), 0)
-        tr = downdate_trace(state, block)
-        state = smw_downdate(state, block)
-        removed.append(int(g))
-        rebuilt = build_full_crb(
-            model, support, tspec, 0,
-            groups=[x for x in range(cand.L) if x not in removed],
-        )
+    for g, rows in zip(groups, restricted_matrix(model, support, tspec, 0, groups)):
+        tr = downdate_traces(state, rows[None])[0]
+        state = smw_downdate(state, rows)
+        kept.remove(g)
+        rebuilt = build_full_crb(model, support, tspec, 0, groups=kept)
         err = np.linalg.norm(state.inv_gram - rebuilt.inv_gram) / np.linalg.norm(
             rebuilt.inv_gram
         )

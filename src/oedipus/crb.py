@@ -5,29 +5,30 @@ covariance of any unbiased estimator is bounded below by the inverse of the
 restricted Gram matrix.  The restricted rows are assembled from the S support
 atoms: each atom's voxel image is weighted by the coil maps, its spectrum is
 taken with the separable DFT factors of the row phases and gathered at the
-candidate locations.  Groups are removed via the matrix inversion lemma (a
-rank-C "downdate" that only inverts a C x C system); the removal of every
-group of a stacked (groups, C, S) row array is priced as batched array code,
-with one Cholesky clearing a whole slice of regular groups.  The module also
-tracks the trace recursively and provides the support-aware least-squares
-estimator that attains the bound.
+candidate locations.  The layer passes plain arrays: a group is its (C, S)
+restricted rows, and which groups a state holds is the caller's bookkeeping.
+Groups are removed via the matrix inversion lemma (a rank-C "downdate" that
+only inverts a C x C system); the removal of every group of a stacked
+(groups, C, S) row array is priced as batched array code, with one Cholesky
+clearing a whole slice of regular groups.  The module also tracks the trace
+recursively and provides the support-aware least-squares estimator that
+attains the bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncodingModel
+from .encoding import EncodingModel, _axis_phases
 from .errors import InfeasibleDesignError
 from .sparsity import SupportSet, TransformSpec, support_atoms
 
 __all__ = [
     "COND_LIMIT",
     "CrbState",
-    "GroupBlock",
     "SLICE_ENTRIES",
     "restricted_matrix",
     "restricted_block",
@@ -54,42 +55,16 @@ SLICE_ENTRIES = 2**13
 
 @dataclass(frozen=True, eq=False)
 class CrbState:
-    """Inverse restricted Gram matrix for one (exemplar, map-set) pair.
+    """Inverse restricted Gram matrix of one row set.
 
-    ``inv_gram`` is S x S Hermitian, ``trace`` its real trace,
-    ``active_groups`` the group indices still contributing rows, and
-    ``cond`` the condition estimate of the underlying Gram matrix.
+    ``inv_gram`` is S x S Hermitian, ``trace`` its real trace and ``cond``
+    the condition number of the Gram it was built from (a downdate keeps
+    it).
     """
 
     inv_gram: np.ndarray
     trace: float
-    k: int
-    t: int
-    active_groups: frozenset[int]
     cond: float
-
-
-@dataclass(frozen=True, eq=False)
-class GroupBlock:
-    """Support-restricted rows of one acquisition group, shape (C, S)."""
-
-    b_tilde: np.ndarray
-    group_index: int
-    t: int
-    k: int
-
-
-def _axis_phases(model: EncodingModel, locs: np.ndarray):
-    """Per-axis factors F1 (d1, N1), F2 (N2, d2) of the row phases over the
-    distinct offsets of ``locs``: ``(F1 @ x @ F2)[j1, j2]`` is the spectrum of
-    image x at each location, for any oversampling."""
-    (n1, n2), ov = model.grid.dims, model.candidates.oversampling
-    m = model.candidates.kidx[locs]
-    u1, j1 = np.unique(m[:, 0], return_inverse=True)
-    u2, j2 = np.unique(m[:, 1], return_inverse=True)
-    f1 = np.exp(-2j * np.pi * (u1[:, None] * (np.arange(n1)[None, :] / (ov * n1))))
-    f2 = np.exp(-2j * np.pi * ((np.arange(n2)[:, None] / (ov * n2)) * u2[None, :]))
-    return f1, f2, j1, j2
 
 
 def restricted_matrix(
@@ -124,16 +99,10 @@ def restricted_matrix(
 
 
 def restricted_block(
-    model: EncodingModel,
-    support: SupportSet,
-    spec: TransformSpec,
-    group_index: int,
-    t: int,
-    k: int = 0,
-) -> GroupBlock:
-    """Build the (C, S) restricted row block of one group."""
-    b = restricted_matrix(model, support, spec, t, [group_index])[0]
-    return GroupBlock(b_tilde=b, group_index=group_index, t=t, k=k)
+    model: EncodingModel, support: SupportSet, spec: TransformSpec, group_index: int, t: int
+) -> np.ndarray:
+    """Restricted rows of one group, (C, S): ``restricted_matrix`` of ``[group_index]``."""
+    return restricted_matrix(model, support, spec, t, [group_index])[0]
 
 
 def _h(a: np.ndarray) -> np.ndarray:
@@ -163,8 +132,8 @@ def restricted_gram(rows: np.ndarray) -> np.ndarray:
     return b.conj().T @ b
 
 
-def state_from_gram(gram: np.ndarray, groups, t: int, k: int = 0) -> CrbState:
-    """CRB state of the restricted Gram of ``groups``.
+def state_from_gram(gram: np.ndarray) -> CrbState:
+    """CRB state of a restricted Gram matrix.
 
     Raises :class:`InfeasibleDesignError` when the support cannot be
     identified (rank deficiency or condition above :data:`COND_LIMIT`).
@@ -176,9 +145,7 @@ def state_from_gram(gram: np.ndarray, groups, t: int, k: int = 0) -> CrbState:
             f"restricted Gram is singular or near-singular (cond ~ {cond:.3g})",
             cond=cond,
         )
-    return CrbState(
-        inv_gram=inv, trace=trace, k=k, t=t, active_groups=frozenset(groups), cond=cond
-    )
+    return CrbState(inv_gram=inv, trace=trace, cond=cond)
 
 
 def build_full_crb(
@@ -186,7 +153,6 @@ def build_full_crb(
     support: SupportSet,
     spec: TransformSpec,
     t: int,
-    k: int = 0,
     groups=None,
 ) -> CrbState:
     """CRB state for the candidate rows of ``groups`` (default: all groups).
@@ -203,17 +169,7 @@ def build_full_crb(
         )
     # no reference to the rows outlives the Gram: they are freed before the inversion
     gram = restricted_gram(restricted_matrix(model, support, spec, t, groups))
-    return state_from_gram(gram, groups, t, k)
-
-
-def _check_block(state: CrbState, block: GroupBlock):
-    if block.group_index not in state.active_groups:
-        raise ValueError(f"group {block.group_index} is not active")
-    if (block.k, block.t) != (state.k, state.t):
-        raise ValueError(
-            f"block for (k={block.k}, t={block.t}) applied to state "
-            f"(k={state.k}, t={state.t})"
-        )
+    return state_from_gram(gram)
 
 
 def _downdate_pieces(inv_gram: np.ndarray, rows: np.ndarray):
@@ -243,27 +199,21 @@ def _singular(mid: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(mid)[:, 0] <= tau
 
 
-def smw_downdate(state: CrbState, block: GroupBlock) -> CrbState:
-    """CRB state after removing one group, via the matrix inversion lemma.
+def smw_downdate(state: CrbState, rows: np.ndarray) -> CrbState:
+    """CRB state after removing the rows (C, S) of one group.
 
-    Equals re-inversion of the reduced Gram.  Raises
-    :class:`InfeasibleDesignError` when removing the group destroys
-    identifiability (the C x C system is singular within tolerance).
+    Applies the matrix inversion lemma with the pieces that
+    :func:`downdate_traces` prices, so it equals re-inversion of the reduced
+    Gram.  Raises :class:`InfeasibleDesignError` when removing the rows
+    destroys identifiability (the C x C system is singular within
+    tolerance).
     """
-    _check_block(state, block)
-    gh, mid, singular = _downdate_pieces(state.inv_gram, block.b_tilde[None])
+    gh, mid, singular = _downdate_pieces(state.inv_gram, rows[None])
     if singular[0]:
-        raise InfeasibleDesignError(
-            f"removing group {block.group_index} makes the design singular"
-        )
+        raise InfeasibleDesignError("removing the group makes the design singular")
     inv = state.inv_gram + _h(gh[0]) @ np.linalg.solve(mid[0], gh[0])
     inv = 0.5 * (inv + inv.conj().T)
-    return replace(
-        state,
-        inv_gram=inv,
-        trace=float(np.trace(inv).real),
-        active_groups=state.active_groups - {block.group_index},
-    )
+    return CrbState(inv_gram=inv, trace=float(np.trace(inv).real), cond=state.cond)
 
 
 def downdate_traces(state: CrbState, rows: np.ndarray) -> np.ndarray:
@@ -286,14 +236,9 @@ def downdate_traces(state: CrbState, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def downdate_trace(state: CrbState, block: GroupBlock) -> float:
-    """Trace of the CRB after removing one group, without the S x S update.
-
-    Returns ``+inf`` when the group is mandatory (its removal makes the
-    reduced Gram singular), which lets design loops skip it cheaply.
-    """
-    _check_block(state, block)
-    return float(downdate_traces(state, block.b_tilde[None])[0])
+def downdate_trace(state: CrbState, rows: np.ndarray) -> float:
+    """Trace after removing the rows (C, S) of one group, ``+inf`` if mandatory."""
+    return float(downdate_traces(state, rows[None])[0])
 
 
 def image_domain_crb_trace(

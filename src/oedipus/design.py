@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crb import (
-    GroupBlock,
     build_full_crb,
     downdate_traces,
     gram_inverse,
@@ -162,10 +161,14 @@ def sbs_design(
     result is deterministic.
 
     Each (exemplar, map set) pair keeps its restricted rows in one
-    (groups, C, S) array, built once.  ``method="smw"`` prices its groups
-    with :func:`~oedipus.crb.downdate_traces` and commits each deletion as
-    a rank-C downdate; ``method="direct"`` re-inverts every reduced Gram
-    (slow, used to validate the downdate path).
+    (groups, C, S) array, built once, and the CRB state of their Gram.
+    The loop keeps the bookkeeping: row i of every array belongs to group
+    ``active[i]``, and a deletion drops that row from each array.
+    ``method="smw"`` prices the groups with
+    :func:`~oedipus.crb.downdate_traces` and commits each deletion by
+    passing the group's (C, S) rows to :func:`~oedipus.crb.smw_downdate`;
+    ``method="direct"`` re-inverts every reduced Gram (slow, used to
+    validate the downdate path).
 
     Raises :class:`InfeasibleDesignError` if the initial full-candidate
     CRB cannot be built or every remaining group becomes mandatory before
@@ -185,8 +188,7 @@ def sbs_design(
     pairs = [(k, t) for k in range(len(supports)) for t in range(model.T)]
     rows = {(k, t): restricted_matrix(model, supports[k], spec, t, active) for k, t in pairs}
     try:
-        grams = {p: restricted_gram(rows[p]) for p in pairs}
-        states = {(k, t): state_from_gram(grams[k, t], active, t, k) for k, t in pairs}
+        states = {p: state_from_gram(restricted_gram(rows[p])) for p in pairs}
     except InfeasibleDesignError as err:
         raise InfeasibleDesignError(
             f"full-candidate CRB build failed: {err}", iteration=0, cond=err.cond
@@ -210,11 +212,10 @@ def sbs_design(
                 iteration=iteration,
             )
         i = active.index(chosen)
-        for k, t in pairs:  # one pair at a time, so one row array is copied at once
+        for p in pairs:  # one pair at a time, so one row array is copied at once
             if method == "smw":
-                block = GroupBlock(rows[k, t][i], chosen, t, k)
-                states[k, t] = smw_downdate(states[k, t], block)
-            rows[k, t] = np.delete(rows[k, t], i, axis=0)
+                states[p] = smw_downdate(states[p], rows[p][i])
+            rows[p] = np.delete(rows[p], i, axis=0)
         if method == "smw":
             best = objective.combine([states[p].trace for p in pairs])  # as committed
         del active[i]
@@ -297,12 +298,10 @@ def evaluate_pattern_crb(
     if pattern.kept_groups[-1] >= cand.L:
         raise ValueError("pattern references groups outside the candidate set")
     traces = []
-    for k, support in enumerate(supports):
+    for support in supports:
         for t in range(model.T):
             try:
-                state = build_full_crb(
-                    model, support, spec, t, k, groups=pattern.kept_groups
-                )
+                state = build_full_crb(model, support, spec, t, groups=pattern.kept_groups)
             except InfeasibleDesignError:
                 return math.inf
             traces.append(state.trace)

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OedipusError
-
 __all__ = [
     "ImageGrid",
     "VoxelBasis",
@@ -219,7 +217,6 @@ class EncodingModel:
     candidates: CandidateSet
     coil_maps: tuple[np.ndarray, ...]
     basis: VoxelBasis = field(default_factory=VoxelBasis)
-    noise_sigma: float = 1.0
 
     def __post_init__(self):
         if len(self.coil_maps) < 1:
@@ -329,6 +326,20 @@ def _row_phases(model: EncodingModel, loc_indices: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * phase)
 
 
+def _axis_phases(model: EncodingModel, locs: np.ndarray):
+    """Per-axis factors F1 (d1, N1), F2 (N2, d2) of :func:`_row_phases` over
+    the distinct offsets of ``locs``, with the index (j1, j2) of each
+    location: ``(F1 @ x @ F2)[j1, j2]`` is the spectrum of image x at each
+    location, for any oversampling."""
+    (n1, n2), ov = model.grid.dims, model.candidates.oversampling
+    m = model.candidates.kidx[locs]
+    u1, j1 = np.unique(m[:, 0], return_inverse=True)
+    u2, j2 = np.unique(m[:, 1], return_inverse=True)
+    f1 = np.exp(-2j * np.pi * (u1[:, None] * (np.arange(n1)[None, :] / (ov * n1))))
+    f2 = np.exp(-2j * np.pi * ((np.arange(n2)[:, None] / (ov * n2)) * u2[None, :]))
+    return f1, f2, j1, j2
+
+
 def candidate_row(model: EncodingModel, p: int, t: int) -> np.ndarray:
     """Single candidate measurement row, shape (N,).
 
@@ -368,9 +379,12 @@ class EncodingOperator:
     """Applies the measurement matrix of the retained groups and its adjoint.
 
     Rows are ordered by ascending kept group, within a group by ascending
-    row index.  An FFT fast path is used when the candidate grid coincides
-    with the voxel grid (oversampling 1); otherwise rows are materialized
-    densely.
+    row index.  Both directions go through the spectra of the coil-weighted
+    images on a grid: the kept locations are gathered from it (or scattered
+    into it) and weighted by the voxel basis.  When the candidate grid is the
+    voxel grid (oversampling 1) the spectra are FFTs; otherwise they are
+    taken with the separable DFT factors of the row phases, exact for any
+    oversampling.
     """
 
     def __init__(self, model: EncodingModel, kept_groups, t: int = 0):
@@ -387,21 +401,18 @@ class EncodingOperator:
         self.kept_groups = tuple(kept)
         self._locs = np.concatenate([cand.group_locs[g] for g in kept])
         self._b = model.basis.weights(cand.klocs[self._locs], model.grid)
+        self._maps = model.coil_maps[t].reshape(model.n_coils, *model.grid.dims)
         self.n_rows = self._locs.size * cand.n_coils
-        g1, g2 = model.grid.dims
-        self._fft_ok = cand.grid_dims == (g1, g2) and cand.oversampling == 1.0
-        if self._fft_ok:
+        dims = tuple(model.grid.dims)
+        if cand.grid_dims == dims and cand.oversampling == 1.0:
+            self._factors = None  # spectra by FFT on the voxel grid
             m = cand.kidx[self._locs]
-            self._f1 = np.mod(m[:, 0], g1)
-            self._f2 = np.mod(m[:, 1], g2)
+            self._j1, self._j2 = np.mod(m[:, 0], dims[0]), np.mod(m[:, 1], dims[1])
+            self._grid_dims = dims
         else:
-            if self._locs.size * model.N > 5_000_000:
-                raise OedipusError(
-                    "dense fallback too large; use a Nyquist candidate grid"
-                )
-            self._dense = np.concatenate(
-                [group_rows(model, g, t) for g in kept], axis=0
-            )
+            f1, f2, self._j1, self._j2 = _axis_phases(model, self._locs)
+            self._factors = (f1, f2)
+            self._grid_dims = (f1.shape[0], f2.shape[1])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -409,31 +420,22 @@ class EncodingOperator:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """A @ x for a flat image vector x, returns the (M,) data vector."""
-        model = self.model
-        if not self._fft_ok:
-            return self._dense @ x
-        img = np.asarray(x).reshape(model.grid.dims)
-        maps = model.coil_maps[self.t]
-        out = np.empty((self._locs.size, model.n_coils), dtype=complex)
-        for c in range(model.n_coils):
-            spec = np.fft.fft2(maps[c].reshape(model.grid.dims) * img)
-            out[:, c] = spec[self._f1, self._f2]
-        out *= self._b[:, None]
+        images = self._maps * np.asarray(x).reshape(self.model.grid.dims)
+        if self._factors is None:
+            spectra = np.fft.fft2(images)
+        else:
+            spectra = self._factors[0] @ images @ self._factors[1]
+        out = spectra[:, self._j1, self._j2].T * self._b[:, None]
         return out.ravel()
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A^H @ y, returns a flat (N,) image vector."""
-        model = self.model
-        if not self._fft_ok:
-            return self._dense.conj().T @ y
-        n1, n2 = model.grid.dims
-        vals = np.asarray(y).reshape(self._locs.size, model.n_coils)
-        vals = vals * self._b[:, None]
-        maps = model.coil_maps[self.t]
-        out = np.zeros(model.N, dtype=complex)
-        for c in range(model.n_coils):
-            grid_data = np.zeros((n1, n2), dtype=complex)
-            grid_data[self._f1, self._f2] = vals[:, c]
-            img = np.fft.ifft2(grid_data) * (n1 * n2)
-            out += maps[c].conj() * img.ravel()
-        return out
+        vals = np.asarray(y).reshape(self._locs.size, self.model.n_coils) * self._b[:, None]
+        spectra = np.zeros((self.model.n_coils, *self._grid_dims), dtype=complex)
+        spectra[:, self._j1, self._j2] = vals.T
+        if self._factors is None:
+            images = np.fft.ifft2(spectra) * self.model.N
+        else:
+            f1, f2 = self._factors
+            images = f1.conj().T @ spectra @ f2.conj().T
+        return (self._maps.conj() * images).sum(axis=0).ravel()

@@ -96,11 +96,10 @@ class ReconProblem:
     """One reconstruction task.
 
     ``regularizer`` is ``"wavelet"`` (l1 on the transform of ``transform``)
-    or ``"tv"``.  ``epsilon`` is the corner-smoothing floor of the weights;
-    when None it is set to ``epsilon_scale * max|T f0|`` at the initial
-    iterate.  The inner conjugate-gradient solve must reach ``inner_tol``
-    relative residual within ``inner_max_iters`` iterations or the solver
-    reports failure.
+    or ``"tv"``.  The corner-smoothing floor of the weights is
+    ``epsilon_scale * max|T f0|`` at the initial iterate.  The inner
+    conjugate-gradient solve must reach ``inner_tol`` relative residual
+    within ``inner_max_iters`` iterations or the solver reports failure.
     """
 
     data: np.ndarray
@@ -111,7 +110,6 @@ class ReconProblem:
     lam: float = 0.01
     max_iters: int = 50
     tol: float = 1e-6
-    epsilon: float | None = None
     epsilon_scale: float = 1e-6
     inner_tol: float = 1e-6
     inner_max_iters: int = 200
@@ -122,8 +120,6 @@ class ReconProblem:
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if self.lam <= 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         m = len(self.pattern.kept_groups) * self.pattern.group_size
         if np.asarray(self.data).size != m:
             raise ValueError(
@@ -137,7 +133,6 @@ class ReconResult:
     image: np.ndarray
     objective_log: tuple[float, ...]
     iterations: int
-    nrmse_vs: float | None = None
 
 
 def retrospective_undersample(
@@ -223,11 +218,8 @@ def irls_solve(problem: ReconProblem) -> ReconResult:
     f = b.copy()
 
     tmag = np.abs(t_op.forward(f))
-    if problem.epsilon is not None:
-        eps = problem.epsilon
-    else:
-        peak = tmag.max()
-        eps = problem.epsilon_scale * (peak if peak > 0 else 1.0)
+    peak = tmag.max()
+    eps = problem.epsilon_scale * (peak if peak > 0 else 1.0)
 
     def objective(fv, tmags):
         resid = a_op.forward(fv) - d

@@ -6,16 +6,13 @@ from oedipus import (
     SupportSet,
     TransformSpec,
     build_full_crb,
-    downdate_trace,
     group_rows,
     image_domain_crb_trace,
     oracle_lsq_estimate,
-    restricted_block,
-    single_channel_model,
     smw_downdate,
 )
 from oedipus import crb
-from oedipus.crb import CrbState, GroupBlock
+from oedipus.crb import CrbState
 from oedipus.sparsity import restricted_rows
 
 from conftest import dense_candidate_matrix, dense_transform_matrix, make_model, random_support
@@ -70,12 +67,12 @@ def test_smw_zero_block_is_bookkeeping_only():
     spec = TransformSpec("identity", 0)
     support = SupportSet(indices=np.arange(4), q=4)
     state = build_full_crb(model, support, spec, t=0)
-    zero = GroupBlock(b_tilde=np.zeros((1, 4), dtype=complex), group_index=2, t=0, k=0)
+    zero = np.zeros((1, 4), dtype=complex)
     after = smw_downdate(state, zero)
     assert np.allclose(after.inv_gram, state.inv_gram)
     assert after.trace == pytest.approx(state.trace)
-    assert 2 not in after.active_groups
-    assert downdate_trace(state, zero) == pytest.approx(state.trace)
+    assert after.cond == state.cond
+    assert crb.downdate_traces(state, zero[None])[0] == pytest.approx(state.trace)
 
 
 def test_rank_one_downdate_sherman_morrison_oracle(rng):
@@ -83,17 +80,9 @@ def test_rank_one_downdate_sherman_morrison_oracle(rng):
     rows = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     gram = rows.conj().T @ rows
     inv = np.linalg.inv(gram)
-    state = CrbState(
-        inv_gram=inv,
-        trace=float(np.trace(inv).real),
-        k=0,
-        t=0,
-        active_groups=frozenset(range(6)),
-        cond=1.0,
-    )
+    state = CrbState(inv_gram=inv, trace=float(np.trace(inv).real), cond=1.0)
     v = rows[4:5]  # row being removed
-    block = GroupBlock(b_tilde=v, group_index=4, t=0, k=0)
-    after = smw_downdate(state, block)
+    after = smw_downdate(state, v)
     # Sherman-Morrison for a rank-one removal
     u = inv @ v.conj().T
     denom = 1.0 - (v @ u)[0, 0]
@@ -101,7 +90,7 @@ def test_rank_one_downdate_sherman_morrison_oracle(rng):
     assert np.allclose(after.inv_gram, oracle, atol=1e-10)
     direct = np.linalg.inv(gram - v.conj().T @ v)
     assert np.allclose(after.inv_gram, direct, atol=1e-8)
-    assert downdate_trace(state, block) == pytest.approx(after.trace, rel=1e-10)
+    assert crb.downdate_traces(state, v[None])[0] == pytest.approx(after.trace, rel=1e-10)
 
 
 def test_group_downdate_matches_rebuild(rng):
@@ -110,8 +99,8 @@ def test_group_downdate_matches_rebuild(rng):
     support = random_support(rng, 64, 12)
     state = build_full_crb(model, support, spec, t=0)
     g = 17
-    block = restricted_block(model, support, spec, g, 0)
-    assert block.b_tilde.shape == (model.candidates.C, support.S)
+    block = crb.restricted_matrix(model, support, spec, 0, [g])[0]
+    assert block.shape == (model.candidates.C, support.S)
     after = smw_downdate(state, block)
     rebuilt = build_full_crb(
         model, support, spec, 0, groups=[x for x in range(model.candidates.L) if x != g]
@@ -120,7 +109,7 @@ def test_group_downdate_matches_rebuild(rng):
         rebuilt.inv_gram
     )
     assert rel < 1e-8
-    assert downdate_trace(state, block) == pytest.approx(after.trace, rel=1e-10)
+    assert crb.downdate_traces(state, block[None])[0] == pytest.approx(after.trace, rel=1e-10)
 
 
 def test_chained_downdates_match_rebuild(rng):
@@ -130,9 +119,8 @@ def test_chained_downdates_match_rebuild(rng):
     state = build_full_crb(model, support, spec, t=0)
     removed = []
     order = rng.permutation(model.candidates.L)[:20]
-    for g in order:
-        block = restricted_block(model, support, spec, int(g), 0)
-        tr_pred = downdate_trace(state, block)
+    for g, block in zip(order, crb.restricted_matrix(model, support, spec, 0, order)):
+        tr_pred = crb.downdate_traces(state, block[None])[0]
         new_state = smw_downdate(state, block)
         assert tr_pred == pytest.approx(new_state.trace, rel=1e-10)
         # monotonicity: information only shrinks
@@ -158,12 +146,11 @@ def test_mandatory_group_gives_infinite_trace():
     spec = TransformSpec("identity", 0)
     support = SupportSet(indices=np.array([0, 1, 2]), q=4)
     state = build_full_crb(model, support, spec, t=0, groups=[0, 1, 2])
-    block = restricted_block(model, support, spec, 0, 0)
-    state_small = build_full_crb(model, support, spec, t=0, groups=[0, 1, 2])
+    block = crb.restricted_matrix(model, support, spec, 0, [0])
     # removing one of three rows leaves 2 rows < S=3
-    assert downdate_trace(state_small, block) == np.inf
+    assert crb.downdate_traces(state, block)[0] == np.inf
     with pytest.raises(InfeasibleDesignError):
-        smw_downdate(state, block)
+        smw_downdate(state, block[0])
 
 
 def test_sliced_downdate_traces_match_per_group(monkeypatch):
@@ -177,8 +164,8 @@ def test_sliced_downdate_traces_match_per_group(monkeypatch):
     parity = [cand.kidx[cand.group_locs[g][0], 1] % 2 for g in range(cand.L)]
     groups = [g for g in range(cand.L) if parity[g] == 0] + [parity.index(1)]
     rows = crb.restricted_matrix(model, support, spec, 0, groups)
-    state = crb.state_from_gram(crb.restricted_gram(rows), groups, 0)
-    want = [downdate_trace(state, restricted_block(model, support, spec, g, 0)) for g in groups]
+    state = crb.state_from_gram(crb.restricted_gram(rows))
+    want = [crb.downdate_traces(state, b[None])[0] for b in rows]
     assert np.isinf(want).tolist() == [False] * 4 + [True]
     c, s = rows.shape[1:]
     monkeypatch.setattr(crb, "SLICE_ENTRIES", 2 * c * s)  # slices of 2, 2 and 1 groups
@@ -249,7 +236,7 @@ def test_mandatory_group_in_a_one_row_slice_takes_the_fallback(monkeypatch):
     odd = [g for g in range(cand.L) if cand.kidx[g, 1] % 2]
     groups = [g for g in range(cand.L) if cand.kidx[g, 1] % 2 == 0] + odd[:1]
     rows = crb.restricted_matrix(model, support, spec, 0, groups)
-    state = crb.state_from_gram(crb.restricted_gram(rows), groups, 0)
+    state = crb.state_from_gram(crb.restricted_gram(rows))
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
@@ -257,25 +244,10 @@ def test_mandatory_group_in_a_one_row_slice_takes_the_fallback(monkeypatch):
     monkeypatch.undo()
     assert calls == [len(groups)]  # one slice, decided by its eigenvalues
     assert np.isinf(got).tolist() == [False] * 8 + [True]
-    for g, trace in zip(groups[:-1], got):
-        block = restricted_block(model, support, spec, g, 0)
-        assert trace == pytest.approx(downdate_trace(state, block), rel=1e-12)
+    for block, trace in zip(rows[:-1], got):
+        assert trace == pytest.approx(crb.downdate_traces(state, block[None])[0], rel=1e-12)
     with pytest.raises(InfeasibleDesignError):
-        smw_downdate(state, restricted_block(model, support, spec, odd[0], 0))
-
-
-def test_block_state_mismatch_rejected(rng):
-    model = make_model((1, 4))
-    spec = TransformSpec("identity", 0)
-    support = SupportSet(indices=np.array([0, 2]), q=4)
-    state = build_full_crb(model, support, spec, t=0)
-    block = restricted_block(model, support, spec, 1, 0)
-    bad_pair = GroupBlock(b_tilde=block.b_tilde, group_index=1, t=1, k=0)
-    with pytest.raises(ValueError):
-        smw_downdate(state, bad_pair)
-    gone = smw_downdate(state, block)
-    with pytest.raises(ValueError):
-        smw_downdate(gone, block)
+        smw_downdate(state, rows[-1])
 
 
 def test_image_domain_trace_identity():
@@ -313,12 +285,8 @@ def test_oracle_lsq_recovers_supported_truth(rng):
     model = make_model((8, 8))
     spec = TransformSpec("daub4", 1)
     support = random_support(rng, 64, 6)
-    rows = np.concatenate(
-        [
-            restricted_block(model, support, spec, g, 0).b_tilde
-            for g in range(0, model.candidates.L, 2)
-        ]
-    )
+    groups = range(0, model.candidates.L, 2)
+    rows = crb.restricted_matrix(model, support, spec, 0, groups).reshape(-1, support.S)
     truth = np.zeros(64, dtype=complex)
     truth[support.indices] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     data = rows @ truth[support.indices]

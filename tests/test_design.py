@@ -209,9 +209,9 @@ def test_multi_ensemble_average_objective(rng):
     for step, g in enumerate(pattern.deleted):
         active.remove(g)
         total = 0.0
-        for k, sup in enumerate(supports):
+        for sup in supports:
             for t in range(2):
-                total += build_full_crb(model, sup, IDENT, t, k, groups=active).trace
+                total += build_full_crb(model, sup, IDENT, t, groups=active).trace
         assert pattern.log[step] == pytest.approx(total, rel=1e-7)
 
 
@@ -220,10 +220,7 @@ def test_worst_case_objective_uses_max(rng):
     supports = [random_support(rng, 16, 4), random_support(rng, 16, 4)]
     pattern = sbs_design(model, supports, DesignObjective("worst"), 12, IDENT)
     kept = list(pattern.kept_groups)
-    traces = [
-        build_full_crb(model, s, IDENT, 0, k, groups=kept).trace
-        for k, s in enumerate(supports)
-    ]
+    traces = [build_full_crb(model, s, IDENT, 0, groups=kept).trace for s in supports]
     assert pattern.log[-1] == pytest.approx(max(traces), rel=1e-7)
 
 

@@ -183,14 +183,31 @@ def test_operator_adjoint_inner_product(rng):
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
-def test_oversampled_operator_uses_dense_path(rng):
-    grid = ImageGrid((4, 4), (100.0, 100.0))
-    cand = build_cartesian_candidates(grid, oversampling=1.5, undersample_axes=(1,))
-    model = single_channel_model(grid, cand)
-    op = EncodingOperator(model, range(cand.L), 0)
-    dense = np.concatenate([group_rows(model, g, 0) for g in range(cand.L)])
-    x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    assert np.allclose(op.forward(x), dense @ x)
+@pytest.mark.parametrize("n_coils", [1, 3])
+@pytest.mark.parametrize("oversampling", [1.5, 2.0])
+def test_oversampled_operator_matches_group_rows(rng, oversampling, n_coils):
+    for axes in [(0, 1), (1,)]:
+        model = make_model((6, 8), n_coils, axes, seed=4, oversampling=oversampling, basis="rect")
+        kept = rng.permutation(model.candidates.L)[: model.candidates.L // 2 + 1]
+        op = EncodingOperator(model, kept, 0)
+        dense = np.concatenate([group_rows(model, g, 0) for g in sorted(kept)])
+        x = rng.standard_normal(model.N) + 1j * rng.standard_normal(model.N)
+        y = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
+        for got, want in [(op.forward(x), dense @ x), (op.adjoint(y), dense.conj().T @ y)]:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_oversampled_operator_at_64x64(rng):
+    # 8192 kept locations x 2 coils x 4096 voxels: 67M entries as dense rows
+    grid = ImageGrid((64, 64), (200.0, 200.0))
+    cand = build_cartesian_candidates(grid, oversampling=2.0, undersample_axes=(0,), n_coils=2)
+    model = EncodingModel(grid=grid, candidates=cand, coil_maps=(synthesize_coil_maps(grid, 2),))
+    op = EncodingOperator(model, range(0, cand.L, 2), 0)
+    assert op.shape == (8192 * 2, 4096)
+    x = rng.standard_normal(model.N) + 1j * rng.standard_normal(model.N)
+    y = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
+    lhs, rhs = np.vdot(y, op.forward(x)), np.vdot(op.adjoint(y), x)
+    assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 
 def test_model_validates_map_shapes():
