@@ -45,10 +45,10 @@ from .phantoms import PhantomSpec, default_phantom_spec, render_phantom
 from .recon import (
     ReconProblem,
     ReconResult,
+    TvOperator,
     irls_solve,
     nrmse,
     retrospective_undersample,
-    tv_operator,
 )
 from .sparsity import (
     SupportSet,

@@ -44,7 +44,7 @@ from .encoding import (
 )
 from .errors import InfeasibleDesignError, SolverFailureError
 from .phantoms import default_phantom_spec, render_phantom
-from .recon import ReconProblem, irls_solve, nrmse, retrospective_undersample, tv_operator
+from .recon import ReconProblem, TvOperator, irls_solve, nrmse, retrospective_undersample
 from .sparsity import SupportSet, TransformSpec, extract_support, forward_transform
 
 REPORT_HEADER = "# oedipus-report v1"
@@ -459,7 +459,7 @@ def _selftest_checks():
     err = abs(lhs - rhs) / abs(lhs)
     yield "encoding-adjoint", err < 1e-10, f"rel err {err:.2e}"
 
-    tv = tv_operator((8, 8))
+    tv = TvOperator((8, 8))
     y2 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     lhs = np.vdot(y2, tv.forward(x))
     rhs = np.vdot(tv.adjoint(y2), x)

@@ -8,6 +8,7 @@ stored as a float64 real plane then a float64 imaginary plane in C order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -39,29 +40,27 @@ def write_oedm(path, data: np.ndarray) -> None:
     if data.ndim != 4:
         raise ValueError(f"expected a 4-d array, got shape {data.shape}")
     t, n_coils, n1, n2 = data.shape
+    planes = np.stack([data.real, data.imag], axis=2).astype("<f8")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, n1, n2, t, n_coils))
-        for ti in range(t):
-            for ci in range(n_coils):
-                plane = np.ascontiguousarray(data[ti, ci])
-                fh.write(plane.real.astype("<f8").tobytes())
-                fh.write(plane.imag.astype("<f8").tobytes())
+        fh.write(planes.tobytes())
 
 
 def read_oedm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"{path}: truncated OEDM header")
         magic, n1, n2, t, n_coils = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not an OEDM container")
-        out = np.empty((t, n_coils, n1, n2), dtype=complex)
-        plane_bytes = n1 * n2 * 8
-        for ti in range(t):
-            for ci in range(n_coils):
-                re = np.frombuffer(fh.read(plane_bytes), dtype="<f8")
-                im = np.frombuffer(fh.read(plane_bytes), dtype="<f8")
-                out[ti, ci] = (re + 1j * im).reshape(n1, n2)
-        return out
+        shape = (t, n_coils, 2, n1, n2)
+        size = 8 * math.prod(shape)
+        body = fh.read(size)
+    if len(body) < size:
+        raise ValueError(f"{path}: truncated OEDM body, {len(body)} of {size} bytes")
+    planes = np.frombuffer(body, dtype="<f8").reshape(shape)
+    return planes[:, :, 0] + 1j * planes[:, :, 1]
 
 
 def write_image_oedm(path, image2d: np.ndarray) -> None:
@@ -89,18 +88,8 @@ def write_pgm(path, values: np.ndarray, max_abs: float | None = None) -> None:
 def mask_to_rle(mask: np.ndarray) -> list[int]:
     """Run lengths of the flattened mask, first run counting zeros."""
     flat = np.asarray(mask).ravel().astype(bool)
-    runs = []
-    current = False
-    count = 0
-    for v in flat:
-        if v == current:
-            count += 1
-        else:
-            runs.append(count)
-            current = v
-            count = 1
-    runs.append(count)
-    return runs
+    starts = np.flatnonzero(np.diff(flat, prepend=False))
+    return np.diff(starts, prepend=0, append=flat.size).tolist()
 
 
 def rle_to_mask(runs, shape) -> np.ndarray:

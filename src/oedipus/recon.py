@@ -31,7 +31,6 @@ __all__ = [
     "ReconResult",
     "TvOperator",
     "WaveletOperator",
-    "tv_operator",
     "retrospective_undersample",
     "irls_solve",
     "nrmse",
@@ -84,11 +83,6 @@ class WaveletOperator:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return inverse_transform(np.asarray(y).reshape(self.dims), self.spec).ravel()
-
-
-def tv_operator(dims: tuple[int, int]) -> TvOperator:
-    """Anisotropic finite-difference operator for the given grid."""
-    return TvOperator(dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +203,7 @@ def irls_solve(problem: ReconProblem) -> ReconResult:
     model = problem.model
     a_op = EncodingOperator(model, problem.pattern.kept_groups, problem.t)
     if problem.regularizer == "tv":
-        t_op = tv_operator(model.grid.dims)
+        t_op = TvOperator(model.grid.dims)
     else:
         t_op = WaveletOperator(model.grid.dims, problem.transform)
 

@@ -5,12 +5,19 @@ periodic boundary handling, which keeps it exactly orthonormal: the inverse
 equals the conjugate transpose and the coefficient count Q equals the voxel
 count N.  Coefficients are stored packed in place, with the approximation
 band recursively in the top-left corner, then flattened row-major.
+
+A periodized level on a band of n1 x n2 is two real orthogonal analysis
+matrices, one per axis, built once per (length, filter taps): low-pass
+rows ``h``, then high-pass rows ``g``, each shifted by 2 with periodic
+wrap.  The forward transform maps the band X to ``W1 @ X @ W2.T`` level by
+level; the inverse maps it back with the transposes in reverse order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,13 +91,6 @@ class SupportSet:
         return int(self.indices.size)
 
 
-def _filters(spec: TransformSpec):
-    h = _FILTERS[spec.family]
-    taps = len(h)
-    g = ((-1.0) ** np.arange(taps)) * h[::-1]
-    return h, g
-
-
 def check_dims(dims, spec: TransformSpec):
     """Raise ``ValueError`` unless a grid of ``dims`` admits the wavelet levels."""
     step = 2 ** spec.levels
@@ -100,42 +100,38 @@ def check_dims(dims, spec: TransformSpec):
         )
 
 
-def _analysis_1d(x, h, g):
-    """One periodized analysis step along the last axis (even length)."""
-    n = x.shape[-1]
-    taps = len(h)
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
-    xs = x[..., idx]
-    return xs @ h, xs @ g
+@lru_cache(maxsize=None)
+def _analysis_matrix(n: int, taps: tuple) -> np.ndarray:
+    """One periodized DWT step on length ``n`` as a real orthogonal matrix:
+    low-pass rows ``h``, then high-pass rows ``g``, each shifted by 2."""
+    h = np.array(taps)
+    g = (-1.0) ** np.arange(h.size) * h[::-1]
+    half = n // 2
+    rows = np.arange(half)[:, None]
+    cols = (2 * rows + np.arange(h.size)) % n
+    w = np.zeros((n, n))
+    np.add.at(w, (rows, cols), h)
+    np.add.at(w, (rows + half, cols), g)
+    w.flags.writeable = False
+    return w
 
 
-def _synthesis_1d(a, d, h, g):
-    """Adjoint of :func:`_analysis_1d` (exact inverse, orthonormal filters)."""
-    n = 2 * a.shape[-1]
-    taps = len(h)
-    y = np.zeros(a.shape[:-1] + (n,), dtype=complex)
-    base = 2 * np.arange(n // 2)
-    for k in range(taps):
-        pos = (base + k) % n
-        y[..., pos] += h[k] * a + g[k] * d
-    return y
-
-
-def _level_forward(sub, h, g):
-    a, d = _analysis_1d(sub, h, g)
-    tmp = np.concatenate([a, d], axis=-1)
-    tmp = np.swapaxes(tmp, -1, -2)
-    a2, d2 = _analysis_1d(tmp, h, g)
-    return np.swapaxes(np.concatenate([a2, d2], axis=-1), -1, -2)
-
-
-def _level_inverse(sub, h, g):
-    n1 = sub.shape[-2]
-    tmp = np.swapaxes(sub, -1, -2)
-    rec = _synthesis_1d(tmp[..., : n1 // 2], tmp[..., n1 // 2 :], h, g)
-    rec = np.swapaxes(rec, -1, -2)
-    n2 = rec.shape[-1]
-    return _synthesis_1d(rec[..., : n2 // 2], rec[..., n2 // 2 :], h, g)
+def _levels(x, spec: TransformSpec, what: str):
+    """A complex copy of ``x`` and, per level, the analysis matrices of the
+    top-left band's two axes (none for ``identity``)."""
+    out = np.array(x, dtype=complex)
+    if spec.family == "identity":
+        return out, []
+    if out.ndim < 2:
+        raise ValueError(f"{what} must be at least 2-dimensional")
+    dims = out.shape[-2:]
+    check_dims(dims, spec)
+    # The filter taps are part of the key, so patching _FILTERS takes effect.
+    taps = tuple(_FILTERS[spec.family].tolist())
+    return out, [
+        (_analysis_matrix(dims[0] >> k, taps), _analysis_matrix(dims[1] >> k, taps))
+        for k in range(spec.levels)
+    ]
 
 
 def forward_transform(image: np.ndarray, spec: TransformSpec) -> np.ndarray:
@@ -145,40 +141,19 @@ def forward_transform(image: np.ndarray, spec: TransformSpec) -> np.ndarray:
     axes and the output has the same shape.  Parseval holds exactly:
     the l2 norm is preserved to machine precision.
     """
-    out = np.asarray(image).astype(complex)
-    if spec.family == "identity":
-        return out.copy()
-    if out.ndim < 2:
-        raise ValueError("image must be at least 2-dimensional")
-    dims = out.shape[-2:]
-    check_dims(dims, spec)
-    out = out.copy()
-    h, g = _filters(spec)
-    n1, n2 = dims
-    for _ in range(spec.levels):
-        out[..., :n1, :n2] = _level_forward(out[..., :n1, :n2], h, g)
-        n1 //= 2
-        n2 //= 2
+    out, levels = _levels(image, spec, "image")
+    for w1, w2 in levels:
+        n1, n2 = len(w1), len(w2)
+        out[..., :n1, :n2] = w1 @ out[..., :n1, :n2] @ w2.T
     return out
 
 
 def inverse_transform(coeffs: np.ndarray, spec: TransformSpec) -> np.ndarray:
     """Inverse of :func:`forward_transform` (equals its adjoint)."""
-    out = np.asarray(coeffs).astype(complex)
-    if spec.family == "identity":
-        return out.copy()
-    if out.ndim < 2:
-        raise ValueError("coefficients must be at least 2-dimensional")
-    dims = out.shape[-2:]
-    check_dims(dims, spec)
-    out = out.copy()
-    h, g = _filters(spec)
-    n1 = dims[0] >> spec.levels
-    n2 = dims[1] >> spec.levels
-    for _ in range(spec.levels):
-        n1 *= 2
-        n2 *= 2
-        out[..., :n1, :n2] = _level_inverse(out[..., :n1, :n2], h, g)
+    out, levels = _levels(coeffs, spec, "coefficients")
+    for w1, w2 in reversed(levels):
+        n1, n2 = len(w1), len(w2)
+        out[..., :n1, :n2] = w1.T @ out[..., :n1, :n2] @ w2
     return out
 
 

@@ -29,6 +29,11 @@ def test_oedm_roundtrip(tmp_path, rng):
     assert raw[:4] == b"OEDM"
     # header: magic + 4 uint32, then float64 planes
     assert len(raw) == 20 + 2 * 3 * 4 * 5 * 16
+    # plane (t, c) is its real part, then its imaginary part
+    plane = 4 * 5 * 8
+    second = 20 + 2 * plane
+    assert raw[second : second + plane] == data[0, 1].real.astype("<f8").tobytes()
+    assert raw[second + plane : second + 2 * plane] == data[0, 1].imag.astype("<f8").tobytes()
 
 
 def test_oedm_single_image_helpers(tmp_path, rng):
@@ -43,6 +48,16 @@ def test_oedm_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError):
         read_oedm(path)
+
+
+def test_oedm_rejects_truncated_body(tmp_path, rng):
+    path = tmp_path / "short.oedm"
+    write_oedm(path, rng.standard_normal((2, 3, 4, 5)) + 0j)
+    raw = path.read_bytes()
+    for cut in (raw[:-8], raw[:12]):
+        path.write_bytes(cut)
+        with pytest.raises(ValueError, match="short.oedm"):
+            read_oedm(path)
 
 
 def test_pgm_format(tmp_path):
@@ -63,9 +78,17 @@ def test_rle_roundtrip(rng):
         mask = rng.random((6, 7)) > 0.6
         runs = mask_to_rle(mask)
         assert sum(runs) == mask.size
+        assert all(r > 0 for r in runs[1:])
         assert np.array_equal(rle_to_mask(runs, mask.shape), mask)
     all_on = np.ones((3, 3), dtype=bool)
     assert mask_to_rle(all_on) == [0, 9]
+    assert mask_to_rle(np.zeros((2, 5), dtype=bool)) == [10]
+    first_on = np.array([[True, False], [False, True]])
+    assert mask_to_rle(first_on) == [0, 1, 2, 1]
+    assert np.array_equal(rle_to_mask([0, 1, 2, 1], (2, 2)), first_on)
+    assert mask_to_rle(np.ones((1, 1), dtype=bool)) == [0, 1]
+    assert mask_to_rle(np.zeros((1, 1), dtype=bool)) == [1]
+    assert all(type(r) is int for r in mask_to_rle(first_on))
     with pytest.raises(ValueError):
         rle_to_mask([0, 5], (3, 3))
 

@@ -14,12 +14,11 @@ from oedipus import (
     render_phantom,
     retrospective_undersample,
     single_channel_model,
-    tv_operator,
     uniform_pattern,
 )
 from oedipus.baselines import BaselineSpec
 from oedipus.phantoms import default_phantom_spec
-from oedipus.recon import WaveletOperator
+from oedipus.recon import TvOperator, WaveletOperator
 
 from conftest import make_model
 
@@ -40,7 +39,7 @@ def test_nrmse_basics(rng):
 
 
 def test_tv_operator_constant_and_ramp():
-    tv = tv_operator((4, 4))
+    tv = TvOperator((4, 4))
     assert np.allclose(tv.forward(np.ones(16)), 0.0)
     ramp = np.arange(4.0)[None, :].repeat(4, axis=0)  # ramp along axis 1
     out = tv.forward(ramp.ravel())
@@ -49,11 +48,11 @@ def test_tv_operator_constant_and_ramp():
     assert np.allclose(d2[:, :-1], 1.0)
     assert np.allclose(d2[:, -1], 0.0)
     with pytest.raises(ValueError):
-        tv_operator((1, 4))
+        TvOperator((1, 4))
 
 
 def test_tv_adjoint_random_pairs(rng):
-    tv = tv_operator((8, 6))
+    tv = TvOperator((8, 6))
     for _ in range(100):
         x = rng.standard_normal(48) + 1j * rng.standard_normal(48)
         y = rng.standard_normal(96) + 1j * rng.standard_normal(96)

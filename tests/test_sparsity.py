@@ -97,6 +97,22 @@ def test_roundtrip_many_random_images(rng):
         img = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         back = inverse_transform(forward_transform(img, spec), spec)
         assert np.linalg.norm(back - img) <= 1e-12 * np.linalg.norm(img)
+    for family in ("haar", "daub4"):
+        spec = TransformSpec(family, 3)
+        for dims in ((8, 16), (32, 16)):
+            for _ in range(50):
+                img = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+                back = inverse_transform(forward_transform(img, spec), spec)
+                assert np.linalg.norm(back - img) <= 1e-12 * np.linalg.norm(img)
+            # a (2, 3, N1, N2) stack transforms image by image
+            stack = rng.standard_normal((2, 3, *dims)) + 1j * rng.standard_normal((2, 3, *dims))
+            for transform in (forward_transform, inverse_transform):
+                batched = transform(stack, spec)
+                assert batched.shape == stack.shape
+                for i in range(2):
+                    for j in range(3):
+                        single = transform(stack[i, j], spec)
+                        assert np.allclose(batched[i, j], single, rtol=0, atol=1e-13)
 
 
 def test_zero_coefficients_zero_image():
@@ -121,7 +137,7 @@ def test_haar_butterfly_oracle(rng):
     assert np.allclose(forward_transform(img, spec), haar_level_oracle(img), atol=1e-12)
 
 
-def test_single_approx_coefficient_synthesis_oracle():
+def test_single_approx_coefficient_synthesis_oracle(rng):
     for family in ("haar", "daub4"):
         spec = TransformSpec(family, 2)
         coeffs = np.zeros((8, 8), dtype=complex)
@@ -132,6 +148,12 @@ def test_single_approx_coefficient_synthesis_oracle():
         if family == "haar":
             # Haar scaling image is constant-sign
             assert np.all(img.real[np.abs(img) > 1e-14] > 0)
+        # non-square grids, random coefficients
+        for dims in ((8, 16), (32, 16)):
+            coeffs = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+            oracle = synthesis_upsample_oracle(coeffs, spec)
+            assert np.allclose(inverse_transform(coeffs, spec), oracle, rtol=0, atol=1e-12)
+            assert np.allclose(forward_transform(oracle, spec), coeffs, rtol=0, atol=1e-12)
 
 
 def test_extract_support_basic(rng):
