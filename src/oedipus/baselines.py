@@ -69,44 +69,21 @@ def caipi_pattern(spec: BaselineSpec, candidates: CandidateSet) -> SamplingPatte
     """
     if candidates.undersample_axes != (0, 1):
         raise ValueError("sheared lattice requires a 2D-undersampled candidate set")
-    if spec.ry * spec.rz != int(round(spec.R)) or spec.R != int(spec.R):
+    if spec.ry * spec.rz != int(round(spec.R)) or spec.R != int(spec.R) or spec.ry < 1:
         raise ValueError(
             f"R={spec.R} does not factor as ry*rz = {spec.ry}*{spec.rz}"
         )
-    g1, g2 = candidates.grid_dims
-    kept = []
-    for i1 in range(0, g1, spec.ry):
-        offset = (i1 // spec.ry) * spec.caipi_shift % spec.rz
-        for i2 in range(offset, g2, spec.rz):
-            kept.append(i1 * g2 + i2)
+    i1, i2 = (_offsets(candidates) + np.array(candidates.grid_dims) // 2).T
+    keep = (i1 % spec.ry == 0) & ((i2 - i1 // spec.ry * spec.caipi_shift) % spec.rz == 0)
     return pattern_from_groups(
-        candidates, kept, mode=f"caipi/R{spec.R:g}/shift{spec.caipi_shift}"
+        candidates, np.flatnonzero(keep), mode=f"caipi/R{spec.R:g}/shift{spec.caipi_shift}"
     )
 
 
-def _group_coords(candidates: CandidateSet) -> np.ndarray:
-    """Index-space coordinate of every group (1D scalar or 2D pair)."""
-    g1, g2 = candidates.grid_dims
-    if candidates.undersample_axes == (0, 1):
-        ids = np.arange(candidates.L)
-        return np.stack([ids // g2, ids % g2], axis=1).astype(float)
-    # 1D grouping: one coordinate per line
-    return np.arange(candidates.L, dtype=float)[:, None]
-
-
-def _center_groups(candidates: CandidateSet, block: int) -> np.ndarray:
-    """Group indices of the fully sampled centre region."""
-    g1, g2 = candidates.grid_dims
-    if candidates.undersample_axes == (0, 1):
-        lo1, hi1 = g1 // 2 - block // 2, g1 // 2 + (block + 1) // 2
-        lo2, hi2 = g2 // 2 - block // 2, g2 // 2 + (block + 1) // 2
-        ids = np.arange(candidates.L)
-        i1, i2 = ids // g2, ids % g2
-        sel = (i1 >= lo1) & (i1 < hi1) & (i2 >= lo2) & (i2 < hi2)
-        return ids[sel]
-    n = candidates.L
-    lo, hi = n // 2 - block // 2, n // 2 + (block + 1) // 2
-    return np.arange(max(lo, 0), min(hi, n))
+def _offsets(candidates: CandidateSet) -> np.ndarray:
+    """Signed offset of every group from the k-space centre on the
+    undersampled axes, shape (L, len(undersample_axes))."""
+    return candidates.kidx[candidates.group_locs[:, 0]][:, list(candidates.undersample_axes)]
 
 
 def poisson_disc_pattern(
@@ -125,12 +102,13 @@ def poisson_disc_pattern(
     n_groups = candidates.L
     if target_groups > n_groups:
         raise ValueError(f"target {target_groups} exceeds group count {n_groups}")
-    center = _center_groups(candidates, spec.center_block)
+    coords = _offsets(candidates)
+    b = spec.center_block
+    center = np.flatnonzero(((coords >= -(b // 2)) & (coords < (b + 1) // 2)).all(axis=1))
     if target_groups < center.size:
         raise ValueError(
             f"target {target_groups} below centre-block group count {center.size}"
         )
-    coords = _group_coords(candidates)
     outside = np.setdiff1d(np.arange(n_groups), center)
     rng = np.random.default_rng(spec.seed)
     order = outside[rng.permutation(outside.size)]

@@ -2,11 +2,11 @@
 
 For a candidate row set restricted to a known transform-domain support, the
 covariance of any unbiased estimator is bounded below by the inverse of the
-restricted Gram matrix.  The restricted rows are assembled from the S support
-atoms: each atom's voxel image is weighted by the coil maps, its spectrum is
-taken with the separable DFT factors of the row phases and gathered at the
-candidate locations.  The layer passes plain arrays: a group is its (C, S)
-restricted rows, and which groups a state holds is the caller's bookkeeping.
+restricted Gram matrix.  The restricted rows are ``A Psi_S^H``: the
+encoding operator that synthesizes and reconstructs the data, applied to the
+voxel images of the S support atoms.  The layer passes plain arrays: a group
+is its (C, S) restricted rows, and which groups a state holds is the caller's
+bookkeeping.
 Groups are removed via the matrix inversion lemma (a rank-C "downdate" that
 only inverts a C x C system); the removal of every group of a stacked
 (groups, C, S) row array is priced as batched array code, with one Cholesky
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncodingModel, _axis_phases
+from .encoding import EncodingModel, EncodingOperator
 from .errors import InfeasibleDesignError
 from .sparsity import SupportSet, TransformSpec, support_atoms
 
@@ -76,26 +76,19 @@ def restricted_matrix(
 ) -> np.ndarray:
     """Support-restricted rows of ``groups`` under map set ``t``, (len(groups), C, S).
 
-    Entry (p, s) is ``w_p sum_n c_p(r_n) psi_s(r_n) exp(-i 2 pi k_p . r_n)``
-    with ``psi_s`` the voxel image of support atom s.  Atoms are synthesized
-    a slice of support columns at a time: as many as fit in
-    :data:`SLICE_ENTRIES` voxel entries times coils, and at least one.
+    This is ``A Psi_S^H``: the :class:`~oedipus.encoding.EncodingOperator`
+    of ``groups`` applied to the voxel image of each support atom, so entry
+    (p, s) is ``w_p sum_n c_p(r_n) psi_s(r_n) exp(-i 2 pi k_p . r_n)``.
+    Atoms are synthesized a slice of support columns at a time: as many as
+    fit in :data:`SLICE_ENTRIES` voxel entries times coils, and at least one.
     """
-    cand = model.candidates
-    groups = list(groups)
-    if not 0 <= t < model.T or any(not 0 <= g < cand.L for g in groups):
-        raise ValueError(f"map set {t} or a group index out of range (T={model.T}, L={cand.L})")
-    locs = np.concatenate([cand.group_locs[g] for g in groups] or [np.zeros(0, int)])
-    f1, f2, j1, j2 = _axis_phases(model, locs)
-    w = model.basis.weights(cand.klocs[locs], model.grid)[:, None, None]
-    maps = model.coil_maps[t].reshape(cand.n_coils, 1, *model.grid.dims)
-    out = np.empty((locs.size, cand.n_coils, support.S), dtype=complex)
-    step = max(1, SLICE_ENTRIES // (cand.n_coils * model.N))
+    op = EncodingOperator(model, groups, t)
+    out = np.empty((op.n_rows, support.S), dtype=complex)
+    step = max(1, SLICE_ENTRIES // (model.n_coils * model.N))
     for i in range(0, support.S, step):
         atoms = support_atoms(support, spec, model.grid.dims, slice(i, i + step))
-        spectra = f1 @ (maps * atoms) @ f2  # (coils, atoms, d1, d2)
-        out[..., i : i + step] = np.moveaxis(spectra[..., j1, j2], -1, 0) * w
-    return out.reshape(len(groups), cand.C, support.S)
+        out[:, i : i + step] = op.forward(atoms.reshape(len(atoms), -1)).T
+    return out.reshape(-1, model.candidates.C, support.S)
 
 
 def restricted_block(

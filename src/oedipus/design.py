@@ -106,8 +106,7 @@ def pattern_from_groups(
     if len(set(kept)) != len(kept):
         raise ValueError("kept_groups must be unique")
     mask = np.zeros(candidates.n_locations, dtype=bool)
-    for g in kept:
-        mask[candidates.group_locs[g]] = True
+    mask[candidates.group_locs[list(kept)]] = True
     return SamplingPattern(
         kept_groups=kept,
         grid_dims=candidates.grid_dims,

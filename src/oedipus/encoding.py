@@ -110,9 +110,11 @@ class CandidateSet:
 
     ``klocs[j]`` is the j-th location in cycles/mm and ``kidx[j]`` its signed
     integer offset from the k-space centre.  Row ``p`` corresponds to
-    location ``p // n_coils`` seen by coil ``p % n_coils``.  ``groups[l]``
-    lists the rows of group ``l`` (ascending), ``group_locs[l]`` the
-    location indices it covers.
+    location ``p // n_coils`` seen by coil ``p % n_coils``.  ``group_locs``
+    is an (L, n_loc) int array: row ``l`` holds the ascending location
+    indices of group ``l``.  ``groups`` is the (L, C) int array of their
+    rows, ``group_locs * n_coils + coil`` in location-major, coil-minor
+    (ascending) order.
     """
 
     klocs: np.ndarray
@@ -121,8 +123,8 @@ class CandidateSet:
     oversampling: float
     n_coils: int
     undersample_axes: tuple[int, ...]
-    groups: tuple[np.ndarray, ...]
-    group_locs: tuple[np.ndarray, ...]
+    groups: np.ndarray
+    group_locs: np.ndarray
 
     @property
     def n_locations(self) -> int:
@@ -138,7 +140,7 @@ class CandidateSet:
 
     @property
     def C(self) -> int:
-        return len(self.groups[0])
+        return self.groups.shape[1]
 
 
 def build_cartesian_candidates(
@@ -177,19 +179,12 @@ def build_cartesian_candidates(
     dk2 = 1.0 / (oversampling * grid.fov[1])
     klocs = kidx * np.array([dk1, dk2])
 
-    n_locs = g1 * g2
-    loc_ids = np.arange(n_locs).reshape(g1, g2)
-    if axes == (0, 1):
-        group_locs = [np.array([j]) for j in range(n_locs)]
-    elif axes == (0,):
-        group_locs = [loc_ids[i, :].copy() for i in range(g1)]
-    else:  # axes == (1,)
-        group_locs = [loc_ids[:, j].copy() for j in range(g2)]
-
-    groups = []
-    for locs in group_locs:
-        rows = (locs[:, None] * n_coils + np.arange(n_coils)[None, :]).ravel()
-        groups.append(np.sort(rows))
+    loc_ids = np.arange(g1 * g2).reshape(g1, g2)
+    # one group per location (2D), per grid row (undersampled axis 0) or per
+    # grid column (undersampled axis 1)
+    by_axes = {(0, 1): loc_ids.reshape(-1, 1), (0,): loc_ids, (1,): loc_ids.T}
+    group_locs = np.ascontiguousarray(by_axes[axes])
+    groups = (group_locs[:, :, None] * n_coils + np.arange(n_coils)).reshape(len(group_locs), -1)
 
     return CandidateSet(
         klocs=klocs,
@@ -198,8 +193,8 @@ def build_cartesian_candidates(
         oversampling=float(oversampling),
         n_coils=n_coils,
         undersample_axes=axes,
-        groups=tuple(groups),
-        group_locs=tuple(np.sort(l) for l in group_locs),
+        groups=groups,
+        group_locs=group_locs,
     )
 
 
@@ -376,30 +371,30 @@ def group_rows(model: EncodingModel, group_index: int, t: int) -> np.ndarray:
 
 
 class EncodingOperator:
-    """Applies the measurement matrix of the retained groups and its adjoint.
+    """Applies the measurement matrix of the given groups and its adjoint.
 
-    Rows are ordered by ascending kept group, within a group by ascending
-    row index.  Both directions go through the spectra of the coil-weighted
-    images on a grid: the kept locations are gathered from it (or scattered
-    into it) and weighted by the voxel basis.  When the candidate grid is the
-    voxel grid (oversampling 1) the spectra are FFTs; otherwise they are
-    taken with the separable DFT factors of the row phases, exact for any
+    Rows follow the groups in the order given (callers pass the ascending
+    ``kept_groups`` of a pattern), within a group by ascending row index;
+    an empty group list gives an operator with no rows.  ``forward`` maps
+    one flat image (N,) or a stack (..., N) to data (..., M).  Both
+    directions go through the spectra of the coil-weighted images on a
+    grid: the group locations are gathered from it (or scattered into it)
+    and weighted by the voxel basis.  When the candidate grid is the voxel
+    grid (oversampling 1) the spectra are FFTs; otherwise they are taken
+    with the separable DFT factors of the row phases, exact for any
     oversampling.
     """
 
-    def __init__(self, model: EncodingModel, kept_groups, t: int = 0):
+    def __init__(self, model: EncodingModel, groups, t: int = 0):
         cand = model.candidates
-        kept = sorted(int(g) for g in kept_groups)
-        if not kept:
-            raise ValueError("kept_groups must be nonempty")
-        if kept[0] < 0 or kept[-1] >= cand.L:
-            raise ValueError("kept_groups outside candidate group range")
+        groups = np.asarray(groups, dtype=int).reshape(-1)
+        if groups.size and not (0 <= groups.min() and groups.max() < cand.L):
+            raise ValueError(f"group index outside [0, {cand.L})")
         if not 0 <= t < model.T:
             raise ValueError(f"map-set index {t} out of range [0, {model.T})")
         self.model = model
         self.t = t
-        self.kept_groups = tuple(kept)
-        self._locs = np.concatenate([cand.group_locs[g] for g in kept])
+        self._locs = cand.group_locs[groups].ravel()
         self._b = model.basis.weights(cand.klocs[self._locs], model.grid)
         self._maps = model.coil_maps[t].reshape(model.n_coils, *model.grid.dims)
         self.n_rows = self._locs.size * cand.n_coils
@@ -419,14 +414,15 @@ class EncodingOperator:
         return (self.n_rows, self.model.N)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a flat image vector x, returns the (M,) data vector."""
-        images = self._maps * np.asarray(x).reshape(self.model.grid.dims)
+        """A @ x for a flat image (N,) or a stack (..., N); returns (..., M)."""
+        x = np.asarray(x)
+        images = self._maps * x.reshape(*x.shape[:-1], 1, *self.model.grid.dims)
         if self._factors is None:
             spectra = np.fft.fft2(images)
         else:
             spectra = self._factors[0] @ images @ self._factors[1]
-        out = spectra[:, self._j1, self._j2].T * self._b[:, None]
-        return out.ravel()
+        out = np.swapaxes(spectra[..., self._j1, self._j2], -1, -2) * self._b[:, None]
+        return out.reshape(*x.shape[:-1], self.n_rows)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A^H @ y, returns a flat (N,) image vector."""

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .design import SamplingPattern
+from .design import SamplingPattern, pattern_from_groups
 from .sparsity import SupportSet
 
 __all__ = [
@@ -93,16 +93,11 @@ def mask_to_rle(mask: np.ndarray) -> list[int]:
 
 
 def rle_to_mask(runs, shape) -> np.ndarray:
-    flat = np.zeros(int(np.prod(shape)), dtype=bool)
-    pos = 0
-    value = False
-    for run in runs:
-        if value:
-            flat[pos : pos + run] = True
-        pos += run
-        value = not value
-    if pos != flat.size:
-        raise ValueError(f"run lengths cover {pos} cells, expected {flat.size}")
+    """Inverse of :func:`mask_to_rle`; a negative run raises ``ValueError``."""
+    runs = np.asarray(runs, dtype=int)
+    flat = np.repeat(np.arange(runs.size) % 2 == 1, runs)
+    if flat.size != math.prod(shape):
+        raise ValueError(f"run lengths cover {flat.size} cells, expected {math.prod(shape)}")
     return flat.reshape(shape)
 
 
@@ -120,8 +115,6 @@ def pattern_to_json(pattern: SamplingPattern) -> str:
 
 def pattern_from_json(text: str, candidates) -> SamplingPattern:
     """Rebuild a pattern against the candidate set it was designed for."""
-    from .design import pattern_from_groups
-
     doc = json.loads(text)
     grid = tuple(doc["grid"])
     if grid != candidates.grid_dims:

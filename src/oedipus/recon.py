@@ -124,9 +124,13 @@ class ReconProblem:
 
 @dataclass(frozen=True, eq=False)
 class ReconResult:
+    """``converged`` is set when the iterate-change test ended the loop, not
+    ``max_iters``."""
+
     image: np.ndarray
     objective_log: tuple[float, ...]
     iterations: int
+    converged: bool
 
 
 def retrospective_undersample(
@@ -196,9 +200,9 @@ def irls_solve(problem: ReconProblem) -> ReconResult:
     Starts from the adjoint image A^H d, reweights the penalty by current
     transform-coefficient magnitudes floored at epsilon, and solves each
     weighted normal-equation system by warm-started CG.  Stops when the
-    relative iterate change falls below ``tol`` or ``max_iters`` is
-    reached.  Raises :class:`SolverFailureError` (carrying the objective
-    log) if an inner CG solve fails to reach its tolerance.
+    relative iterate change falls below ``tol`` (``converged``) or
+    ``max_iters`` is reached.  Raises :class:`SolverFailureError` (carrying
+    the objective log) if an inner CG solve fails to reach its tolerance.
     """
     model = problem.model
     a_op = EncodingOperator(model, problem.pattern.kept_groups, problem.t)
@@ -223,6 +227,7 @@ def irls_solve(problem: ReconProblem) -> ReconResult:
 
     log = [objective(f, tmag)]
     iterations = 0
+    converged = False
     for _ in range(problem.max_iters):
         weights = 1.0 / np.maximum(tmag, eps)
 
@@ -231,10 +236,10 @@ def irls_solve(problem: ReconProblem) -> ReconResult:
                 weights * t_op.forward(x)
             )
 
-        f_new, _, converged = _cg_solve(
+        f_new, _, inner_converged = _cg_solve(
             apply_h, b, f, problem.inner_tol, problem.inner_max_iters
         )
-        if not converged:
+        if not inner_converged:
             raise SolverFailureError(
                 f"inner CG did not reach {problem.inner_tol:g} within "
                 f"{problem.inner_max_iters} iterations",
@@ -247,10 +252,11 @@ def irls_solve(problem: ReconProblem) -> ReconResult:
         delta = np.linalg.norm(f_new - f)
         f = f_new
         if denom > 0 and delta / denom < problem.tol:
+            converged = True
             break
 
     return ReconResult(
-        image=f, objective_log=tuple(log), iterations=iterations
+        image=f, objective_log=tuple(log), iterations=iterations, converged=converged
     )
 
 

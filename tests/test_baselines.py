@@ -9,7 +9,6 @@ from oedipus import (
     poisson_disc_pattern,
     uniform_pattern,
 )
-from oedipus.baselines import _center_groups, _group_coords
 
 
 def lines_candidates(n_lines, readout=4):
@@ -20,6 +19,40 @@ def lines_candidates(n_lines, readout=4):
 def grid_candidates(n1, n2):
     grid = ImageGrid((n1, n2), (100.0, 100.0))
     return build_cartesian_candidates(grid, undersample_axes=(0, 1), n_coils=1)
+
+
+def centre_groups(cand, block):
+    """Centre block from group ids: the line index, or divmod of the row-major id."""
+    g1, g2 = cand.grid_dims
+    if cand.undersample_axes != (0, 1):
+        n = cand.L
+        return set(range(max(n // 2 - block // 2, 0), min(n // 2 + (block + 1) // 2, n)))
+    rows = range(max(g1 // 2 - block // 2, 0), min(g1 // 2 + (block + 1) // 2, g1))
+    cols = range(max(g2 // 2 - block // 2, 0), min(g2 // 2 + (block + 1) // 2, g2))
+    return {i * g2 + j for i in rows for j in cols}
+
+
+def group_coords(cand):
+    """Grid-index coordinates of each group, (L, 1) for lines, (L, 2) in 2D."""
+    if cand.undersample_axes != (0, 1):
+        return np.arange(cand.L, dtype=float)[:, None]
+    return np.array([divmod(g, cand.grid_dims[1]) for g in range(cand.L)], dtype=float)
+
+
+def caipi_groups(cand, ry, rz, shift):
+    g1, g2 = cand.grid_dims
+    return {
+        i * g2 + j for i in range(0, g1, ry) for j in range(g2) if j % rz == (i // ry) * shift % rz
+    }
+
+
+def assert_spaced(cand, pattern, centre):
+    """Groups outside the centre are at least the pattern's radius apart."""
+    outside = [g for g in pattern.kept_groups if g not in centre]
+    pts = group_coords(cand)[outside]
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    assert np.sqrt(d2.min()) >= pattern.extra["radius"]
 
 
 def test_uniform_paper_scale():
@@ -116,9 +149,9 @@ def test_poisson_center_block_fully_kept_and_budget():
     pattern = poisson_disc_pattern(
         BaselineSpec(kind="poisson", R=2, center_block=16, seed=1), cand, target
     )
-    center = _center_groups(cand, 16)
+    center = centre_groups(cand, 16)
     assert len(center) == 16
-    assert set(center).issubset(set(pattern.kept_groups))
+    assert center.issubset(set(pattern.kept_groups))
     tol = max(1, round(0.01 * target))
     assert abs(len(pattern.kept_groups) - target) <= tol
 
@@ -129,15 +162,7 @@ def test_poisson_min_distance_property_2d():
     pattern = poisson_disc_pattern(
         BaselineSpec(kind="poisson", R=4, center_block=16, seed=5), cand, target
     )
-    radius = pattern.extra["radius"]
-    center = set(_center_groups(cand, 16).tolist())
-    coords = _group_coords(cand)
-    outside = [g for g in pattern.kept_groups if g not in center]
-    pts = coords[outside]
-    # all-pairs scan
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    assert np.sqrt(d2.min()) >= radius
+    assert_spaced(cand, pattern, centre_groups(cand, 16))
     tol = max(1, round(0.01 * target))
     assert abs(len(pattern.kept_groups) - target) <= tol
 
@@ -159,3 +184,25 @@ def test_baseline_spec_validation():
         BaselineSpec(kind="spiral", R=2)
     with pytest.raises(ValueError):
         BaselineSpec(kind="uniform", R=0.5)
+
+
+@pytest.mark.parametrize(
+    "dims, axes, oversampling",
+    [((24, 8), (0,), 1.0), ((15, 9), (0, 1), 1.0), ((10, 12), (0, 1), 1.5)],
+)
+def test_baselines_follow_the_group_geometry(dims, axes, oversampling):
+    grid = ImageGrid(dims, (100.0, 100.0))
+    cand = build_cartesian_candidates(grid, oversampling, axes, n_coils=1)
+    for block in (0, 3, 4):
+        spec = BaselineSpec(kind="poisson", R=3, center_block=block, seed=2)
+        pattern = poisson_disc_pattern(spec, cand, cand.L // 3)
+        centre = centre_groups(cand, block)
+        assert len(centre) == block ** len(axes)
+        assert centre <= set(pattern.kept_groups)
+        assert_spaced(cand, pattern, centre)
+    spec = BaselineSpec(kind="caipi", R=4, ry=2, rz=2, caipi_shift=1)
+    if axes != (0, 1):
+        with pytest.raises(ValueError):
+            caipi_pattern(spec, cand)
+        return
+    assert set(caipi_pattern(spec, cand).kept_groups) == caipi_groups(cand, 2, 2, 1)

@@ -54,7 +54,7 @@ def test_candidate_counts_paper_scale_lines():
 
 def test_groups_partition_rows():
     cand = make_model((4, 6), n_coils=3, undersample_axes=(0,)).candidates
-    seen = np.concatenate(cand.groups)
+    seen = cand.groups.ravel()
     assert len(seen) == cand.P
     assert np.array_equal(np.sort(seen), np.arange(cand.P))
     sizes = {len(g) for g in cand.groups}
@@ -189,12 +189,17 @@ def test_oversampled_operator_matches_group_rows(rng, oversampling, n_coils):
     for axes in [(0, 1), (1,)]:
         model = make_model((6, 8), n_coils, axes, seed=4, oversampling=oversampling, basis="rect")
         kept = rng.permutation(model.candidates.L)[: model.candidates.L // 2 + 1]
-        op = EncodingOperator(model, kept, 0)
-        dense = np.concatenate([group_rows(model, g, 0) for g in sorted(kept)])
+        op = EncodingOperator(model, kept, 0)  # rows follow the given group order
+        dense = np.concatenate([group_rows(model, g, 0) for g in kept])
         x = rng.standard_normal(model.N) + 1j * rng.standard_normal(model.N)
         y = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
         for got, want in [(op.forward(x), dense @ x), (op.adjoint(y), dense.conj().T @ y)]:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        stack = rng.standard_normal((3, model.N)) + 1j * rng.standard_normal((3, model.N))
+        got = op.forward(stack)
+        assert got.shape == (3, op.n_rows)
+        want = np.stack([op.forward(img) for img in stack])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_oversampled_operator_at_64x64(rng):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -89,8 +91,9 @@ def test_rle_roundtrip(rng):
     assert mask_to_rle(np.ones((1, 1), dtype=bool)) == [0, 1]
     assert mask_to_rle(np.zeros((1, 1), dtype=bool)) == [1]
     assert all(type(r) is int for r in mask_to_rle(first_on))
-    with pytest.raises(ValueError):
-        rle_to_mask([0, 5], (3, 3))
+    for runs, shape in (([0, 5], (3, 3)), ([1, 2, -2, 3], (4,)), ([3, -1, 2], (4,))):
+        with pytest.raises(ValueError):
+            rle_to_mask(runs, shape)
 
 
 def test_pattern_json_roundtrip():
@@ -109,6 +112,11 @@ def test_pattern_json_roundtrip():
     other = make_model((8, 8)).candidates
     with pytest.raises(ValueError):
         pattern_from_json(text, other)
+    # a negative run that steps back and rewrites the same cell
+    doc = json.loads(text)
+    doc["mask"] = doc["mask"][:2] + [-1, 1] + doc["mask"][2:]
+    with pytest.raises(ValueError):
+        pattern_from_json(json.dumps(doc), model.candidates)
 
 
 def test_support_json_roundtrip():
