@@ -32,6 +32,7 @@ from .design import (
     DesignObjective,
     evaluate_pattern_crb,
     exhaustive_design,
+    pattern_from_groups,
     sbs_design,
 )
 from .encoding import (
@@ -112,6 +113,16 @@ CONFIG_KEYS = {
     "recon.regularizers": (_tuple(str), ("wavelet", "tv")),
     "evaluate_channels": (_tuple(str), ("single",)),
 }
+# Keys whose values a lower layer would reject: key -> (test, valid values).
+LIMITS = {
+    "oversampling": (lambda v: v >= 1, "must be at least 1"),
+    "undersample_axes": (lambda v: v and set(v) <= {0, 1}, "must be a nonempty list of 0 and 1"),
+    "fraction": (lambda v: 0 < v <= 1, "must be in (0, 1]"),
+    "accelerations": (lambda v: v and min(v) >= 1, "must be a nonempty list of values >= 1"),
+    "channels.multi.n_coils": (lambda v: v >= 1, "must be at least 1"),
+    "channels.multi.decay": (lambda v: v > 0, "must be positive"),
+    "recon.lambda": (lambda v: v > 0, "must be positive"),
+}
 SECTIONS = {key.rsplit(".", n)[0] for key in CONFIG_KEYS for n in range(1, key.count(".") + 1)}
 
 
@@ -162,10 +173,9 @@ def load_config(path) -> dict:
         sparsity.check_dims(cfg["grid"].dims, cfg["transform"])
     except ValueError as err:
         raise ConfigError(f"{path}: transform.levels: {err}") from err
-    if cfg["recon.lambda"] <= 0:
-        raise ConfigError(f"{path}: recon.lambda: must be positive, got {cfg['recon.lambda']}")
-    if not cfg["accelerations"]:
-        raise ConfigError("accelerations must be nonempty")
+    for key, (valid, rule) in LIMITS.items():
+        if not valid(cfg[key]):
+            raise ConfigError(f"{path}: {key}: {rule}, got {cfg[key]}")
     if not cfg["channels.single"] and not cfg["multi"]:
         raise ConfigError("at least one of channels.single / channels.multi required")
     if cfg["multi"] and cfg["channels.multi.eval_map_seed"] is None:
@@ -243,14 +253,27 @@ def cmd_design(cfg) -> int:
         if mode == "multi":
             maps = [m.reshape(-1, *cfg["grid"].dims) for m in model.coil_maps]
             oio.write_oedm(out / "coil_maps_design.oedm", np.stack(maps))
-        for r in cfg["accelerations"]:
-            name = f"designed_{mode}_R{r:g}"
+        # backward selection is nested: the pattern for T groups is the state
+        # after L - T deletions of one run to the smallest feasible target
+        cand = model.candidates
+        targets = [(r, _target_groups(cand, r)) for r in cfg["accelerations"]]
+        failed = {}
+        for target in sorted({target for _, target in targets}):
             try:
-                target = _target_groups(model.candidates, r)
-                pattern = sbs_design(model, supports, cfg["objective"], target, cfg["transform"])
+                longest = sbs_design(model, supports, cfg["objective"], target, cfg["transform"])
+                break
             except InfeasibleDesignError as err:
-                infeasible.append((name, str(err)))
+                failed[target] = str(err)
+        for r, target in targets:
+            name = f"designed_{mode}_R{r:g}"
+            if target in failed:
+                infeasible.append((name, failed[target]))
                 continue
+            n = cand.L - target
+            pattern = pattern_from_groups(
+                cand, longest.kept_groups + longest.deleted[n:], longest.mode,
+                longest.log[:n], longest.deleted[:n],
+            )
             _write_pattern(cfg, name, pattern)
             print(f"designed {name}: kept {len(pattern.kept_groups)} groups")
     for name, msg in infeasible:

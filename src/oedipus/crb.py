@@ -10,9 +10,11 @@ bookkeeping.
 Groups are removed via the matrix inversion lemma (a rank-C "downdate" that
 only inverts a C x C system); the removal of every group of a stacked
 (groups, C, S) row array is priced as batched array code, with one Cholesky
-clearing a whole slice of regular groups.  The module also tracks the trace
-recursively and provides the support-aware least-squares estimator that
-attains the bound.
+clearing a whole slice of regular groups.  A group enters only through its
+Gram, so :func:`compress_rows` may first shrink each block to r <= C rows
+of the same Gram; every system is then r x r.  The module also tracks the
+trace recursively and provides the support-aware least-squares estimator
+that attains the bound.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "SLICE_ENTRIES",
     "restricted_matrix",
     "restricted_block",
+    "compress_rows",
     "gram_inverse",
     "restricted_gram",
     "state_from_gram",
@@ -96,6 +99,26 @@ def restricted_block(
 ) -> np.ndarray:
     """Restricted rows of one group, (C, S): ``restricted_matrix`` of ``[group_index]``."""
     return restricted_matrix(model, support, spec, t, [group_index])[0]
+
+
+def compress_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows (g, r, S) with the Grams ``B_g^H B_g`` of ``rows`` (g, C, S), r <= C.
+
+    Row i of group g is ``sigma_i v_i^H`` from the group's thin SVD, so the
+    Grams, the traces and singularity of every downdate, and every committed
+    state are those of the raw rows up to rounding.  r is the largest
+    numerical rank over the groups under numpy's ``matrix_rank`` rule
+    (``sigma > sigma_max max(C, S) eps``), at least 1; groups of lower rank
+    keep their tiny tail rows.  A one-row block, or one whose rank is C, is
+    returned as it is.
+    """
+    c, s = rows.shape[1:]
+    if c == 1:
+        return rows
+    _, sv, vh = np.linalg.svd(rows, full_matrices=False)
+    tol = sv[:, :1] * max(c, s) * np.finfo(float).eps
+    r = int((sv > tol).sum(axis=1).max(initial=1))
+    return rows if r == c else sv[:, :r, None] * vh[:, :r]
 
 
 def _h(a: np.ndarray) -> np.ndarray:

@@ -5,10 +5,11 @@ acquisition group whose removal degrades the design objective least, until
 the measurement budget is reached.  The objective aggregates the CRB traces
 over an ensemble of (exemplar support, coil-map set) pairs, either as their
 sum (average case) or their maximum (worst case).  The restricted rows of
-every ensemble pair are assembled once into a (groups, C, S) array; each
+every ensemble pair are assembled once into a (groups, C, S) array and
+compressed to (groups, r, S) rows of the same per-group Grams, r <= C; each
 iteration prices every remaining group of a pair with the matrix inversion
-lemma in batched array code (C x C systems, not S x S inversions), then
-commits the chosen deletion with one rank-C downdate.
+lemma in batched array code (r x r systems, not S x S inversions), then
+commits the chosen deletion with one rank-r downdate.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .crb import (
     build_full_crb,
+    compress_rows,
     downdate_traces,
     gram_inverse,
     restricted_gram,
@@ -161,13 +163,15 @@ def sbs_design(
 
     Each (exemplar, map set) pair keeps its restricted rows in one
     (groups, C, S) array, built once, and the CRB state of their Gram.
-    The loop keeps the bookkeeping: row i of every array belongs to group
-    ``active[i]``, and a deletion drops that row from each array.
-    ``method="smw"`` prices the groups with
-    :func:`~oedipus.crb.downdate_traces` and commits each deletion by
-    passing the group's (C, S) rows to :func:`~oedipus.crb.smw_downdate`;
-    ``method="direct"`` re-inverts every reduced Gram (slow, used to
-    validate the downdate path).
+    The loop keeps the bookkeeping: row block i of every array belongs to
+    group ``active[i]``, and a deletion drops that block from each array.
+    ``method="smw"`` first compresses each pair's array with
+    :func:`~oedipus.crb.compress_rows` to (groups, r, S) blocks of the same
+    Grams, prices the groups with :func:`~oedipus.crb.downdate_traces`
+    (r x r systems) and commits each deletion by passing the group's (r, S)
+    rows to :func:`~oedipus.crb.smw_downdate`; ``method="direct"``
+    re-inverts every reduced Gram from the raw rows (slow, used to validate
+    the downdate path).
 
     Raises :class:`InfeasibleDesignError` if the initial full-candidate
     CRB cannot be built or every remaining group becomes mandatory before
@@ -185,7 +189,11 @@ def sbs_design(
 
     active = list(range(cand.L))
     pairs = [(k, t) for k in range(len(supports)) for t in range(model.T)]
-    rows = {(k, t): restricted_matrix(model, supports[k], spec, t, active) for k, t in pairs}
+    rows = {}
+    for k, t in pairs:  # one pair at a time, so one raw row array is alive at once
+        rows[k, t] = restricted_matrix(model, supports[k], spec, t, active)
+        if method == "smw":
+            rows[k, t] = compress_rows(rows[k, t])
     try:
         states = {p: state_from_gram(restricted_gram(rows[p])) for p in pairs}
     except InfeasibleDesignError as err:

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from oedipus import cli
+from oedipus import cli, sbs_design
+from oedipus import io as oio
 from oedipus.errors import SolverFailureError
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.yaml"))
@@ -131,6 +132,17 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
         ("evaluate", {"recon": {"lamda": 5.0}}, "recon.lamda"),
         ("design", {"transform": {"levels": 5}}, "transform.levels"),
         ("design", {"recon": {"lambda": 0.0}}, "recon.lambda"),
+        ("design", {"accelerations": [0]}, "accelerations"),
+        ("design", {"accelerations": [2, 0.5]}, "accelerations"),
+        ("design", {"fraction": 0}, "fraction"),
+        ("design", {"fraction": 1.5}, "fraction"),
+        ("design", {"fraction": -0.1}, "fraction"),
+        ("design", {"oversampling": 0.5}, "oversampling"),
+        ("design", {"oversampling": 0}, "oversampling"),
+        ("design", {"undersample_axes": [], "baselines": None}, "undersample_axes"),
+        ("design", {"undersample_axes": [2], "baselines": None}, "undersample_axes"),
+        ("design", {"channels": {"multi": {"n_coils": 0}}}, "channels.multi.n_coils"),
+        ("design", {"channels": {"multi": {"decay": -1}}}, "channels.multi.decay"),
     ],
 )
 def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):
@@ -146,6 +158,27 @@ def test_poisson_centre_block_above_target_is_a_config_error(tmp_path, capsys):
     assert run("baseline", config) == 2
     assert "acceleration 2" in capsys.readouterr().err
     assert not (tmp_path / "out" / "patterns").exists()
+
+
+def test_design_falls_back_when_the_largest_acceleration_is_infeasible(tmp_path, capsys):
+    # 256 groups of one row and a support of 39: R = 8 keeps 32 rows, too few
+    config = write_config(tmp_path, accelerations=[3, 8, 2])
+    assert run("design", config) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "designed designed_single_R3: kept 85 groups",
+        "designed designed_single_R2: kept 128 groups",
+    ]
+    assert "designed_single_R8: support 0 has size 39" in err
+    pdir = tmp_path / "out" / "patterns"
+    assert not (pdir / "designed_single_R8.json").exists()
+    cfg = cli.load_config(config)
+    model = cli._model(cfg, "single", ())
+    _, supports = cli._exemplars(cfg)
+    for r, target in ((3, 85), (2, 128)):
+        # each pattern is the one a run to its own target designs
+        want = sbs_design(model, supports, cfg["objective"], target, cfg["transform"])
+        assert (pdir / f"designed_single_R{r}.json").read_text() == oio.pattern_to_json(want)
 
 
 def test_selftest_exit_codes(capsys):

@@ -174,6 +174,34 @@ def test_sliced_downdate_traces_match_per_group(monkeypatch):
     np.testing.assert_allclose(got[:4], want[:4], rtol=1e-12)
 
 
+def test_compress_rows_keeps_grams_and_traces(rng):
+    # 2-coil lines of an 8x8 grid; the support fills 2 columns, so a line's
+    # 16 rows have rank 2 x 2 coils.  Voxel rows 0, 2, 4, 6 alias 4-fold on
+    # the lines k = -4 and 0 (groups 0 and 4), so of groups 0, 4 and 2 the
+    # last is mandatory
+    model = make_model((8, 8), n_coils=2, undersample_axes=(0,), seed=5)
+    spec = TransformSpec("identity", 0)
+    voxels = [8 * r0 + r1 for r0 in (0, 2, 4, 6) for r1 in (0, 3)]
+    support = SupportSet(indices=np.array(voxels), q=64)
+    for groups, inf in ((range(8), [False] * 8), ([0, 4, 2], [False, False, True])):
+        rows = crb.restricted_matrix(model, support, spec, 0, groups)
+        small = crb.compress_rows(rows)
+        assert rows.shape == (len(inf), 16, 8) and small.shape == (len(inf), 4, 8)
+        want, got = (np.swapaxes(b.conj(), 1, 2) @ b for b in (rows, small))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        state = crb.state_from_gram(crb.restricted_gram(rows))
+        want, got = crb.downdate_traces(state, rows), crb.downdate_traces(state, small)
+        assert np.isinf(want).tolist() == np.isinf(got).tolist() == inf
+        np.testing.assert_allclose(got[~np.isinf(got)], want[~np.isinf(want)], rtol=1e-12)
+
+    full_rank = rng.standard_normal((3, 4, 10)) + 1j * rng.standard_normal((3, 4, 10))
+    one_row = full_rank[:, :1]
+    assert crb.compress_rows(full_rank) is full_rank
+    assert crb.compress_rows(one_row) is one_row
+    empty = crb.compress_rows(np.zeros((0, 16, 8), dtype=complex))
+    assert empty.shape == (0, 1, 8) and crb.downdate_traces(state, empty).shape == (0,)
+
+
 @pytest.mark.parametrize(
     "dims,n_coils,axes,oversampling,basis,family,levels",
     [
