@@ -1,11 +1,6 @@
 """CRB-guided k-space sampling design and evaluation."""
 
-from .baselines import (
-    BaselineSpec,
-    caipi_pattern,
-    poisson_disc_pattern,
-    uniform_pattern,
-)
+from .baselines import caipi_pattern, poisson_disc_pattern, uniform_pattern
 from .crb import (
     CrbState,
     build_full_crb,

@@ -3,12 +3,18 @@
 Uniform lattice, sheared (CAIPI-style) lattice, and Poisson-disc random
 sampling with a fully sampled centre block.  All generators operate on the
 group structure of a candidate set so their output is directly comparable
-to designed patterns.
+to designed patterns.  Each takes the candidate set, the acceleration ``R``
+(at least 1; it names the pattern) and its own parameters:
+
+- :func:`uniform_pattern`: none;
+- :func:`caipi_pattern`: the factors ``ry * rz == R`` over the two phase
+  axes and the shear step ``shift``;
+- :func:`poisson_disc_pattern`: the kept group count ``target_groups``,
+  the fully sampled centre size ``center_block`` (lines for 1D grouping,
+  square side for 2D) and the dart-throwing ``seed``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,66 +23,47 @@ from .encoding import CandidateSet
 from .errors import GenerationFailureError
 
 __all__ = [
-    "BaselineSpec",
     "uniform_pattern",
     "caipi_pattern",
     "poisson_disc_pattern",
 ]
 
 
-@dataclass(frozen=True)
-class BaselineSpec:
-    """Parameters of one baseline pattern.
-
-    ``center_block`` is the fully sampled centre size (lines for 1D
-    grouping, square side for 2D).  ``ry``/``rz`` factor the acceleration
-    over the two phase axes for the sheared lattice; ``caipi_shift`` is its
-    shear step.  ``seed`` drives the Poisson-disc generator only.
-    """
-
-    kind: str
-    R: float
-    center_block: int = 16
-    caipi_shift: int = 1
-    ry: int = 1
-    rz: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "caipi", "poisson"):
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if self.R < 1:
-            raise ValueError(f"acceleration must be >= 1, got {self.R}")
+def _check_acceleration(R: float) -> None:
+    if R < 1:
+        raise ValueError(f"acceleration must be >= 1, got {R}")
 
 
-def uniform_pattern(spec: BaselineSpec, candidates: CandidateSet) -> SamplingPattern:
+def uniform_pattern(candidates: CandidateSet, R: float) -> SamplingPattern:
     """Every R-th group starting at group 0 (nearest spacing for odd R)."""
+    _check_acceleration(R)
     n_groups = candidates.L
-    if spec.R > n_groups:
-        raise ValueError(f"R={spec.R} exceeds group count {n_groups}")
-    n_keep = int(round(n_groups / spec.R))
+    if R > n_groups:
+        raise ValueError(f"R={R} exceeds group count {n_groups}")
+    n_keep = int(round(n_groups / R))
     kept = np.unique(np.floor(np.arange(n_keep) * n_groups / n_keep).astype(int))
-    return pattern_from_groups(candidates, kept, mode=f"uniform/R{spec.R:g}")
+    return pattern_from_groups(candidates, kept, mode=f"uniform/R{R:g}")
 
 
-def caipi_pattern(spec: BaselineSpec, candidates: CandidateSet) -> SamplingPattern:
+def caipi_pattern(
+    candidates: CandidateSet, R: float, ry: int, rz: int, shift: int = 1
+) -> SamplingPattern:
     """Sheared lattice over a 2D-undersampled candidate grid.
 
-    Rows with first phase index divisible by ``ry`` are retained; the j-th
-    retained row keeps second-axis indices congruent to ``j * caipi_shift``
-    modulo ``rz``.  ``caipi_shift = 0`` degenerates to the axis-aligned
-    lattice.
+    ``R`` must be an integer equal to ``ry * rz``.  Rows with first phase
+    index divisible by ``ry`` are retained; the j-th retained row keeps
+    second-axis indices congruent to ``j * shift`` modulo ``rz``.
+    ``shift = 0`` degenerates to the axis-aligned lattice.
     """
+    _check_acceleration(R)
     if candidates.undersample_axes != (0, 1):
         raise ValueError("sheared lattice requires a 2D-undersampled candidate set")
-    if spec.ry * spec.rz != int(round(spec.R)) or spec.R != int(spec.R) or spec.ry < 1:
-        raise ValueError(
-            f"R={spec.R} does not factor as ry*rz = {spec.ry}*{spec.rz}"
-        )
+    if ry * rz != int(round(R)) or R != int(R) or ry < 1:
+        raise ValueError(f"R={R} does not factor as ry*rz = {ry}*{rz}")
     i1, i2 = (_offsets(candidates) + np.array(candidates.grid_dims) // 2).T
-    keep = (i1 % spec.ry == 0) & ((i2 - i1 // spec.ry * spec.caipi_shift) % spec.rz == 0)
+    keep = (i1 % ry == 0) & ((i2 - i1 // ry * shift) % rz == 0)
     return pattern_from_groups(
-        candidates, np.flatnonzero(keep), mode=f"caipi/R{spec.R:g}/shift{spec.caipi_shift}"
+        candidates, np.flatnonzero(keep), mode=f"caipi/R{R:g}/shift{shift}"
     )
 
 
@@ -87,65 +74,69 @@ def _offsets(candidates: CandidateSet) -> np.ndarray:
 
 
 def poisson_disc_pattern(
-    spec: BaselineSpec, candidates: CandidateSet, target_groups: int
+    candidates: CandidateSet,
+    R: float,
+    target_groups: int,
+    center_block: int = 16,
+    seed: int = 0,
 ) -> SamplingPattern:
     """Fully sampled centre plus dart-throwing with a bisected radius.
 
-    The candidate groups outside the centre block are visited in a seeded
-    random order and accepted when at least the current radius away (in
-    grid-index units) from every previously accepted group, stopping once
-    the remaining sample budget is spent.  The radius is bisected until the
-    total kept count lands within ``max(1, 0.01 * target)`` of the target,
-    which converges to the largest radius whose packing still reaches the
-    budget.  Deterministic given the seed.
+    The ``center_block`` centre groups are always kept; ``target_groups``
+    must lie between their count and the group count.  The other groups
+    are visited in a random order drawn from ``seed`` and accepted when at
+    least the current radius away (in grid-index units) from every
+    previously accepted group, stopping once the remaining sample budget is
+    spent.  The radius is bisected until the total kept count lands within
+    ``max(1, 0.01 * target)`` of the target, which converges to the largest
+    radius whose packing still reaches the budget.  Deterministic given the
+    seed; ``extra`` records the seed and the final radius.
     """
+    _check_acceleration(R)
     n_groups = candidates.L
     if target_groups > n_groups:
         raise ValueError(f"target {target_groups} exceeds group count {n_groups}")
     coords = _offsets(candidates)
-    b = spec.center_block
+    b = center_block
     center = np.flatnonzero(((coords >= -(b // 2)) & (coords < (b + 1) // 2)).all(axis=1))
     if target_groups < center.size:
         raise ValueError(
             f"target {target_groups} below centre-block group count {center.size}"
         )
     outside = np.setdiff1d(np.arange(n_groups), center)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     order = outside[rng.permutation(outside.size)]
+    pts = coords[order]
 
     tol = max(1, int(round(0.01 * target_groups)))
     budget = target_groups - center.size
 
-    def throw(radius: float):
-        accepted: list[int] = []
-        pts = np.empty((outside.size, coords.shape[1]))
-        n_acc = 0
+    def throw(radius: float) -> np.ndarray:
+        # the first free position in visiting order is the next accepted
+        # group; accepting it clears every position closer than the radius
+        free = np.ones(order.size, dtype=bool)
+        accepted = []
         r2 = radius * radius
-        for g in order:
-            if n_acc >= budget:
+        for _ in range(budget):
+            i = int(np.argmax(free))
+            if not free[i]:
                 break
-            p = coords[g]
-            if n_acc:
-                d2 = np.sum((pts[:n_acc] - p) ** 2, axis=1)
-                if d2.min() < r2:
-                    continue
-            pts[n_acc] = p
-            n_acc += 1
-            accepted.append(int(g))
-        return accepted
+            accepted.append(i)
+            free &= np.sum((pts - pts[i]) ** 2, axis=1) >= r2
+            free[i] = False
+        return order[accepted]
 
     lo, hi = 0.0, float(np.hypot(*candidates.grid_dims)) + 1.0
     for _ in range(50):
         radius = 0.5 * (lo + hi)
         accepted = throw(radius)
-        count = center.size + len(accepted)
+        count = center.size + accepted.size
         if abs(count - target_groups) <= tol:
-            kept = np.concatenate([center, np.array(accepted, dtype=int)])
             return pattern_from_groups(
                 candidates,
-                kept,
-                mode=f"poisson/R{spec.R:g}/seed{spec.seed}",
-                extra={"seed": spec.seed, "radius": radius},
+                np.concatenate([center, accepted]),
+                mode=f"poisson/R{R:g}/seed{seed}",
+                extra={"seed": seed, "radius": radius},
             )
         if count > target_groups:
             lo = radius
@@ -154,4 +145,3 @@ def poisson_disc_pattern(
     raise GenerationFailureError(
         f"could not hit target {target_groups} +/- {tol} in 50 bisections"
     )
-

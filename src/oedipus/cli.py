@@ -19,7 +19,7 @@ import yaml
 
 from . import io as oio
 from . import sparsity
-from .baselines import BaselineSpec, caipi_pattern, poisson_disc_pattern, uniform_pattern
+from .baselines import caipi_pattern, poisson_disc_pattern, uniform_pattern
 from .crb import (
     build_full_crb,
     downdate_traces,
@@ -113,15 +113,23 @@ CONFIG_KEYS = {
     "recon.regularizers": (_tuple(str), ("wavelet", "tv")),
     "evaluate_channels": (_tuple(str), ("single",)),
 }
-# Keys whose values a lower layer would reject: key -> (test, valid values).
+# Keys whose values a lower layer would reject or run to no purpose:
+# key -> (test, valid values).
 LIMITS = {
+    "grid.dims": (lambda v: len(v) == 2, "must be a list of two values"),
+    "grid.fov": (lambda v: len(v) == 2, "must be a list of two values"),
     "oversampling": (lambda v: v >= 1, "must be at least 1"),
     "undersample_axes": (lambda v: v and set(v) <= {0, 1}, "must be a nonempty list of 0 and 1"),
     "fraction": (lambda v: 0 < v <= 1, "must be in (0, 1]"),
     "accelerations": (lambda v: v and min(v) >= 1, "must be a nonempty list of values >= 1"),
     "channels.multi.n_coils": (lambda v: v >= 1, "must be at least 1"),
     "channels.multi.decay": (lambda v: v > 0, "must be positive"),
+    "channels.multi.map_seeds": (bool, "must be nonempty"),
+    "exemplars.phantom_seeds": (bool, "must be nonempty"),
+    "test_phantoms.seeds": (bool, "must be nonempty"),
     "recon.lambda": (lambda v: v > 0, "must be positive"),
+    "recon.max_iters": (lambda v: v >= 1, "must be at least 1"),
+    "recon.inner_max_iters": (lambda v: v >= 1, "must be at least 1"),
 }
 SECTIONS = {key.rsplit(".", n)[0] for key in CONFIG_KEYS for n in range(1, key.count(".") + 1)}
 
@@ -164,6 +172,9 @@ def load_config(path) -> dict:
             cfg[key] = None if value is None and key not in flat else convert(value)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"{path}: {key}: {err}") from err
+    for key, (valid, rule) in LIMITS.items():
+        if not valid(cfg[key]):
+            raise ConfigError(f"{path}: {key}: {rule}, got {cfg[key]}")
     try:
         cfg["grid"] = ImageGrid(dims=cfg["grid.dims"], fov=cfg["grid.fov"])
         cfg["transform"] = TransformSpec(cfg["transform.family"], cfg["transform.levels"])
@@ -173,14 +184,9 @@ def load_config(path) -> dict:
         sparsity.check_dims(cfg["grid"].dims, cfg["transform"])
     except ValueError as err:
         raise ConfigError(f"{path}: transform.levels: {err}") from err
-    for key, (valid, rule) in LIMITS.items():
-        if not valid(cfg[key]):
-            raise ConfigError(f"{path}: {key}: {rule}, got {cfg[key]}")
     if not cfg["channels.single"] and not cfg["multi"]:
         raise ConfigError("at least one of channels.single / channels.multi required")
     if cfg["multi"] and cfg["channels.multi.eval_map_seed"] is None:
-        if not cfg["channels.multi.map_seeds"]:
-            raise ConfigError("channels.multi.map_seeds must be nonempty")
         cfg["channels.multi.eval_map_seed"] = cfg["channels.multi.map_seeds"][0]
     for reg in cfg["recon.regularizers"]:
         if reg not in ("wavelet", "tv"):
@@ -285,17 +291,15 @@ def _baselines(cfg, candidates, r: float):
     """(name, pattern) of every baseline the config asks for at acceleration ``r``."""
     out = []
     if cfg["baselines.uniform"]:
-        out.append((f"uniform_R{r:g}", uniform_pattern(BaselineSpec("uniform", r), candidates)))
+        out.append((f"uniform_R{r:g}", uniform_pattern(candidates, r)))
     if cfg["caipi"]:
-        rz = cfg["baselines.caipi.rz"]
-        ry, shift = cfg["baselines.caipi.ry"], cfg["baselines.caipi.shift"]
-        spec = BaselineSpec("caipi", r, ry=ry, rz=int(r) if rz is None else rz, caipi_shift=shift)
-        out.append((f"caipi_R{r:g}", caipi_pattern(spec, candidates)))
+        ry, rz, shift = (cfg[f"baselines.caipi.{k}"] for k in ("ry", "rz", "shift"))
+        pattern = caipi_pattern(candidates, r, ry, int(r) if rz is None else rz, shift)
+        out.append((f"caipi_R{r:g}", pattern))
     target = _target_groups(candidates, r)
     block = cfg["baselines.poisson.center_block"]
     for seed in cfg["baselines.poisson.seeds"]:
-        spec = BaselineSpec(kind="poisson", R=r, center_block=block, seed=seed)
-        pattern = poisson_disc_pattern(spec, candidates, target)
+        pattern = poisson_disc_pattern(candidates, r, target, block, seed)
         out.append((f"poisson_R{r:g}_seed{seed:02d}", pattern))
     return out
 

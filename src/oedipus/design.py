@@ -43,9 +43,10 @@ __all__ = [
     "evaluate_pattern_crb",
 ]
 
-# Relative slack for treating two candidate costs as tied; the lower group
-# index wins among qualifying candidates.  Keeps the selected sequence
-# stable between the downdate-based and rebuild-based cost computations.
+# Relative slack for treating two candidate costs as tied; the first
+# qualifying position, the lowest group index as ``active`` is ascending,
+# wins.  Keeps the selected sequence stable between the downdate-based and
+# rebuild-based cost computations.
 _TIE_RTOL = 1e-9
 
 
@@ -122,15 +123,13 @@ def pattern_from_groups(
     )
 
 
-def _select(costs_by_group) -> tuple[int, float]:
-    """Lowest group index whose cost is within the tie slack of the minimum."""
-    best = min(cost for _, cost in costs_by_group)
+def _select(costs) -> int:
+    """Position of the first cost within the tie slack of the minimum; -1
+    when every cost is +inf."""
+    best = costs.min()
     if math.isinf(best):
-        return -1, best
-    for g, cost in costs_by_group:
-        if cost <= best * (1.0 + _TIE_RTOL):
-            return g, cost
-    raise AssertionError("unreachable")
+        return -1
+    return int(np.argmax(costs <= best * (1.0 + _TIE_RTOL)))
 
 
 def _precheck(supports, target_groups: int, c: int):
@@ -210,23 +209,22 @@ def sbs_design(
         else:  # each reduced Gram is the sum of all groups' Grams minus the group's own
             traces = [gram_inverse(g.sum(axis=0) - g)[1] for g in map(_grams, rows.values())]
         costs = objective.combine(traces)
-        chosen, best = _select(list(zip(active, costs.tolist())))
-        if chosen < 0:
+        i = _select(costs)
+        if i < 0:
             raise InfeasibleDesignError(
                 "every remaining group is mandatory; acceleration "
                 f"infeasible at iteration {iteration} "
                 f"({len(active)} groups left, target {target_groups})",
                 iteration=iteration,
             )
-        i = active.index(chosen)
+        best = costs[i]
         for p in pairs:  # one pair at a time, so one row array is copied at once
             if method == "smw":
                 states[p] = smw_downdate(states[p], rows[p][i])
             rows[p] = np.delete(rows[p], i, axis=0)
         if method == "smw":
             best = objective.combine([states[p].trace for p in pairs])  # as committed
-        del active[i]
-        deleted.append(chosen)
+        deleted.append(active.pop(i))
         log.append(best)
 
     return pattern_from_groups(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from oedipus import (
-    BaselineSpec,
     ImageGrid,
     build_cartesian_candidates,
     caipi_pattern,
@@ -57,28 +56,22 @@ def assert_spaced(cand, pattern, centre):
 
 def test_uniform_paper_scale():
     cand = lines_candidates(160, readout=8)
-    pattern = uniform_pattern(BaselineSpec(kind="uniform", R=2), cand)
+    pattern = uniform_pattern(cand, 2)
     assert pattern.kept_groups == tuple(range(0, 160, 2))
     assert len(pattern.kept_groups) == 80
 
 
 def test_uniform_r1_and_r4():
     cand = lines_candidates(8)
-    assert uniform_pattern(
-        BaselineSpec(kind="uniform", R=1), cand
-    ).kept_groups == tuple(range(8))
-    assert uniform_pattern(
-        BaselineSpec(kind="uniform", R=4), cand
-    ).kept_groups == (0, 4)
+    assert uniform_pattern(cand, 1).kept_groups == tuple(range(8))
+    assert uniform_pattern(cand, 4).kept_groups == (0, 4)
     with pytest.raises(ValueError):
-        uniform_pattern(BaselineSpec(kind="uniform", R=9), cand)
+        uniform_pattern(cand, 9)
 
 
 def test_caipi_reduces_to_uniform_rows():
     cand = grid_candidates(8, 8)
-    pattern = caipi_pattern(
-        BaselineSpec(kind="caipi", R=2, ry=2, rz=1, caipi_shift=0), cand
-    )
+    pattern = caipi_pattern(cand, 2, ry=2, rz=1, shift=0)
     kept = np.array(pattern.kept_groups)
     i1 = kept // 8
     assert np.all(i1 % 2 == 0)
@@ -87,9 +80,7 @@ def test_caipi_reduces_to_uniform_rows():
 
 def test_caipi_sheared_lattice_modular_oracle():
     cand = grid_candidates(8, 8)
-    pattern = caipi_pattern(
-        BaselineSpec(kind="caipi", R=4, ry=2, rz=2, caipi_shift=1), cand
-    )
+    pattern = caipi_pattern(cand, 4, ry=2, rz=2, shift=1)
     kept = set(pattern.kept_groups)
     assert len(kept) == 16
     expected = set()
@@ -105,9 +96,7 @@ def test_caipi_sheared_lattice_modular_oracle():
 
 def test_caipi_degenerate_shift_zero():
     cand = grid_candidates(8, 8)
-    pattern = caipi_pattern(
-        BaselineSpec(kind="caipi", R=4, ry=2, rz=2, caipi_shift=0), cand
-    )
+    pattern = caipi_pattern(cand, 4, ry=2, rz=2, shift=0)
     kept = np.array(pattern.kept_groups)
     assert np.all(kept // 8 % 2 == 0)
     assert np.all(kept % 8 % 2 == 0)
@@ -115,40 +104,31 @@ def test_caipi_degenerate_shift_zero():
 
 def test_caipi_requires_2d_and_factorable_r():
     with pytest.raises(ValueError):
-        caipi_pattern(BaselineSpec(kind="caipi", R=2, ry=2, rz=1), lines_candidates(8))
+        caipi_pattern(lines_candidates(8), 2, ry=2, rz=1)
     with pytest.raises(ValueError):
-        caipi_pattern(
-            BaselineSpec(kind="caipi", R=3, ry=2, rz=2), grid_candidates(8, 8)
-        )
+        caipi_pattern(grid_candidates(8, 8), 3, ry=2, rz=2)
 
 
 def test_poisson_full_sampling_any_seed():
     cand = lines_candidates(32)
     for seed in (0, 7):
-        pattern = poisson_disc_pattern(
-            BaselineSpec(kind="poisson", R=1, center_block=4, seed=seed), cand, 32
-        )
+        pattern = poisson_disc_pattern(cand, 1, 32, center_block=4, seed=seed)
         assert pattern.kept_groups == tuple(range(32))
 
 
 def test_poisson_deterministic_per_seed():
     cand = lines_candidates(64)
-    spec = BaselineSpec(kind="poisson", R=2, center_block=16, seed=3)
-    a = poisson_disc_pattern(spec, cand, 32)
-    b = poisson_disc_pattern(spec, cand, 32)
+    a = poisson_disc_pattern(cand, 2, 32, center_block=16, seed=3)
+    b = poisson_disc_pattern(cand, 2, 32, center_block=16, seed=3)
     assert a.kept_groups == b.kept_groups
-    c = poisson_disc_pattern(
-        BaselineSpec(kind="poisson", R=2, center_block=16, seed=4), cand, 32
-    )
+    c = poisson_disc_pattern(cand, 2, 32, center_block=16, seed=4)
     assert a.kept_groups != c.kept_groups
 
 
 def test_poisson_center_block_fully_kept_and_budget():
     cand = lines_candidates(64)
     target = 32
-    pattern = poisson_disc_pattern(
-        BaselineSpec(kind="poisson", R=2, center_block=16, seed=1), cand, target
-    )
+    pattern = poisson_disc_pattern(cand, 2, target, center_block=16, seed=1)
     center = centre_groups(cand, 16)
     assert len(center) == 16
     assert center.issubset(set(pattern.kept_groups))
@@ -159,31 +139,48 @@ def test_poisson_center_block_fully_kept_and_budget():
 def test_poisson_min_distance_property_2d():
     cand = grid_candidates(64, 64)
     target = 64 * 64 // 4
-    pattern = poisson_disc_pattern(
-        BaselineSpec(kind="poisson", R=4, center_block=16, seed=5), cand, target
-    )
+    pattern = poisson_disc_pattern(cand, 4, target, center_block=16, seed=5)
     assert_spaced(cand, pattern, centre_groups(cand, 16))
     tol = max(1, round(0.01 * target))
     assert abs(len(pattern.kept_groups) - target) <= tol
 
 
+@pytest.mark.parametrize("two_d, R, block", [(False, 2, 16), (True, 4, 8)])
+def test_poisson_short_patterns_are_maximal_packings(two_d, R, block):
+    """A pattern short of its target leaves no group outside the centre that
+    is at least the radius from every kept group outside the centre."""
+    cand = grid_candidates(32, 32) if two_d else lines_candidates(64)
+    target = cand.L // R
+    centre = centre_groups(cand, block)
+    coords = group_coords(cand)
+    short = 0
+    for seed in range(10):
+        pattern = poisson_disc_pattern(cand, R, target, center_block=block, seed=seed)
+        if len(pattern.kept_groups) >= target:
+            continue
+        short += 1
+        kept = sorted(set(pattern.kept_groups) - centre)
+        unkept = sorted(set(range(cand.L)) - set(pattern.kept_groups) - centre)
+        d2 = np.sum((coords[unkept][:, None, :] - coords[kept][None, :, :]) ** 2, axis=-1)
+        assert np.all(d2.min(axis=1) < pattern.extra["radius"] ** 2)
+    assert short  # some seeds fall short of the target at these settings
+
+
 def test_poisson_target_validation():
     cand = lines_candidates(32)
     with pytest.raises(ValueError):
-        poisson_disc_pattern(
-            BaselineSpec(kind="poisson", R=2, center_block=16, seed=0), cand, 8
-        )
+        poisson_disc_pattern(cand, 2, 8, center_block=16, seed=0)
     with pytest.raises(ValueError):
-        poisson_disc_pattern(
-            BaselineSpec(kind="poisson", R=2, center_block=16, seed=0), cand, 64
-        )
+        poisson_disc_pattern(cand, 2, 64, center_block=16, seed=0)
 
 
-def test_baseline_spec_validation():
+def test_acceleration_validation():
     with pytest.raises(ValueError):
-        BaselineSpec(kind="spiral", R=2)
+        uniform_pattern(lines_candidates(8), 0.5)
     with pytest.raises(ValueError):
-        BaselineSpec(kind="uniform", R=0.5)
+        caipi_pattern(grid_candidates(8, 8), 0.5, ry=1, rz=1)
+    with pytest.raises(ValueError):
+        poisson_disc_pattern(lines_candidates(32), 0.5, 32, center_block=4)
 
 
 @pytest.mark.parametrize(
@@ -194,15 +191,15 @@ def test_baselines_follow_the_group_geometry(dims, axes, oversampling):
     grid = ImageGrid(dims, (100.0, 100.0))
     cand = build_cartesian_candidates(grid, oversampling, axes, n_coils=1)
     for block in (0, 3, 4):
-        spec = BaselineSpec(kind="poisson", R=3, center_block=block, seed=2)
-        pattern = poisson_disc_pattern(spec, cand, cand.L // 3)
+        pattern = poisson_disc_pattern(cand, 3, cand.L // 3, center_block=block, seed=2)
         centre = centre_groups(cand, block)
         assert len(centre) == block ** len(axes)
         assert centre <= set(pattern.kept_groups)
         assert_spaced(cand, pattern, centre)
-    spec = BaselineSpec(kind="caipi", R=4, ry=2, rz=2, caipi_shift=1)
     if axes != (0, 1):
         with pytest.raises(ValueError):
-            caipi_pattern(spec, cand)
+            caipi_pattern(cand, 4, ry=2, rz=2, shift=1)
         return
-    assert set(caipi_pattern(spec, cand).kept_groups) == caipi_groups(cand, 2, 2, 1)
+    assert set(caipi_pattern(cand, 4, ry=2, rz=2, shift=1).kept_groups) == caipi_groups(
+        cand, 2, 2, 1
+    )

@@ -143,6 +143,17 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
         ("design", {"undersample_axes": [2], "baselines": None}, "undersample_axes"),
         ("design", {"channels": {"multi": {"n_coils": 0}}}, "channels.multi.n_coils"),
         ("design", {"channels": {"multi": {"decay": -1}}}, "channels.multi.decay"),
+        ("design", {"grid": {"dims": [16, 16], "fov": [200.0]}}, "grid.fov"),
+        ("baseline", {"grid": {"dims": [16]}}, "grid.dims"),
+        ("design", {"exemplars": {"phantom_seeds": []}}, "exemplars.phantom_seeds"),
+        ("evaluate", {"test_phantoms": {"seeds": []}}, "test_phantoms.seeds"),
+        (
+            "design",
+            {"channels": {"multi": {"map_seeds": [], "eval_map_seed": 9}}},
+            "channels.multi.map_seeds",
+        ),
+        ("evaluate", {"recon": {"max_iters": 0}}, "recon.max_iters"),
+        ("evaluate", {"recon": {"inner_max_iters": 0}}, "recon.inner_max_iters"),
     ],
 )
 def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):

@@ -62,10 +62,10 @@ def test_objective_modes():
 
 
 def test_select_tie_rule():
-    assert _select([(3, 5.0), (1, 5.0), (2, 7.0)]) == (3, 5.0)
-    # near-tie within the relative guard resolves to the lower group index
-    assert _select([(3, 5.0 + 1e-12), (5, 5.0)])[0] == 3
-    assert _select([(1, math.inf), (2, math.inf)])[0] == -1
+    assert _select(np.array([5.0, 5.0, 7.0])) == 0
+    # near-tie within the relative guard resolves to the first position
+    assert _select(np.array([5.0 + 1e-12, 5.0])) == 0
+    assert _select(np.array([math.inf, math.inf])) == -1
 
 
 def test_no_deletions_when_target_is_l():

@@ -16,7 +16,6 @@ from oedipus import (
     single_channel_model,
     uniform_pattern,
 )
-from oedipus.baselines import BaselineSpec
 from oedipus.phantoms import default_phantom_spec
 from oedipus.recon import TvOperator, WaveletOperator
 
@@ -134,7 +133,7 @@ def test_lambda_to_zero_full_sampling_recovers_image():
 def test_irls_objective_monotone_random_problems(rng):
     model, _ = _phantom_model((8, 8))
     spec = TransformSpec("haar", 1)
-    pattern = uniform_pattern(BaselineSpec(kind="uniform", R=2), model.candidates)
+    pattern = uniform_pattern(model.candidates, 2)
     for trial in range(20):
         img = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         d = retrospective_undersample(img, pattern, model, noise_sigma=0.5, seed=trial)
@@ -164,7 +163,7 @@ def test_tv_recon_beats_zero_fill_on_piecewise_constant():
             grid=grid, phase="none", texture=0.0, perturbation_seed=0
         )
     )
-    pattern = uniform_pattern(BaselineSpec(kind="uniform", R=2), cand)
+    pattern = uniform_pattern(cand, 2)
     d = retrospective_undersample(gold, pattern, model)
     from oedipus import EncodingOperator
 
@@ -187,7 +186,7 @@ def test_tv_recon_beats_zero_fill_on_piecewise_constant():
 
 def test_solver_failure_carries_log():
     model, gold = _phantom_model()
-    pattern = uniform_pattern(BaselineSpec(kind="uniform", R=2), model.candidates)
+    pattern = uniform_pattern(model.candidates, 2)
     d = retrospective_undersample(gold, pattern, model)
     problem = ReconProblem(
         data=d,
