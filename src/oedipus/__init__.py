@@ -25,8 +25,6 @@ from .encoding import (
     ImageGrid,
     VoxelBasis,
     build_cartesian_candidates,
-    candidate_row,
-    group_rows,
     single_channel_model,
     synthesize_coil_maps,
 )
@@ -51,7 +49,6 @@ from .sparsity import (
     extract_support,
     forward_transform,
     inverse_transform,
-    restricted_row,
 )
 
 __version__ = "0.1.0"

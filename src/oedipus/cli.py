@@ -278,10 +278,13 @@ def cmd_design(cfg) -> int:
             n = cand.L - target
             pattern = pattern_from_groups(
                 cand, longest.kept_groups + longest.deleted[n:], longest.mode,
-                longest.log[:n], longest.deleted[:n],
+                longest.log[:n], longest.deleted[:n], longest.extra,
             )
             _write_pattern(cfg, name, pattern)
-            print(f"designed {name}: kept {len(pattern.kept_groups)} groups")
+            print(
+                f"designed {name}: kept {len(pattern.kept_groups)} groups; "
+                f"drift {pattern.extra['max_drift']:.1e}, {pattern.extra['rebuilds']} rebuilds"
+            )
     for name, msg in infeasible:
         print(f"infeasible acceleration: {name}: {msg}", file=sys.stderr)
     return 3 if infeasible else 0

@@ -6,15 +6,18 @@ restricted Gram matrix.  The restricted rows are ``A Psi_S^H``: the
 encoding operator that synthesizes and reconstructs the data, applied to the
 voxel images of the S support atoms.  The layer passes plain arrays: a group
 is its (C, S) restricted rows, and which groups a state holds is the caller's
-bookkeeping.
-Groups are removed via the matrix inversion lemma (a rank-C "downdate" that
-only inverts a C x C system); the removal of every group of a stacked
-(groups, C, S) row array is priced as batched array code, with one Cholesky
-clearing a whole slice of regular groups.  A group enters only through its
-Gram, so :func:`compress_rows` may first shrink each block to r <= C rows
-of the same Gram; every system is then r x r.  The module also tracks the
-trace recursively and provides the support-aware least-squares estimator
-that attains the bound.
+bookkeeping.  A group enters only through its Gram, so :func:`compress_rows`
+may first shrink each block to r <= C rows B of the same Gram.
+
+Groups are removed via the matrix inversion lemma, a rank-r "downdate"
+that inverts an r x r system.  Removing B from the rows of Gram A leaves
+the trace ``tr(A^-1) + tr(mid^-1 M2)``, ``mid = I - M1``, from the group's
+downdate forms ``M1 = B A^-1 B^H`` and ``M2 = B A^-2 B^H``: built by
+:func:`downdate_forms` at O(r S^2) per group and priced by
+:func:`forms_traces`, elementwise for one-row groups and by batched r x r
+solves otherwise.  :func:`smw_removal` commits a removal and returns the
+pieces that update kept forms at O(r^2 S + r^3) per group.  The module also
+provides the support-aware least-squares estimator that attains the bound.
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ __all__ = [
     "restricted_gram",
     "state_from_gram",
     "build_full_crb",
+    "smw_removal",
     "smw_downdate",
+    "downdate_forms",
+    "forms_traces",
     "downdate_traces",
     "downdate_trace",
     "image_domain_crb_trace",
@@ -188,26 +194,18 @@ def build_full_crb(
     return state_from_gram(gram)
 
 
-def _downdate_pieces(inv_gram: np.ndarray, rows: np.ndarray):
-    """For row blocks B (g, C, S) and G = inv_gram B^H: G^H, the middle
-    matrices I - B G (g, C, C) and which of them are singular.
+def _singular(mid: np.ndarray) -> np.ndarray:
+    """Which middle matrices (g, r, r) have smallest eigenvalue <= 1/COND_LIMIT.
 
     A middle matrix has eigenvalues in [0, 1] in exact arithmetic, so
-    near-singularity is tested on an absolute scale.
-    """
-    gh = (rows.reshape(-1, rows.shape[-1]) @ inv_gram).reshape(rows.shape)
-    mid = np.eye(rows.shape[1]) - rows @ _h(gh)
-    mid = 0.5 * (mid + _h(mid))
-    return gh, mid, _singular(mid)
-
-
-def _singular(mid: np.ndarray) -> np.ndarray:
-    """Which middle matrices (g, C, C) have smallest eigenvalue <= 1/COND_LIMIT.
-
-    A batched Cholesky of ``mid - I/COND_LIMIT`` clears a slice of regular
-    groups at once; only a slice where it fails gets the eigenvalue test.
+    near-singularity is tested on an absolute scale.  A 1 x 1 matrix is its
+    own eigenvalue and is compared elementwise.  Otherwise a batched
+    Cholesky of ``mid - I/COND_LIMIT`` clears a batch of regular groups at
+    once; only a batch where it fails gets the eigenvalue test.
     """
     tau = 1.0 / COND_LIMIT
+    if mid.shape[-1] == 1:
+        return mid[:, 0, 0].real <= tau
     try:
         np.linalg.cholesky(mid - tau * np.eye(mid.shape[-1]))
         return np.zeros(len(mid), dtype=bool)
@@ -215,41 +213,71 @@ def _singular(mid: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(mid)[:, 0] <= tau
 
 
-def smw_downdate(state: CrbState, rows: np.ndarray) -> CrbState:
-    """CRB state after removing the rows (C, S) of one group.
-
-    Applies the matrix inversion lemma with the pieces that
-    :func:`downdate_traces` prices, so it equals re-inversion of the reduced
-    Gram.  Raises :class:`InfeasibleDesignError` when removing the rows
-    destroys identifiability (the C x C system is singular within
-    tolerance).
+def smw_removal(state: CrbState, rows: np.ndarray):
+    """CRB state after removing the rows B (r, S) of one group, with
+    ``U = A^-1 B^H`` and ``K = (I - B U)^-1``: the new inverse is
+    ``A^-1 + U K U^H`` (matrix inversion lemma), equal to re-inversion of
+    the reduced Gram.  Raises :class:`InfeasibleDesignError` when removing
+    the rows destroys identifiability (``I - B U`` singular within tolerance).
     """
-    gh, mid, singular = _downdate_pieces(state.inv_gram, rows[None])
-    if singular[0]:
+    u = state.inv_gram @ _h(rows)
+    mid = np.eye(len(rows)) - rows @ u
+    mid = 0.5 * (mid + _h(mid))
+    if _singular(mid[None])[0]:
         raise InfeasibleDesignError("removing the group makes the design singular")
-    inv = state.inv_gram + _h(gh[0]) @ np.linalg.solve(mid[0], gh[0])
-    inv = 0.5 * (inv + inv.conj().T)
-    return CrbState(inv_gram=inv, trace=float(np.trace(inv).real), cond=state.cond)
+    k = np.linalg.inv(mid)
+    k = 0.5 * (k + _h(k))
+    inv = state.inv_gram + (u @ k) @ _h(u)
+    inv = 0.5 * (inv + _h(inv))
+    return CrbState(inv_gram=inv, trace=float(np.trace(inv).real), cond=state.cond), u, k
+
+
+def smw_downdate(state: CrbState, rows: np.ndarray) -> CrbState:
+    """CRB state after removing the rows (C, S) of one group: the state of
+    :func:`smw_removal`."""
+    return smw_removal(state, rows)[0]
+
+
+def downdate_forms(inv_gram: np.ndarray, rows: np.ndarray):
+    """Forms ``M1 = B A^-1 B^H`` and ``M2 = B A^-2 B^H`` (g, r, r) of each group
+    B of ``rows`` (g, r, S), ``A^-1 = inv_gram``, built as many groups at a
+    time as fit in :data:`SLICE_ENTRIES` entries of (g, r, S), at least one.
+    """
+    g, r, s = rows.shape
+    m1 = np.empty((g, r, r), dtype=complex)
+    m2 = np.empty_like(m1)
+    step = max(1, SLICE_ENTRIES // (r * s))
+    for i in range(0, g, step):
+        b = rows[i : i + step]
+        gh = (b.reshape(-1, s) @ inv_gram).reshape(b.shape)
+        m1[i : i + step] = b @ _h(gh)
+        m2[i : i + step] = gh @ _h(gh)
+    return m1, m2
+
+
+def forms_traces(trace: float, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Trace after removing each group alone, ``trace + tr(mid^-1 M2)`` with
+    ``mid = I - M1`` from its forms (g, r, r), or ``+inf`` when the group is
+    mandatory (``mid`` singular by :func:`_singular`): elementwise for one
+    row, by batched r x r solves otherwise."""
+    r = m1.shape[-1]
+    if r == 1:  # a Hermitian 1 x 1 matrix is its real part
+        mid = 1.0 - m1.real
+        singular = _singular(mid)
+        x = m2[:, 0, 0].real / np.where(singular, 1.0, mid[:, 0, 0])
+    else:
+        mid = np.eye(r) - m1
+        mid = 0.5 * (mid + _h(mid))
+        singular = _singular(mid)
+        mid[singular] = np.eye(r)  # keeps the solve regular; priced +inf below
+        x = np.trace(np.linalg.solve(mid, m2), axis1=-2, axis2=-1).real
+    return np.where(singular, np.inf, trace + x)
 
 
 def downdate_traces(state: CrbState, rows: np.ndarray) -> np.ndarray:
-    """Trace of the CRB after removing each group of ``rows`` (g, C, S) alone.
-
-    Each trace is ``trace + tr(mid^-1 G^H G)``, without the S x S update;
-    it is ``+inf`` when the group is mandatory (its removal makes the
-    reduced Gram singular).  Groups are priced a slice at a time: as many
-    as fit in :data:`SLICE_ENTRIES` entries of (g, C, S), and at least one.
-    """
-    out = np.empty(len(rows))
-    c, s = rows.shape[1:]
-    step = max(1, SLICE_ENTRIES // (c * s))
-    for i in range(0, len(rows), step):
-        gh, mid, singular = _downdate_pieces(state.inv_gram, rows[i : i + step])
-        mid[singular] = np.eye(c)  # keeps the batched solve regular; priced +inf below
-        x = np.linalg.solve(mid, gh @ _h(gh))
-        traces = state.trace + np.trace(x, axis1=-2, axis2=-1).real
-        out[i : i + step] = np.where(singular, np.inf, traces)
-    return out
+    """Trace of the CRB after removing each group of ``rows`` (g, r, S) alone:
+    :func:`forms_traces` of freshly built :func:`downdate_forms`."""
+    return forms_traces(state.trace, *downdate_forms(state.inv_gram, rows))
 
 
 def downdate_trace(state: CrbState, rows: np.ndarray) -> float:

@@ -6,10 +6,19 @@ the measurement budget is reached.  The objective aggregates the CRB traces
 over an ensemble of (exemplar support, coil-map set) pairs, either as their
 sum (average case) or their maximum (worst case).  The restricted rows of
 every ensemble pair are assembled once into a (groups, C, S) array and
-compressed to (groups, r, S) rows of the same per-group Grams, r <= C; each
-iteration prices every remaining group of a pair with the matrix inversion
-lemma in batched array code (r x r systems, not S x S inversions), then
-commits the chosen deletion with one rank-r downdate.
+compressed to (groups, r, S) rows B of the same per-group Grams, r <= C;
+each iteration prices every remaining group of a pair with the matrix
+inversion lemma (r x r systems, not S x S inversions), then commits the
+chosen deletion with one rank-r downdate.
+
+A group is priced from its downdate forms ``M1 = B A^-1 B^H`` and
+``M2 = B A^-2 B^H`` (:mod:`oedipus.crb`), O(r S^2) per group to build.  A
+pair with ``r S + 4 r^2 < S^2`` keeps them and applies the rank-r update of
+each removal (Hager, SIAM Review 1989) by one GEMM over its stacked rows:
+O(P r (r S + r^2)) per deletion for P groups, O(P S) for one-row groups,
+not O(P r S^2).  Other pairs build them afresh each iteration.  When a
+committed group's stored forms drift from their exact values by more than
+``_DRIFT_LIMIT`` (relative), all the pair's forms are rebuilt.
 """
 
 from __future__ import annotations
@@ -23,11 +32,13 @@ import numpy as np
 from .crb import (
     build_full_crb,
     compress_rows,
+    downdate_forms,
     downdate_traces,
+    forms_traces,
     gram_inverse,
     restricted_gram,
     restricted_matrix,
-    smw_downdate,
+    smw_removal,
     state_from_gram,
 )
 from .encoding import EncodingModel
@@ -48,6 +59,11 @@ __all__ = [
 # wins.  Keeps the selected sequence stable between the downdate-based and
 # rebuild-based cost computations.
 _TIE_RTOL = 1e-9
+
+# Relative drift of a committed group's recursively updated forms from
+# their exact values beyond which the pair's forms are rebuilt.
+_DRIFT_LIMIT = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -161,16 +177,14 @@ def sbs_design(
     result is deterministic.
 
     Each (exemplar, map set) pair keeps its restricted rows in one
-    (groups, C, S) array, built once, and the CRB state of their Gram.
-    The loop keeps the bookkeeping: row block i of every array belongs to
-    group ``active[i]``, and a deletion drops that block from each array.
-    ``method="smw"`` first compresses each pair's array with
-    :func:`~oedipus.crb.compress_rows` to (groups, r, S) blocks of the same
-    Grams, prices the groups with :func:`~oedipus.crb.downdate_traces`
-    (r x r systems) and commits each deletion by passing the group's (r, S)
-    rows to :func:`~oedipus.crb.smw_downdate`; ``method="direct"``
-    re-inverts every reduced Gram from the raw rows (slow, used to validate
-    the downdate path).
+    (groups, C, S) array, built once and never copied: a mask marks the
+    active groups.  ``method="smw"`` compresses each array with
+    :func:`~oedipus.crb.compress_rows`, prices the groups from their
+    downdate forms and commits each deletion with
+    :func:`~oedipus.crb.smw_removal`; ``method="direct"`` re-inverts every
+    reduced Gram from the raw rows (slow, used to validate the downdate
+    path).  ``extra`` holds the largest relative drift of a committed
+    group's forms (``max_drift``), the drift rebuilds and the form pairs.
 
     Raises :class:`InfeasibleDesignError` if the initial full-candidate
     CRB cannot be built or every remaining group becomes mandatory before
@@ -186,11 +200,10 @@ def sbs_design(
             f"target_groups {target_groups} exceeds group count {cand.L}"
         )
 
-    active = list(range(cand.L))
     pairs = [(k, t) for k in range(len(supports)) for t in range(model.T)]
     rows = {}
     for k, t in pairs:  # one pair at a time, so one raw row array is alive at once
-        rows[k, t] = restricted_matrix(model, supports[k], spec, t, active)
+        rows[k, t] = restricted_matrix(model, supports[k], spec, t, range(cand.L))
         if method == "smw":
             rows[k, t] = compress_rows(rows[k, t])
     try:
@@ -199,41 +212,86 @@ def sbs_design(
         raise InfeasibleDesignError(
             f"full-candidate CRB build failed: {err}", iteration=0, cond=err.cond
         ) from err
+    forms = {}
+    for p in pairs:  # kept where updating them, ~r S + 4 r^2 a group, beats building, ~S^2
+        r, s = rows[p].shape[1:]
+        if method == "smw" and r * s + 4 * r * r < s * s:
+            forms[p] = downdate_forms(states[p].inv_gram, rows[p])
 
+    alive = np.ones(cand.L, dtype=bool)
     log = []
     deleted = []
-    while len(active) > target_groups:
+    max_drift, rebuilds = 0.0, 0
+    while len(deleted) < cand.L - target_groups:
         iteration = len(deleted) + 1
-        if method == "smw":
-            traces = [downdate_traces(states[p], rows[p]) for p in pairs]
-        else:  # each reduced Gram is the sum of all groups' Grams minus the group's own
-            traces = [gram_inverse(g.sum(axis=0) - g)[1] for g in map(_grams, rows.values())]
+        if method == "direct":  # each reduced Gram is all groups' Grams minus the group's own
+            grams = (_grams(rows[p][alive]) for p in pairs)
+            traces = [gram_inverse(g.sum(axis=0) - g)[1] for g in grams]
+        else:
+            traces = [
+                forms_traces(states[p].trace, forms[p][0][alive], forms[p][1][alive])
+                if p in forms
+                else downdate_traces(states[p], rows[p][alive])
+                for p in pairs
+            ]
         costs = objective.combine(traces)
         i = _select(costs)
         if i < 0:
             raise InfeasibleDesignError(
                 "every remaining group is mandatory; acceleration "
                 f"infeasible at iteration {iteration} "
-                f"({len(active)} groups left, target {target_groups})",
+                f"({cand.L - len(deleted)} groups left, target {target_groups})",
                 iteration=iteration,
             )
+        c = int(np.flatnonzero(alive)[i])
         best = costs[i]
-        for p in pairs:  # one pair at a time, so one row array is copied at once
-            if method == "smw":
-                states[p] = smw_downdate(states[p], rows[p][i])
-            rows[p] = np.delete(rows[p], i, axis=0)
         if method == "smw":
+            for p in pairs:
+                inv_gram = states[p].inv_gram
+                states[p], u, k = smw_removal(states[p], rows[p][c])
+                if p in forms:
+                    drift = _update_forms(forms[p], rows[p], inv_gram, c, u, k)
+                    max_drift = max(max_drift, drift)
+                    if not drift < _DRIFT_LIMIT:
+                        forms[p] = downdate_forms(states[p].inv_gram, rows[p])
+                        rebuilds += 1
             best = objective.combine([states[p].trace for p in pairs])  # as committed
-        deleted.append(active.pop(i))
+        alive[c] = False
+        deleted.append(c)
         log.append(best)
 
     return pattern_from_groups(
         cand,
-        active,
+        np.flatnonzero(alive),
         mode=f"sbs/{objective.mode}",
         log=log,
         deleted=deleted,
+        extra={"max_drift": max_drift, "rebuilds": rebuilds, "form_pairs": list(forms)},
     )
+
+
+def _update_forms(forms, rows, inv_gram, c: int, u, k) -> float:
+    """Update the forms (M1, M2) of every group of ``rows`` (g, r, S) in place
+    for the removal of group ``c``, given ``inv_gram`` before it and the
+    ``U``, ``K`` of :func:`~oedipus.crb.smw_removal`; returns the relative
+    drift of group c's stored forms from their exact values ``B_c U`` and
+    ``U^H U``.  With ``X = B U``, ``Y = B A^-1 U`` and ``V = X K`` (K is
+    Hermitian): ``M1 += V X^H`` and ``M2 += W V^H + (W V^H)^H`` with
+    ``W = Y + V U^H U / 2``.
+    """
+    m1, m2 = forms
+    g, r, s = rows.shape
+    xy = rows.reshape(-1, s) @ np.concatenate([u, inv_gram @ u], axis=1)
+    uhu = u.conj().T @ u
+    v = xy[:, :r] @ k
+    w = xy[:, r:] + 0.5 * (v @ uhu)
+    x, v, w = (a.reshape(g, r, r) for a in (xy[:, :r], v, w))
+    exact = ((m1[c], x[c]), (m2[c], uhu))
+    drift = max(np.abs(a - b).max() / max(np.abs(b).max(), _TINY) for a, b in exact)
+    m1 += v @ np.swapaxes(x.conj(), 1, 2)
+    wv = w @ np.swapaxes(v.conj(), 1, 2)
+    m2 += wv + np.swapaxes(wv.conj(), 1, 2)
+    return float(drift)
 
 
 def _grams(rows) -> np.ndarray:

@@ -31,8 +31,6 @@ __all__ = [
     "EncodingModel",
     "EncodingOperator",
     "build_cartesian_candidates",
-    "candidate_row",
-    "group_rows",
     "synthesize_coil_maps",
     "normalized_coords",
 ]
@@ -71,13 +69,6 @@ class ImageGrid:
         r1 = i1.ravel() * (self.fov[0] / n1)
         r2 = i2.ravel() * (self.fov[1] / n2)
         return np.stack([r1, r2], axis=1)
-
-    def voxel_index_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer voxel indices (n1, n2) of the row-major flattening."""
-        i1, i2 = np.meshgrid(
-            np.arange(self.dims[0]), np.arange(self.dims[1]), indexing="ij"
-        )
-        return i1.ravel(), i2.ravel()
 
 
 @dataclass(frozen=True)
@@ -306,26 +297,11 @@ def synthesize_coil_maps(
     return maps
 
 
-def _row_phases(model: EncodingModel, loc_indices: np.ndarray) -> np.ndarray:
-    """exp(-i 2 pi k_p . r_n) for the given locations, shape (n_loc, N)."""
-    cand = model.candidates
-    n1, n2 = model.grid.dims
-    ov = cand.oversampling
-    i1, i2 = model.grid.voxel_index_coords()
-    m = cand.kidx[loc_indices]
-    # k . r reduces to m1*n1/(ov*N1) + m2*n2/(ov*N2); fov cancels exactly.
-    phase = (
-        m[:, 0:1] * (i1[None, :] / (ov * n1))
-        + m[:, 1:2] * (i2[None, :] / (ov * n2))
-    )
-    return np.exp(-2j * np.pi * phase)
-
-
 def _axis_phases(model: EncodingModel, locs: np.ndarray):
-    """Per-axis factors F1 (d1, N1), F2 (N2, d2) of :func:`_row_phases` over
-    the distinct offsets of ``locs``, with the index (j1, j2) of each
-    location: ``(F1 @ x @ F2)[j1, j2]`` is the spectrum of image x at each
-    location, for any oversampling."""
+    """Per-axis factors F1 (d1, N1), F2 (N2, d2) of the row phases
+    ``exp(-i 2 pi k_p . r_n)`` over the distinct offsets of ``locs``, with
+    the index (j1, j2) of each location: ``(F1 @ x @ F2)[j1, j2]`` is the
+    spectrum of image x at each location, for any oversampling."""
     (n1, n2), ov = model.grid.dims, model.candidates.oversampling
     m = model.candidates.kidx[locs]
     u1, j1 = np.unique(m[:, 0], return_inverse=True)
@@ -333,41 +309,6 @@ def _axis_phases(model: EncodingModel, locs: np.ndarray):
     f1 = np.exp(-2j * np.pi * (u1[:, None] * (np.arange(n1)[None, :] / (ov * n1))))
     f2 = np.exp(-2j * np.pi * ((np.arange(n2)[:, None] / (ov * n2)) * u2[None, :]))
     return f1, f2, j1, j2
-
-
-def candidate_row(model: EncodingModel, p: int, t: int) -> np.ndarray:
-    """Single candidate measurement row, shape (N,).
-
-    Entry n is ``c_p(r_n) * b_p * exp(-i 2 pi k_p . r_n)`` where the coil
-    profile is taken from map set ``t`` for coil ``p % n_coils``.  With a
-    unit coil map and dirac basis this is a pure DFT row.
-    """
-    cand = model.candidates
-    if not 0 <= p < cand.P:
-        raise ValueError(f"row index {p} out of range [0, {cand.P})")
-    if not 0 <= t < model.T:
-        raise ValueError(f"map-set index {t} out of range [0, {model.T})")
-    loc = p // cand.n_coils
-    coil = p % cand.n_coils
-    b = model.basis.weights(cand.klocs[loc : loc + 1], model.grid)[0]
-    phases = _row_phases(model, np.array([loc]))[0]
-    return model.coil_maps[t][coil] * b * phases
-
-
-def group_rows(model: EncodingModel, group_index: int, t: int) -> np.ndarray:
-    """All rows of one group stacked in ascending row order, shape (C, N)."""
-    cand = model.candidates
-    if not 0 <= group_index < cand.L:
-        raise ValueError(f"group index {group_index} out of range [0, {cand.L})")
-    if not 0 <= t < model.T:
-        raise ValueError(f"map-set index {t} out of range [0, {model.T})")
-    locs = cand.group_locs[group_index]
-    b = model.basis.weights(cand.klocs[locs], model.grid)
-    phases = _row_phases(model, locs)  # (n_loc, N)
-    maps = model.coil_maps[t]  # (n_coils, N)
-    # rows ordered location-major, coil-minor to match row index p ordering
-    block = (b[:, None, None] * phases[:, None, :]) * maps[None, :, :]
-    return block.reshape(-1, model.N)
 
 
 class EncodingOperator:

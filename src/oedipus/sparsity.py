@@ -29,8 +29,6 @@ __all__ = [
     "inverse_transform",
     "extract_support",
     "support_atoms",
-    "restricted_row",
-    "restricted_rows",
 ]
 
 _SQRT3 = math.sqrt(3.0)
@@ -186,32 +184,3 @@ def support_atoms(support: SupportSet, spec: TransformSpec, dims, columns=slice(
     units = np.zeros((idx.size, support.q), dtype=complex)
     units[np.arange(idx.size), idx] = 1.0
     return inverse_transform(units.reshape(-1, *dims), spec)
-
-
-def restricted_row(
-    row: np.ndarray,
-    support: SupportSet,
-    spec: TransformSpec,
-    dims: tuple[int, int],
-) -> np.ndarray:
-    """(row . PsiH) gathered on the support, shape (S,).
-
-    Computed as the conjugated forward transform of the conjugated row,
-    which matches a dense transform-matrix multiplication to machine
-    precision.
-    """
-    return restricted_rows(np.asarray(row)[None, :], support, spec, dims)[0]
-
-
-def restricted_rows(rows, support: SupportSet, spec: TransformSpec, dims):
-    """Batched :func:`restricted_row`; rows (C, N) -> (C, S)."""
-    rows = np.asarray(rows)
-    n = dims[0] * dims[1]
-    if rows.shape[-1] != n:
-        raise ValueError(f"row length {rows.shape[-1]} != grid size {n}")
-    if support.q != n:
-        raise ValueError("support length does not match grid size")
-    coeffs = forward_transform(
-        np.conj(rows).reshape(rows.shape[0], dims[0], dims[1]), spec
-    ).reshape(rows.shape[0], n)
-    return np.conj(coeffs[:, support.indices])

@@ -38,7 +38,7 @@ def random_support(rng, q, s):
 
 def dense_candidate_matrix(model, t=0):
     """Stack every candidate row densely (test oracle only)."""
-    from oedipus import candidate_row
+    from reference import candidate_row
 
     return np.stack(
         [candidate_row(model, p, t) for p in range(model.candidates.P)]

@@ -1,0 +1,86 @@
+"""Dense reference rows that the tests compare production code against.
+
+Each candidate row is built here entry by entry from its definition, and
+restricted to a support by a forward transform of the conjugated row; the
+package builds the same rows through the encoding operator instead.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from oedipus import forward_transform
+
+
+def _row_phases(model, loc_indices: np.ndarray) -> np.ndarray:
+    """exp(-i 2 pi k_p . r_n) for the given locations, shape (n_loc, N)."""
+    cand = model.candidates
+    n1, n2 = model.grid.dims
+    ov = cand.oversampling
+    i1, i2 = np.divmod(np.arange(n1 * n2), n2)  # row-major voxel indices
+    m = cand.kidx[loc_indices]
+    # k . r reduces to m1*n1/(ov*N1) + m2*n2/(ov*N2); fov cancels exactly.
+    phase = (
+        m[:, 0:1] * (i1[None, :] / (ov * n1))
+        + m[:, 1:2] * (i2[None, :] / (ov * n2))
+    )
+    return np.exp(-2j * np.pi * phase)
+
+
+def candidate_row(model, p: int, t: int) -> np.ndarray:
+    """Single candidate measurement row, shape (N,).
+
+    Entry n is ``c_p(r_n) * b_p * exp(-i 2 pi k_p . r_n)`` where the coil
+    profile is taken from map set ``t`` for coil ``p % n_coils``.  With a
+    unit coil map and dirac basis this is a pure DFT row.
+    """
+    cand = model.candidates
+    if not 0 <= p < cand.P:
+        raise ValueError(f"row index {p} out of range [0, {cand.P})")
+    if not 0 <= t < model.T:
+        raise ValueError(f"map-set index {t} out of range [0, {model.T})")
+    loc = p // cand.n_coils
+    coil = p % cand.n_coils
+    b = model.basis.weights(cand.klocs[loc : loc + 1], model.grid)[0]
+    phases = _row_phases(model, np.array([loc]))[0]
+    return model.coil_maps[t][coil] * b * phases
+
+
+def group_rows(model, group_index: int, t: int) -> np.ndarray:
+    """All rows of one group stacked in ascending row order, shape (C, N)."""
+    cand = model.candidates
+    if not 0 <= group_index < cand.L:
+        raise ValueError(f"group index {group_index} out of range [0, {cand.L})")
+    if not 0 <= t < model.T:
+        raise ValueError(f"map-set index {t} out of range [0, {model.T})")
+    locs = cand.group_locs[group_index]
+    b = model.basis.weights(cand.klocs[locs], model.grid)
+    phases = _row_phases(model, locs)  # (n_loc, N)
+    maps = model.coil_maps[t]  # (n_coils, N)
+    # rows ordered location-major, coil-minor to match row index p ordering
+    block = (b[:, None, None] * phases[:, None, :]) * maps[None, :, :]
+    return block.reshape(-1, model.N)
+
+
+def restricted_row(row: np.ndarray, support, spec, dims) -> np.ndarray:
+    """(row . PsiH) gathered on the support, shape (S,).
+
+    Computed as the conjugated forward transform of the conjugated row,
+    which matches a dense transform-matrix multiplication to machine
+    precision.
+    """
+    return restricted_rows(np.asarray(row)[None, :], support, spec, dims)[0]
+
+
+def restricted_rows(rows, support, spec, dims):
+    """Batched :func:`restricted_row`; rows (C, N) -> (C, S)."""
+    rows = np.asarray(rows)
+    n = dims[0] * dims[1]
+    if rows.shape[-1] != n:
+        raise ValueError(f"row length {rows.shape[-1]} != grid size {n}")
+    if support.q != n:
+        raise ValueError("support length does not match grid size")
+    coeffs = forward_transform(
+        np.conj(rows).reshape(rows.shape[0], dims[0], dims[1]), spec
+    ).reshape(rows.shape[0], n)
+    return np.conj(coeffs[:, support.indices])

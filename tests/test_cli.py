@@ -1,10 +1,11 @@
 import csv
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
-from oedipus import cli, sbs_design
+from oedipus import cli, design, sbs_design
 from oedipus import io as oio
 from oedipus.errors import SolverFailureError
 
@@ -176,7 +177,7 @@ def test_design_falls_back_when_the_largest_acceleration_is_infeasible(tmp_path,
     config = write_config(tmp_path, accelerations=[3, 8, 2])
     assert run("design", config) == 3
     out, err = capsys.readouterr()
-    assert out.splitlines() == [
+    assert [line.split(";")[0] for line in out.splitlines()] == [
         "designed designed_single_R3: kept 85 groups",
         "designed designed_single_R2: kept 128 groups",
     ]
@@ -190,6 +191,20 @@ def test_design_falls_back_when_the_largest_acceleration_is_infeasible(tmp_path,
         # each pattern is the one a run to its own target designs
         want = sbs_design(model, supports, cfg["objective"], target, cfg["transform"])
         assert (pdir / f"designed_single_R{r}.json").read_text() == oio.pattern_to_json(want)
+
+
+@pytest.mark.parametrize("limit", [0.0, 1e-10])
+def test_design_prints_the_drift_and_rebuilds_of_its_forms(tmp_path, capsys, monkeypatch, limit):
+    # 256 one-row groups, 128 deletions; a drift limit of 0 rebuilds the
+    # forms after every deletion
+    monkeypatch.setattr(design, "_DRIFT_LIMIT", limit)
+    assert run("design", write_config(tmp_path)) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    pattern = r"designed designed_single_R2: kept 128 groups; drift (\S+), (\d+) rebuilds"
+    match = re.fullmatch(pattern, line)
+    assert match is not None, line
+    assert 0.0 <= float(match[1]) < 1e-12
+    assert int(match[2]) == (128 if limit == 0.0 else 0)
 
 
 def test_selftest_exit_codes(capsys):

@@ -20,6 +20,7 @@ from oedipus import (
     single_channel_model,
     synthesize_coil_maps,
 )
+from oedipus import design
 from oedipus.design import _select
 
 from conftest import make_model, random_support
@@ -192,6 +193,63 @@ def test_smw_and_direct_methods_agree_on_ensembles(case):
         for g in last
     ]
     assert math.inf in rebuilt and min(rebuilt) == pytest.approx(a.log[-1], rel=1e-7)
+
+
+def recursion_case(case):
+    """(model, supports, objective, target, spec) of a recursion test case."""
+    if case in ALIASING_CASES:
+        dims, axes, target, voxels = ALIASING_CASES[case]
+        model, supports = aliasing_ensemble(dims, axes, voxels)
+        return model, supports, DesignObjective("worst"), target, IDENT
+    rng = np.random.default_rng(11)
+    spec = TransformSpec("daub4", 2)
+    if case == "12x12-C1-daub4":
+        supports = [random_support(rng, 144, 22)]
+        return make_model((12, 12)), supports, DesignObjective("average"), 72, spec
+    model = make_model((8, 8), n_coils=3, seed=2)  # "8x8-C3"
+    return model, [random_support(rng, 64, 10)], DesignObjective("average"), 32, spec
+
+
+@pytest.mark.parametrize("case", sorted(ALIASING_CASES) + ["12x12-C1-daub4", "8x8-C3"])
+def test_form_recursion_matches_rebuilding_the_forms(monkeypatch, case):
+    # a drift limit of 0 rebuilds every pair's forms after each deletion,
+    # one of inf never does
+    model, supports, objective, target, spec = recursion_case(case)
+    runs = {}
+    for limit in (0.0, math.inf):
+        monkeypatch.setattr(design, "_DRIFT_LIMIT", limit)
+        runs[limit] = sbs_design(model, supports, objective, target, spec)
+    rebuilt, recursive = runs[0.0], runs[math.inf]
+    assert rebuilt.deleted == recursive.deleted
+    np.testing.assert_allclose(recursive.log, rebuilt.log, rtol=1e-10)
+    n_form_pairs = len(recursive.extra["form_pairs"])
+    assert rebuilt.extra["rebuilds"] == n_form_pairs * len(rebuilt.deleted)
+    assert recursive.extra["rebuilds"] == 0
+    assert 0 <= recursive.extra["max_drift"] < 1e-12
+    if case not in ALIASING_CASES:
+        assert n_form_pairs == 1
+    if case == "8x8-C3":
+        direct = sbs_design(model, supports, objective, target, spec, method="direct")
+        assert recursive.deleted == direct.deleted
+
+
+def test_pairs_keep_forms_only_when_updating_them_is_cheaper():
+    # 8 lines of 8 rows: a support of 4 compresses each line to r = 4 rows
+    # (4*4 + 4*16 >= 4^2, priced afresh); one of 24 keeps r = 8 rows
+    # (8*24 + 4*64 < 24^2, forms kept)
+    model = make_model((8, 8), undersample_axes=(0,))
+    q = model.N
+    supports = [
+        SupportSet(indices=np.array([0, 9, 18, 27]), q=q),
+        SupportSet(indices=np.array([8 * r0 + r1 for r0 in range(3) for r1 in range(8)]), q=q),
+    ]
+    objective = DesignObjective("average")
+    pattern = sbs_design(model, supports, objective, 5, IDENT)
+    assert pattern.extra["form_pairs"] == [(1, 0)]
+    direct = sbs_design(model, supports, objective, 5, IDENT, method="direct")
+    assert pattern.deleted == direct.deleted
+    np.testing.assert_allclose(pattern.log, direct.log, rtol=1e-7)
+    assert direct.extra == {"max_drift": 0.0, "rebuilds": 0, "form_pairs": []}
 
 
 def test_multi_ensemble_average_objective(rng):

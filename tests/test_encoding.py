@@ -7,13 +7,12 @@ from oedipus import (
     ImageGrid,
     VoxelBasis,
     build_cartesian_candidates,
-    candidate_row,
-    group_rows,
     single_channel_model,
     synthesize_coil_maps,
 )
 
 from conftest import dense_candidate_matrix, make_model
+from reference import candidate_row, group_rows
 
 
 def test_grid_validation():

@@ -7,11 +7,10 @@ from oedipus import (
     extract_support,
     forward_transform,
     inverse_transform,
-    restricted_row,
 )
-from oedipus.sparsity import restricted_rows
 
 from conftest import dense_transform_matrix
+from reference import restricted_row, restricted_rows
 
 
 def haar_level_oracle(img):
