@@ -281,9 +281,11 @@ def cmd_design(cfg) -> int:
                 longest.log[:n], longest.deleted[:n], longest.extra,
             )
             _write_pattern(cfg, name, pattern)
+            extra = pattern.extra
             print(
                 f"designed {name}: kept {len(pattern.kept_groups)} groups; "
-                f"drift {pattern.extra['max_drift']:.1e}, {pattern.extra['rebuilds']} rebuilds"
+                f"drift {extra['max_drift']:.1e}, {extra['rebuilds']} rebuilds; "
+                f"priced {extra['priced'] / max(extra['full_pricing'], 1):.0%} of removals"
             )
     for name, msg in infeasible:
         print(f"infeasible acceleration: {name}: {msg}", file=sys.stderr)

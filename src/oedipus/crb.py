@@ -39,6 +39,7 @@ __all__ = [
     "restricted_block",
     "compress_rows",
     "gram_inverse",
+    "gram_trace",
     "restricted_gram",
     "state_from_gram",
     "build_full_crb",
@@ -132,20 +133,32 @@ def _h(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def gram_inverse(gram: np.ndarray):
-    """Inverse, trace and condition number of Hermitian Grams, shape (..., S, S).
-
-    A Gram is singular when its smallest eigenvalue is not positive or its
-    condition number exceeds :data:`COND_LIMIT`; its trace is then ``+inf``
-    and its inverse meaningless.
-    """
-    w, v = np.linalg.eigh(0.5 * (gram + _h(gram)))
+def _regular(w: np.ndarray, trace: np.ndarray):
+    """``trace``, or ``+inf`` where a Gram with ascending eigenvalues w (..., S)
+    is singular: its smallest eigenvalue is not positive or its condition
+    number exceeds :data:`COND_LIMIT`; and the condition numbers."""
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(w[..., 0] > 0, w[..., -1] / w[..., 0], np.inf)
+    return np.where(cond > COND_LIMIT, np.inf, trace), cond
+
+
+def gram_inverse(gram: np.ndarray):
+    """Inverse, trace and condition number of Hermitian Grams (..., S, S); a
+    singular Gram (by :func:`_regular`) has trace ``+inf``, its inverse meaningless."""
+    w, v = np.linalg.eigh(0.5 * (gram + _h(gram)))
+    with np.errstate(divide="ignore", invalid="ignore"):
         inv = (v / w[..., None, :]) @ _h(v)
     inv = 0.5 * (inv + _h(inv))
-    trace = np.trace(inv, axis1=-2, axis2=-1).real
-    return inv, np.where(cond > COND_LIMIT, np.inf, trace), cond
+    trace, cond = _regular(w, np.trace(inv, axis1=-2, axis2=-1).real)
+    return inv, trace, cond
+
+
+def gram_trace(gram: np.ndarray) -> np.ndarray:
+    """Trace of the inverse of Hermitian Grams (..., S, S) from their
+    eigenvalues w alone, ``sum 1/w``; ``+inf`` where singular by :func:`_regular`."""
+    w = np.linalg.eigvalsh(0.5 * (gram + _h(gram)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _regular(w, (1.0 / w).sum(axis=-1))[0]
 
 
 def restricted_gram(rows: np.ndarray) -> np.ndarray:
@@ -227,8 +240,10 @@ def smw_removal(state: CrbState, rows: np.ndarray):
         raise InfeasibleDesignError("removing the group makes the design singular")
     k = np.linalg.inv(mid)
     k = 0.5 * (k + _h(k))
-    inv = state.inv_gram + (u @ k) @ _h(u)
-    inv = 0.5 * (inv + _h(inv))
+    inv = (u @ k) @ _h(u)  # updated in place: one S x S temporary besides it
+    inv += state.inv_gram
+    inv += _h(inv)
+    inv *= 0.5
     return CrbState(inv_gram=inv, trace=float(np.trace(inv).real), cond=state.cond), u, k
 
 

@@ -7,7 +7,7 @@ over an ensemble of (exemplar support, coil-map set) pairs, either as their
 sum (average case) or their maximum (worst case).  The restricted rows of
 every ensemble pair are assembled once into a (groups, C, S) array and
 compressed to (groups, r, S) rows B of the same per-group Grams, r <= C;
-each iteration prices every remaining group of a pair with the matrix
+each iteration prices the remaining groups of each pair with the matrix
 inversion lemma (r x r systems, not S x S inversions), then commits the
 chosen deletion with one rank-r downdate.
 
@@ -16,9 +16,16 @@ A group is priced from its downdate forms ``M1 = B A^-1 B^H`` and
 pair with ``r S + 4 r^2 < S^2`` keeps them and applies the rank-r update of
 each removal (Hager, SIAM Review 1989) by one GEMM over its stacked rows:
 O(P r (r S + r^2)) per deletion for P groups, O(P S) for one-row groups,
-not O(P r S^2).  Other pairs build them afresh each iteration.  When a
-committed group's stored forms drift from their exact values by more than
-``_DRIFT_LIMIT`` (relative), all the pair's forms are rebuilt.
+not O(P r S^2).  Other pairs build them afresh for the groups they price.
+When a committed group's stored forms drift from their exact values by more
+than ``_DRIFT_LIMIT`` (relative), all the pair's forms are rebuilt.
+
+Those pairs price lazily (Minoux's accelerated greedy, 1978).  Removing
+rows only raises a CRB trace (``A - B^H B <= A`` gives ``(A - B^H B)^-1 >=
+A^-1``), so a group's price at an earlier deletion and the pair's current
+trace bound its price now from below, and their sum or max bounds its cost.
+A group is priced only while that bound can still win: exact from
+monotonicity alone, with no submodularity needed.
 """
 
 from __future__ import annotations
@@ -30,12 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crb import (
-    build_full_crb,
     compress_rows,
     downdate_forms,
     downdate_traces,
     forms_traces,
-    gram_inverse,
+    gram_trace,
     restricted_gram,
     restricted_matrix,
     smw_removal,
@@ -183,8 +189,12 @@ def sbs_design(
     downdate forms and commits each deletion with
     :func:`~oedipus.crb.smw_removal`; ``method="direct"`` re-inverts every
     reduced Gram from the raw rows (slow, used to validate the downdate
-    path).  ``extra`` holds the largest relative drift of a committed
-    group's forms (``max_drift``), the drift rebuilds and the form pairs.
+    path).  Pairs without forms price a group only while its bound from its
+    last exact price can still win (:func:`_lazy_costs`), so the deletions
+    are those of full pricing.  ``extra`` holds the largest relative drift of
+    a committed group's forms (``max_drift``), the drift rebuilds, the form
+    pairs, the exact (pair, group) prices (``priced``) and the count full
+    pricing makes (``full_pricing``).
 
     Raises :class:`InfeasibleDesignError` if the initial full-candidate
     CRB cannot be built or every remaining group becomes mandatory before
@@ -219,22 +229,38 @@ def sbs_design(
             forms[p] = downdate_forms(states[p].inv_gram, rows[p])
 
     alive = np.ones(cand.L, dtype=bool)
+    last = np.zeros((len(pairs), cand.L))  # last exact removal trace of each (pair, group)
     log = []
     deleted = []
-    max_drift, rebuilds = 0.0, 0
+    max_drift, rebuilds, priced, full = 0.0, 0, 0, 0
     while len(deleted) < cand.L - target_groups:
         iteration = len(deleted) + 1
+        active = np.flatnonzero(alive)
+        full += len(pairs) * len(active)
         if method == "direct":  # each reduced Gram is all groups' Grams minus the group's own
-            grams = (_grams(rows[p][alive]) for p in pairs)
-            traces = [gram_inverse(g.sum(axis=0) - g)[1] for g in grams]
+            grams = (_grams(rows[p][active]) for p in pairs)
+            costs = objective.combine([gram_trace(g.sum(axis=0) - g) for g in grams])
+            priced = full
         else:
             traces = [
-                forms_traces(states[p].trace, forms[p][0][alive], forms[p][1][alive])
+                forms_traces(states[p].trace, *(m[active] for m in forms[p]))
                 if p in forms
-                else downdate_traces(states[p], rows[p][alive])
-                for p in pairs
+                else np.maximum(last[j, active], states[p].trace)  # lower bounds
+                for j, p in enumerate(pairs)
             ]
-        costs = objective.combine(traces)
+            priced += len(forms) * len(active)
+            if len(forms) == len(pairs):  # every pair priced in full: no bounds to keep
+                costs = objective.combine(traces)
+            else:
+                table = np.array(traces)
+                exact = np.isinf(table) | np.array([[p in forms] for p in pairs])
+                fresh = [j for j, p in enumerate(pairs) if p not in forms]
+                costs, n = _lazy_costs(
+                    objective, table, exact, sorted(fresh, key=lambda j: -states[pairs[j]].trace),
+                    lambda j, idx: downdate_traces(states[pairs[j]], rows[pairs[j]][active[idx]]),
+                )
+                last[:, active] = table
+                priced += n
         i = _select(costs)
         if i < 0:
             raise InfeasibleDesignError(
@@ -243,7 +269,7 @@ def sbs_design(
                 f"({cand.L - len(deleted)} groups left, target {target_groups})",
                 iteration=iteration,
             )
-        c = int(np.flatnonzero(alive)[i])
+        c = int(active[i])
         best = costs[i]
         if method == "smw":
             for p in pairs:
@@ -266,8 +292,31 @@ def sbs_design(
         mode=f"sbs/{objective.mode}",
         log=log,
         deleted=deleted,
-        extra={"max_drift": max_drift, "rebuilds": rebuilds, "form_pairs": list(forms)},
+        extra={"max_drift": max_drift, "rebuilds": rebuilds, "form_pairs": list(forms),
+               "priced": priced, "full_pricing": full},
     )
+
+
+def _lazy_costs(objective, table, exact, order, price):
+    """Costs of the active groups and the prices made, from ``table`` (pairs, g)
+    of removal traces, exact where ``exact`` is set and lower bounds elsewhere
+    (both updated).  Pair j (in ``order``) prices groups ``idx`` by ``price(j,
+    idx)`` only while their combined bound is within ``(1 + _TIE_RTOL)^2`` of
+    the best exact cost, or is the lowest before any is exact, so every group
+    ``_select`` may pick is exact."""
+    n = 0
+    while True:
+        costs = objective.combine(table)
+        done = exact.all(axis=0) | np.isinf(costs)
+        limit = costs[done].min(initial=math.inf) * (1.0 + _TIE_RTOL) ** 2
+        todo = ~done & (costs <= limit) if done.any() else np.arange(len(costs)) == costs.argmin()
+        if not todo.any():
+            return costs, n
+        for j in order:
+            idx = np.flatnonzero(todo & ~exact[j] & (objective.combine(table) <= limit))
+            table[j, idx] = price(j, idx)
+            exact[j, idx] = True
+            n += len(idx)
 
 
 def _update_forms(forms, rows, inv_gram, c: int, u, k) -> float:
@@ -327,7 +376,7 @@ def exhaustive_design(
     best_subset = None
     for subset in itertools.combinations(range(cand.L), target_groups):
         # singular subsets cost +inf and are never kept
-        cost = float(objective.combine(gram_inverse(grams[:, subset].sum(axis=1))[1]))
+        cost = float(objective.combine(gram_trace(grams[:, subset].sum(axis=1))))
         if cost < best_cost:
             best_cost = cost
             best_subset = subset
@@ -360,12 +409,6 @@ def evaluate_pattern_crb(
         )
     if pattern.kept_groups[-1] >= cand.L:
         raise ValueError("pattern references groups outside the candidate set")
-    traces = []
-    for support in supports:
-        for t in range(model.T):
-            try:
-                state = build_full_crb(model, support, spec, t, groups=pattern.kept_groups)
-            except InfeasibleDesignError:
-                return math.inf
-            traces.append(state.trace)
-    return float(objective.combine(traces))
+    kept, pairs = pattern.kept_groups, [(s, t) for s in supports for t in range(model.T)]
+    grams = (restricted_gram(restricted_matrix(model, s, spec, t, kept)) for s, t in pairs)
+    return float(objective.combine([gram_trace(g) for g in grams]))

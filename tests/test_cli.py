@@ -200,11 +200,15 @@ def test_design_prints_the_drift_and_rebuilds_of_its_forms(tmp_path, capsys, mon
     monkeypatch.setattr(design, "_DRIFT_LIMIT", limit)
     assert run("design", write_config(tmp_path)) == 0
     (line,) = capsys.readouterr().out.splitlines()
-    pattern = r"designed designed_single_R2: kept 128 groups; drift (\S+), (\d+) rebuilds"
+    pattern = (
+        r"designed designed_single_R2: kept 128 groups; drift (\S+), (\d+) rebuilds; "
+        r"priced (\d+)% of removals"
+    )
     match = re.fullmatch(pattern, line)
     assert match is not None, line
     assert 0.0 <= float(match[1]) < 1e-12
     assert int(match[2]) == (128 if limit == 0.0 else 0)
+    assert int(match[3]) == 100  # one pair that keeps its forms prices every group
 
 
 def test_selftest_exit_codes(capsys):

@@ -173,6 +173,50 @@ def test_sliced_downdate_traces_match_per_group(monkeypatch):
     np.testing.assert_allclose(got[:4], want[:4], rtol=1e-12)
 
 
+def test_removal_traces_only_rise_after_a_commit(rng):
+    # removing rows can only raise a CRB trace: A - B^H B <= A, so each
+    # group's removal trace after a commit bounds it from below before; a
+    # mandatory (+inf) group stays mandatory
+    model = make_model((8, 8), n_coils=2, undersample_axes=(0,), seed=4)
+    support = random_support(rng, 64, 12)
+    rows = crb.compress_rows(
+        crb.restricted_matrix(model, support, TransformSpec("daub4", 1), 0, range(8))
+    )
+    state = crb.state_from_gram(crb.restricted_gram(rows))
+    alive = list(range(8))
+    for c in (3, 0, 6, 1):
+        before = np.delete(crb.downdate_traces(state, rows[alive]), alive.index(c))
+        state = smw_downdate(state, rows[c])
+        alive.remove(c)
+        after = crb.downdate_traces(state, rows[alive])
+        assert np.all(after >= before * (1 - 1e-12))
+        assert np.all(np.isinf(after)[np.isinf(before)])
+
+
+def test_gram_trace_matches_gram_inverse(rng):
+    # the trace from eigenvalues alone equals that of the inverse, and both
+    # call the same Grams singular: rank deficient, or above COND_LIMIT
+    a = rng.standard_normal((3, 8, 6)) + 1j * rng.standard_normal((3, 8, 6))
+    grams = np.swapaxes(a.conj(), 1, 2) @ a
+    grams[1] = grams[1] - np.linalg.eigvalsh(grams[1])[0] * np.eye(6)  # rank 5
+    w, v = np.linalg.eigh(grams[2])
+    grams[2] = (v * np.r_[w[-1] / 1e13, w[1:]]) @ v.conj().T  # cond 1e13
+    got = crb.gram_trace(grams)
+    want = crb.gram_inverse(grams)[1]
+    assert np.isinf(got).tolist() == np.isinf(want).tolist() == [False, True, True]
+    assert got[0] == pytest.approx(want[0], rel=1e-12)
+
+
+def test_smw_removal_equals_the_out_of_place_update(rng):
+    model = make_model((4, 8), n_coils=2, undersample_axes=(1,), seed=1)
+    support = random_support(rng, 32, 6)
+    rows = crb.restricted_matrix(model, support, TransformSpec("haar", 1), 0, range(8))
+    state = crb.state_from_gram(crb.restricted_gram(rows))
+    new, u, k = crb.smw_removal(state, rows[5])
+    inv = state.inv_gram + (u @ k) @ u.conj().T
+    np.testing.assert_array_equal(new.inv_gram, 0.5 * (inv + inv.conj().T))
+
+
 def test_compress_rows_keeps_grams_and_traces(rng):
     # 2-coil lines of an 8x8 grid; the support fills 2 columns, so a line's
     # 16 rows have rank 2 x 2 coils.  Voxel rows 0, 2, 4, 6 alias 4-fold on

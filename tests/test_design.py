@@ -195,6 +195,79 @@ def test_smw_and_direct_methods_agree_on_ensembles(case):
     assert math.inf in rebuilt and min(rebuilt) == pytest.approx(a.log[-1], rel=1e-7)
 
 
+@pytest.mark.parametrize("mode", ["worst", "average"])
+@pytest.mark.parametrize("case", sorted(ALIASING_CASES))
+def test_lazy_pricing_matches_direct(case, mode):
+    # the C4 cases price afresh, so only removals whose lower bound can
+    # still win are priced; the C1 case keeps forms and prices every group
+    dims, axes, target, voxels = ALIASING_CASES[case]
+    model, supports = aliasing_ensemble(dims, axes, voxels)
+    objective = DesignObjective(mode)
+    a = sbs_design(model, supports, objective, target, IDENT)
+    b = sbs_design(model, supports, objective, target, IDENT, method="direct")
+    assert a.deleted == b.deleted
+    np.testing.assert_allclose(a.log, b.log, rtol=1e-7)
+    full = sum(4 * (model.candidates.L - i) for i in range(len(a.deleted)))
+    assert a.extra["full_pricing"] == b.extra["full_pricing"] == b.extra["priced"] == full
+    assert a.extra["priced"] == full if case == "C1-2d" else a.extra["priced"] < full
+
+
+@pytest.mark.parametrize("mode", ["worst", "average"])
+def test_lazy_costs_select_what_full_pricing_selects(rng, mode):
+    # exact removal traces of 3 pairs x 12 groups, with a group near the tie
+    # slack of another and a mandatory one, against stale lower bounds: the
+    # current trace 1, up to 2 % or up to 3e-9 below the exact value, or equal
+    objective = DesignObjective(mode)
+    for trial in range(300):
+        exact = rng.uniform(1.0, 1.05, (3, 12))
+        exact[:, rng.integers(12)] = exact[:, rng.integers(12)] * (1 + rng.uniform(0, 3e-9))
+        exact[rng.integers(3), rng.integers(12)] = math.inf
+        stale = rng.random((3, 12))
+        below = np.where(
+            stale < 0.5, rng.uniform(0.98, 1.0, (3, 12)), 1 - rng.uniform(0, 3e-9, (3, 12))
+        )
+        table = np.where(stale < 0.25, 1.0, exact * below)
+        table[stale > 0.85] = exact[stale > 0.85]
+        table[0] = exact[0]  # a pair priced in full
+        known = np.isinf(table) | (np.arange(3) == 0)[:, None]
+        full = objective.combine(exact)
+        n_known = np.count_nonzero(known)
+        costs, n = design._lazy_costs(
+            objective, table, known, [2, 1], lambda j, idx: exact[j, idx]
+        )
+        i = _select(costs)
+        assert i == _select(full), trial
+        assert costs[i] == full[i] and np.all(costs <= full)
+        assert n == np.count_nonzero(known) - n_known
+        np.testing.assert_array_equal(table[known], exact[known])
+
+
+def test_worst_case_pair_ensemble_prices_fewer_removals(rng):
+    # two coil-map sets of 2-coil lines: each line compresses to r = 10 rows
+    # of S = 10 columns, priced afresh and lazily
+    grid = ImageGrid((8, 8), (16.0, 16.0))
+    cand = build_cartesian_candidates(grid, undersample_axes=(0,), n_coils=2)
+    maps = tuple(synthesize_coil_maps(grid, 2, seed=s) for s in (1, 2))
+    model = EncodingModel(grid=grid, candidates=cand, coil_maps=maps)
+    supports = [random_support(rng, 64, 10)]
+    objective = DesignObjective("worst")
+    lazy = sbs_design(model, supports, objective, 3, TransformSpec("daub4", 1))
+    direct = sbs_design(model, supports, objective, 3, TransformSpec("daub4", 1), method="direct")
+    assert lazy.extra["form_pairs"] == []
+    assert lazy.deleted == direct.deleted
+    assert lazy.extra["full_pricing"] == 2 * sum(range(4, 9))
+    assert lazy.extra["priced"] < lazy.extra["full_pricing"]
+
+
+def test_single_pair_kept_forms_prices_every_group_once_per_deletion(rng):
+    model = make_model((8, 8))
+    pattern = sbs_design(
+        model, [random_support(rng, 64, 10)], DesignObjective("average"), 32, IDENT
+    )
+    assert pattern.extra["form_pairs"] == [(0, 0)]
+    assert pattern.extra["priced"] == pattern.extra["full_pricing"] == sum(range(33, 65))
+
+
 def recursion_case(case):
     """(model, supports, objective, target, spec) of a recursion test case."""
     if case in ALIASING_CASES:
@@ -249,7 +322,10 @@ def test_pairs_keep_forms_only_when_updating_them_is_cheaper():
     direct = sbs_design(model, supports, objective, 5, IDENT, method="direct")
     assert pattern.deleted == direct.deleted
     np.testing.assert_allclose(pattern.log, direct.log, rtol=1e-7)
-    assert direct.extra == {"max_drift": 0.0, "rebuilds": 0, "form_pairs": []}
+    assert direct.extra == {
+        "max_drift": 0.0, "rebuilds": 0, "form_pairs": [], "priced": 42, "full_pricing": 42,
+    }
+    assert pattern.extra["full_pricing"] == 42
 
 
 def test_multi_ensemble_average_objective(rng):
