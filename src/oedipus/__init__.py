@@ -8,7 +8,6 @@ from .crb import (
     image_domain_crb_trace,
     oracle_lsq_estimate,
     restricted_block,
-    smw_downdate,
 )
 from .design import (
     DesignObjective,

@@ -26,7 +26,7 @@ from .crb import (
     image_domain_crb_trace,
     oracle_lsq_estimate,
     restricted_matrix,
-    smw_downdate,
+    smw_removal,
 )
 from .design import (
     DesignObjective,
@@ -130,6 +130,12 @@ LIMITS = {
     "recon.lambda": (lambda v: v > 0, "must be positive"),
     "recon.max_iters": (lambda v: v >= 1, "must be at least 1"),
     "recon.inner_max_iters": (lambda v: v >= 1, "must be at least 1"),
+    "recon.regularizers": (
+        lambda v: v and set(v) <= {"wavelet", "tv"}, "must be a nonempty list of wavelet, tv"
+    ),
+    "evaluate_channels": (
+        lambda v: v and set(v) <= {"single", "multi"}, "must be a nonempty list of single, multi"
+    ),
 }
 SECTIONS = {key.rsplit(".", n)[0] for key in CONFIG_KEYS for n in range(1, key.count(".") + 1)}
 
@@ -185,19 +191,13 @@ def load_config(path) -> dict:
     except ValueError as err:
         raise ConfigError(f"{path}: transform.levels: {err}") from err
     if not cfg["channels.single"] and not cfg["multi"]:
-        raise ConfigError("at least one of channels.single / channels.multi required")
+        raise ConfigError(f"{path}: at least one of channels.single / channels.multi required")
     if cfg["multi"] and cfg["channels.multi.eval_map_seed"] is None:
         cfg["channels.multi.eval_map_seed"] = cfg["channels.multi.map_seeds"][0]
-    for reg in cfg["recon.regularizers"]:
-        if reg not in ("wavelet", "tv"):
-            raise ConfigError(f"unknown regularizer {reg!r}")
-    for mode in cfg["evaluate_channels"]:
-        if mode not in ("single", "multi"):
-            raise ConfigError(f"unknown evaluate channel {mode!r}")
-        if mode == "multi" and not cfg["multi"]:
-            raise ConfigError("evaluate_channels includes multi but channels.multi unset")
-    if cfg["caipi"] and tuple(sorted(set(cfg["undersample_axes"]))) != (0, 1):
-        raise ConfigError("caipi baseline requires 2D undersampling")
+    if "multi" in cfg["evaluate_channels"] and not cfg["multi"]:
+        raise ConfigError(f"{path}: evaluate_channels includes multi but channels.multi unset")
+    if cfg["caipi"] and set(cfg["undersample_axes"]) != {0, 1}:
+        raise ConfigError(f"{path}: baselines.caipi needs undersample_axes [0, 1] (2D)")
     return cfg
 
 
@@ -220,10 +220,7 @@ def _exemplars(cfg):
     seeds = cfg["exemplars.phantom_seeds"]
     dims = cfg["grid"].dims
     images = [render_phantom(default_phantom_spec(cfg["grid"], s)).reshape(dims) for s in seeds]
-    supports = [
-        extract_support(img, cfg["transform"], cfg["fraction"], source_label=f"seed{s}")
-        for img, s in zip(images, seeds)
-    ]
+    supports = [extract_support(img, cfg["transform"], cfg["fraction"]) for img in images]
     return images, supports
 
 
@@ -250,7 +247,7 @@ def cmd_design(cfg) -> int:
     out = cfg["output_dir"]
     out.mkdir(parents=True, exist_ok=True)
     for i, img in enumerate(images):
-        oio.write_image_oedm(out / f"exemplar_{i}.oedm", img)
+        oio.write_oedm(out / f"exemplar_{i}.oedm", img[None, None])
 
     infeasible = []
     modes = (("single", cfg["channels.single"]), ("multi", cfg["multi"]))
@@ -325,11 +322,19 @@ def cmd_baseline(cfg) -> int:
 
 
 def _load_patterns(cfg, candidates):
+    """(stem, pattern) of every pattern file; a malformed file, or one written
+    for another candidate grid, raises an ``OSError`` naming it (exit 4)."""
     pdir = cfg["output_dir"] / "patterns"
     files = sorted(pdir.glob("*.json"))
     if not files:
         raise FileNotFoundError(f"no pattern files in {pdir}")
-    return [(f.stem, oio.pattern_from_json(f.read_text(), candidates)) for f in files]
+    patterns = []
+    for f in files:
+        try:
+            patterns.append((f.stem, oio.pattern_from_json(f.read_text(), candidates)))
+        except (ValueError, KeyError, TypeError) as err:
+            raise OSError(f"{f}: unusable pattern file: {err!r}") from err
+    return patterns
 
 
 def _cells(cfg, supports, golds):
@@ -460,7 +465,7 @@ def _selftest_checks():
     worst = 0.0
     for g, rows in zip(groups, restricted_matrix(model, support, tspec, 0, groups)):
         tr = downdate_traces(state, rows[None])[0]
-        state = smw_downdate(state, rows)
+        state = smw_removal(state, rows)[0]
         kept.remove(g)
         rebuilt = build_full_crb(model, support, tspec, 0, groups=kept)
         err = np.linalg.norm(state.inv_gram - rebuilt.inv_gram) / np.linalg.norm(
@@ -525,23 +530,15 @@ def _selftest_checks():
     yield "oracle-recovery", err < 1e-10, f"rel err {err:.2e}"
 
 
-def cmd_selftest(inject_fault: str | None = None) -> int:
-    patched = None
-    if inject_fault == "wavelet":
-        patched = sparsity._FILTERS["daub4"]
-        sparsity._FILTERS["daub4"] = patched + 1e-3
-    try:
-        failures = 0
-        for name, ok, detail in _selftest_checks():
-            status = "PASS" if ok else "FAIL"
-            if not ok:
-                failures += 1
-            print(f"{status:4s}  {name:24s}  {detail}")
-        print(f"selftest: {failures} failure(s)")
-        return 1 if failures else 0
-    finally:
-        if patched is not None:
-            sparsity._FILTERS["daub4"] = patched
+def cmd_selftest() -> int:
+    failures = 0
+    for name, ok, detail in _selftest_checks():
+        status = "PASS" if ok else "FAIL"
+        if not ok:
+            failures += 1
+        print(f"{status:4s}  {name:24s}  {detail}")
+    print(f"selftest: {failures} failure(s)")
+    return 1 if failures else 0
 
 
 def main(argv=None) -> int:
@@ -553,13 +550,12 @@ def main(argv=None) -> int:
     for name in ("design", "baseline", "evaluate"):
         p = sub.add_parser(name)
         p.add_argument("config", help="YAML experiment config")
-    p_self = sub.add_parser("selftest")
-    p_self.add_argument("--inject-fault", choices=["wavelet"], help=argparse.SUPPRESS)
+    sub.add_parser("selftest")
     args = parser.parse_args(argv)
 
     try:
         if args.command == "selftest":
-            return cmd_selftest(args.inject_fault)
+            return cmd_selftest()
         cfg = load_config(args.config)
         if args.command == "design":
             return cmd_design(cfg)

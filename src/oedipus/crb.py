@@ -44,7 +44,6 @@ __all__ = [
     "state_from_gram",
     "build_full_crb",
     "smw_removal",
-    "smw_downdate",
     "downdate_forms",
     "forms_traces",
     "downdate_traces",
@@ -245,12 +244,6 @@ def smw_removal(state: CrbState, rows: np.ndarray):
     inv += _h(inv)
     inv *= 0.5
     return CrbState(inv_gram=inv, trace=float(np.trace(inv).real), cond=state.cond), u, k
-
-
-def smw_downdate(state: CrbState, rows: np.ndarray) -> CrbState:
-    """CRB state after removing the rows (C, S) of one group: the state of
-    :func:`smw_removal`."""
-    return smw_removal(state, rows)[0]
 
 
 def downdate_forms(inv_gram: np.ndarray, rows: np.ndarray):

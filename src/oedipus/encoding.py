@@ -62,14 +62,6 @@ class ImageGrid:
     def n_voxels(self) -> int:
         return self.dims[0] * self.dims[1]
 
-    def voxel_coords(self) -> np.ndarray:
-        """Voxel centre positions, shape (N, 2), millimetres, row-major."""
-        n1, n2 = self.dims
-        i1, i2 = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
-        r1 = i1.ravel() * (self.fov[0] / n1)
-        r2 = i2.ravel() * (self.fov[1] / n2)
-        return np.stack([r1, r2], axis=1)
-
 
 @dataclass(frozen=True)
 class VoxelBasis:
@@ -334,7 +326,6 @@ class EncodingOperator:
         if not 0 <= t < model.T:
             raise ValueError(f"map-set index {t} out of range [0, {model.T})")
         self.model = model
-        self.t = t
         self._locs = cand.group_locs[groups].ravel()
         self._b = model.basis.weights(cand.klocs[self._locs], model.grid)
         self._maps = model.coil_maps[t].reshape(model.n_coils, *model.grid.dims)

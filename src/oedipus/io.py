@@ -1,4 +1,4 @@
-"""File formats: OEDM binary container, PGM images, pattern JSON, support JSON.
+"""File formats: OEDM binary container, PGM images, pattern JSON.
 
 OEDM layout (little-endian): 4-byte magic ``OEDM``, then four uint32 values
 ``n1, n2, T, n_coils``, followed by ``T * n_coils`` image planes, each
@@ -14,20 +14,15 @@ import struct
 import numpy as np
 
 from .design import SamplingPattern, pattern_from_groups
-from .sparsity import SupportSet
 
 __all__ = [
     "write_oedm",
     "read_oedm",
-    "write_image_oedm",
-    "read_image_oedm",
     "write_pgm",
     "mask_to_rle",
     "rle_to_mask",
     "pattern_to_json",
     "pattern_from_json",
-    "support_to_json",
-    "support_from_json",
 ]
 
 _MAGIC = b"OEDM"
@@ -61,14 +56,6 @@ def read_oedm(path) -> np.ndarray:
         raise ValueError(f"{path}: truncated OEDM body, {len(body)} of {size} bytes")
     planes = np.frombuffer(body, dtype="<f8").reshape(shape)
     return planes[:, :, 0] + 1j * planes[:, :, 1]
-
-
-def write_image_oedm(path, image2d: np.ndarray) -> None:
-    write_oedm(path, np.asarray(image2d, dtype=complex)[None, None, :, :])
-
-
-def read_image_oedm(path) -> np.ndarray:
-    return read_oedm(path)[0, 0]
 
 
 def write_pgm(path, values: np.ndarray, max_abs: float | None = None) -> None:
@@ -130,23 +117,3 @@ def pattern_from_json(text: str, candidates) -> SamplingPattern:
         raise ValueError("stored mask inconsistent with kept groups")
     return pattern
 
-
-def support_to_json(support: SupportSet) -> str:
-    doc = {
-        "S": support.S,
-        "indices": [int(i) for i in support.indices],
-        "source_label": support.source_label,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def support_from_json(text: str, q: int) -> SupportSet:
-    doc = json.loads(text)
-    support = SupportSet(
-        indices=np.array(doc["indices"], dtype=int),
-        q=q,
-        source_label=doc.get("source_label", ""),
-    )
-    if support.S != doc["S"]:
-        raise ValueError("stored S inconsistent with index list")
-    return support

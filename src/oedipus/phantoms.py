@@ -10,7 +10,7 @@ to the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,24 +44,24 @@ _DEFAULT_ELLIPSES = (
 
 _PHASE_KINDS = ("none", "ramp", "poly")
 
+# Width of the ellipse boundary transition in voxels.  Sub-voxel parameter
+# jitter then perturbs coefficient magnitudes smoothly instead of
+# re-randomizing them, which keeps the dominant wavelet support stable
+# across perturbation seeds (hard edges would make the support ranking
+# hypersensitive to sub-voxel shifts).
+_EDGE_SOFTNESS = 2.0
+
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Recipe for one rendered phantom.
-
-    ``edge_softness`` is the width of the ellipse boundary transition in
-    voxels.  Sub-voxel parameter jitter then perturbs coefficient
-    magnitudes smoothly instead of re-randomizing them, which keeps the
-    dominant wavelet support stable across perturbation seeds (hard edges
-    would make the support ranking hypersensitive to sub-voxel shifts).
-    """
+    """Recipe for one rendered phantom; ellipse edges are soft over
+    ``_EDGE_SOFTNESS`` voxels."""
 
     grid: ImageGrid
     ellipses: tuple[Ellipse, ...] = _DEFAULT_ELLIPSES
     phase: str = "poly"
     perturbation_seed: int = 0
     texture: float = 0.02
-    edge_softness: float = 2.0
     jitter: float = 1.0
 
     def __post_init__(self):
@@ -69,16 +69,12 @@ class PhantomSpec:
             raise ValueError("at least one ellipse is required")
         if self.phase not in _PHASE_KINDS:
             raise ValueError(f"unknown phase kind {self.phase!r}")
-        if self.edge_softness < 0:
-            raise ValueError("edge_softness must be nonnegative")
         if self.jitter < 0:
             raise ValueError("jitter must be nonnegative")
 
 
-def default_phantom_spec(
-    grid: ImageGrid, perturbation_seed: int = 0, phase: str = "poly"
-) -> PhantomSpec:
-    return PhantomSpec(grid=grid, perturbation_seed=perturbation_seed, phase=phase)
+def default_phantom_spec(grid: ImageGrid, perturbation_seed: int = 0) -> PhantomSpec:
+    return PhantomSpec(grid=grid, perturbation_seed=perturbation_seed)
 
 
 def _jittered(ellipses, rng, scale) -> list[Ellipse]:
@@ -132,11 +128,8 @@ def render_phantom(spec: PhantomSpec) -> np.ndarray:
         x = (np.cos(th) * d1 + np.sin(th) * d2) / e.axes[0]
         y = (-np.sin(th) * d1 + np.cos(th) * d2) / e.axes[1]
         rho2 = x * x + y * y
-        if spec.edge_softness > 0:
-            width = 2.0 * spec.edge_softness * vox / min(e.axes)
-            mag += e.intensity * 0.5 * (1.0 + np.tanh((1.0 - rho2) / width))
-        else:
-            mag[rho2 <= 1.0] += e.intensity
+        width = 2.0 * _EDGE_SOFTNESS * vox / min(e.axes)
+        mag += e.intensity * 0.5 * (1.0 + np.tanh((1.0 - rho2) / width))
     mag = np.clip(mag, 0.0, 1.0)
 
     if spec.texture > 0:

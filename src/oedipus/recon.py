@@ -48,7 +48,6 @@ class TvOperator:
         if dims[0] < 2 or dims[1] < 2:
             raise ValueError(f"grid must be at least 2x2, got {dims}")
         self.dims = dims
-        self.out_size = 2 * dims[0] * dims[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         img = np.asarray(x).reshape(self.dims)
@@ -76,7 +75,6 @@ class WaveletOperator:
     def __init__(self, dims: tuple[int, int], spec: TransformSpec):
         self.dims = dims
         self.spec = spec
-        self.out_size = dims[0] * dims[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return forward_transform(np.asarray(x).reshape(self.dims), self.spec).ravel()
@@ -107,18 +105,16 @@ class ReconProblem:
     epsilon_scale: float = 1e-6
     inner_tol: float = 1e-6
     inner_max_iters: int = 200
-    t: int = 0
 
     def __post_init__(self):
         if self.regularizer not in ("wavelet", "tv"):
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if self.lam <= 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
-        m = len(self.pattern.kept_groups) * self.pattern.group_size
-        if np.asarray(self.data).size != m:
+        if np.asarray(self.data).size != self.pattern.M:
             raise ValueError(
                 f"data length {np.asarray(self.data).size} != pattern "
-                f"measurement count {m}"
+                f"measurement count {self.pattern.M}"
             )
 
 
@@ -139,7 +135,6 @@ def retrospective_undersample(
     model: EncodingModel,
     noise_sigma: float = 0.0,
     seed: int = 0,
-    t: int = 0,
 ) -> np.ndarray:
     """Synthesize measured data d = A f + n for the retained groups.
 
@@ -147,7 +142,7 @@ def retrospective_undersample(
     ``noise_sigma ** 2`` (``0`` gives noiseless data); deterministic given
     ``seed``.
     """
-    op = EncodingOperator(model, pattern.kept_groups, t)
+    op = EncodingOperator(model, pattern.kept_groups)
     d = op.forward(np.asarray(full_image).ravel())
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
@@ -205,7 +200,7 @@ def irls_solve(problem: ReconProblem) -> ReconResult:
     the objective log) if an inner CG solve fails to reach its tolerance.
     """
     model = problem.model
-    a_op = EncodingOperator(model, problem.pattern.kept_groups, problem.t)
+    a_op = EncodingOperator(model, problem.pattern.kept_groups)
     if problem.regularizer == "tv":
         t_op = TvOperator(model.grid.dims)
     else:

@@ -72,7 +72,6 @@ class SupportSet:
 
     indices: np.ndarray
     q: int
-    source_label: str = ""
 
     def __post_init__(self):
         idx = np.asarray(self.indices)
@@ -155,12 +154,7 @@ def inverse_transform(coeffs: np.ndarray, spec: TransformSpec) -> np.ndarray:
     return out
 
 
-def extract_support(
-    image: np.ndarray,
-    spec: TransformSpec,
-    fraction: float,
-    source_label: str = "",
-) -> SupportSet:
+def extract_support(image: np.ndarray, spec: TransformSpec, fraction: float) -> SupportSet:
     """Support of the ``ceil(fraction * Q)`` largest-magnitude coefficients.
 
     Ties are broken towards the lower flattened index so the result is
@@ -172,7 +166,7 @@ def extract_support(
     q = coeffs.size
     s = math.ceil(fraction * q)
     order = np.argsort(-np.abs(coeffs), kind="stable")
-    return SupportSet(indices=np.sort(order[:s]), q=q, source_label=source_label)
+    return SupportSet(indices=np.sort(order[:s]), q=q)
 
 
 def support_atoms(support: SupportSet, spec: TransformSpec, dims, columns=slice(None)):

@@ -1,11 +1,12 @@
 import csv
+import json
 import re
 from pathlib import Path
 
 import pytest
 import yaml
 
-from oedipus import cli, design, sbs_design
+from oedipus import cli, design, sbs_design, sparsity
 from oedipus import io as oio
 from oedipus.errors import SolverFailureError
 
@@ -155,6 +156,13 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
         ),
         ("evaluate", {"recon": {"max_iters": 0}}, "recon.max_iters"),
         ("evaluate", {"recon": {"inner_max_iters": 0}}, "recon.inner_max_iters"),
+        ("evaluate", {"recon": {"regularizers": []}}, "recon.regularizers"),
+        ("evaluate", {"recon": {"regularizers": ["l2"]}}, "recon.regularizers"),
+        ("evaluate", {"evaluate_channels": []}, "evaluate_channels"),
+        ("evaluate", {"evaluate_channels": ["dual"]}, "evaluate_channels"),
+        ("baseline", {"undersample_axes": [0]}, "baselines.caipi"),
+        ("design", {"channels": {"single": False}}, "channels.single"),
+        ("evaluate", {"evaluate_channels": ["multi"]}, "channels.multi"),
     ],
 )
 def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):
@@ -211,9 +219,26 @@ def test_design_prints_the_drift_and_rebuilds_of_its_forms(tmp_path, capsys, mon
     assert int(match[3]) == 100  # one pair that keeps its forms prices every group
 
 
-def test_selftest_exit_codes(capsys):
+@pytest.mark.parametrize("fault", ["malformed", "other_grid"])
+def test_unusable_pattern_file_exits_4_and_names_it(tmp_path, capsys, fault):
+    config = write_config(tmp_path)
+    assert run("baseline", config) == 0
+    path = tmp_path / "out" / "patterns" / "uniform_R2.json"
+    if fault == "malformed":
+        path.write_text('{"grid": [16, 16], ')
+    else:
+        path.write_text(json.dumps({**json.loads(path.read_text()), "grid": [8, 8]}))
+    assert run("evaluate", config) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and str(path) in err
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_selftest_exit_codes(capsys, monkeypatch):
     assert run("selftest") == 0
-    assert run("selftest", "--inject-fault", "wavelet") == 1
+    # the DWT matrices are cached by their taps, so perturbed taps take effect
+    monkeypatch.setitem(sparsity._FILTERS, "daub4", sparsity._FILTERS["daub4"] + 1e-3)
+    assert run("selftest") == 1
     assert "FAIL" in capsys.readouterr().out
 
 

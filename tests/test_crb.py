@@ -8,10 +8,9 @@ from oedipus import (
     build_full_crb,
     image_domain_crb_trace,
     oracle_lsq_estimate,
-    smw_downdate,
 )
 from oedipus import crb
-from oedipus.crb import CrbState
+from oedipus.crb import CrbState, smw_removal
 
 from conftest import dense_candidate_matrix, dense_transform_matrix, make_model, random_support
 from reference import group_rows, restricted_rows
@@ -67,7 +66,7 @@ def test_smw_zero_block_is_bookkeeping_only():
     support = SupportSet(indices=np.arange(4), q=4)
     state = build_full_crb(model, support, spec, t=0)
     zero = np.zeros((1, 4), dtype=complex)
-    after = smw_downdate(state, zero)
+    after = smw_removal(state, zero)[0]
     assert np.allclose(after.inv_gram, state.inv_gram)
     assert after.trace == pytest.approx(state.trace)
     assert after.cond == state.cond
@@ -81,7 +80,7 @@ def test_rank_one_downdate_sherman_morrison_oracle(rng):
     inv = np.linalg.inv(gram)
     state = CrbState(inv_gram=inv, trace=float(np.trace(inv).real), cond=1.0)
     v = rows[4:5]  # row being removed
-    after = smw_downdate(state, v)
+    after = smw_removal(state, v)[0]
     # Sherman-Morrison for a rank-one removal
     u = inv @ v.conj().T
     denom = 1.0 - (v @ u)[0, 0]
@@ -100,7 +99,7 @@ def test_group_downdate_matches_rebuild(rng):
     g = 17
     block = crb.restricted_matrix(model, support, spec, 0, [g])[0]
     assert block.shape == (model.candidates.C, support.S)
-    after = smw_downdate(state, block)
+    after = smw_removal(state, block)[0]
     rebuilt = build_full_crb(
         model, support, spec, 0, groups=[x for x in range(model.candidates.L) if x != g]
     )
@@ -120,7 +119,7 @@ def test_chained_downdates_match_rebuild(rng):
     order = rng.permutation(model.candidates.L)[:20]
     for g, block in zip(order, crb.restricted_matrix(model, support, spec, 0, order)):
         tr_pred = crb.downdate_traces(state, block[None])[0]
-        new_state = smw_downdate(state, block)
+        new_state = smw_removal(state, block)[0]
         assert tr_pred == pytest.approx(new_state.trace, rel=1e-10)
         # monotonicity: information only shrinks
         assert new_state.trace >= state.trace - 1e-10
@@ -149,7 +148,7 @@ def test_mandatory_group_gives_infinite_trace():
     # removing one of three rows leaves 2 rows < S=3
     assert crb.downdate_traces(state, block)[0] == np.inf
     with pytest.raises(InfeasibleDesignError):
-        smw_downdate(state, block[0])
+        smw_removal(state, block[0])[0]
 
 
 def test_sliced_downdate_traces_match_per_group(monkeypatch):
@@ -186,7 +185,7 @@ def test_removal_traces_only_rise_after_a_commit(rng):
     alive = list(range(8))
     for c in (3, 0, 6, 1):
         before = np.delete(crb.downdate_traces(state, rows[alive]), alive.index(c))
-        state = smw_downdate(state, rows[c])
+        state = smw_removal(state, rows[c])[0]
         alive.remove(c)
         after = crb.downdate_traces(state, rows[alive])
         assert np.all(after >= before * (1 - 1e-12))
@@ -317,7 +316,7 @@ def test_mandatory_one_row_group_is_priced_without_lapack(monkeypatch):
     for block, trace in zip(rows[:-1], got):
         assert trace == pytest.approx(crb.downdate_traces(state, block[None])[0], rel=1e-12)
     with pytest.raises(InfeasibleDesignError):
-        smw_downdate(state, rows[-1])
+        smw_removal(state, rows[-1])[0]
     assert calls == []  # one-row groups are decided elementwise
 
 

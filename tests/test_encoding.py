@@ -22,15 +22,6 @@ def test_grid_validation():
         ImageGrid((4, 4), (0.0, 100.0))
 
 
-def test_voxel_centers_row_major():
-    grid = ImageGrid((2, 3), (20.0, 30.0))
-    r = grid.voxel_coords()
-    # n = n1*N2 + n2, r_n = (n1*fov1/N1, n2*fov2/N2)
-    assert np.allclose(r[0], [0.0, 0.0])
-    assert np.allclose(r[1], [0.0, 10.0])
-    assert np.allclose(r[3], [10.0, 0.0])
-
-
 def test_candidate_counts_2d_single_coil():
     grid = ImageGrid((4, 4), (100.0, 100.0))
     cand = build_cartesian_candidates(grid, undersample_axes=(0, 1), n_coils=1)

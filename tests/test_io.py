@@ -3,17 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from oedipus import SupportSet, pattern_from_groups
+from oedipus import pattern_from_groups
 from oedipus.io import (
     mask_to_rle,
     pattern_from_json,
     pattern_to_json,
-    read_image_oedm,
     read_oedm,
     rle_to_mask,
-    support_from_json,
-    support_to_json,
-    write_image_oedm,
     write_oedm,
     write_pgm,
 )
@@ -36,13 +32,6 @@ def test_oedm_roundtrip(tmp_path, rng):
     second = 20 + 2 * plane
     assert raw[second : second + plane] == data[0, 1].real.astype("<f8").tobytes()
     assert raw[second + plane : second + 2 * plane] == data[0, 1].imag.astype("<f8").tobytes()
-
-
-def test_oedm_single_image_helpers(tmp_path, rng):
-    img = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-    path = tmp_path / "img.oedm"
-    write_image_oedm(path, img)
-    assert np.array_equal(read_image_oedm(path), img)
 
 
 def test_oedm_rejects_bad_magic(tmp_path):
@@ -118,11 +107,3 @@ def test_pattern_json_roundtrip():
     with pytest.raises(ValueError):
         pattern_from_json(json.dumps(doc), model.candidates)
 
-
-def test_support_json_roundtrip():
-    sup = SupportSet(indices=np.array([3, 1, 7]), q=16, source_label="seed0")
-    text = support_to_json(sup)
-    back = support_from_json(text, q=16)
-    assert np.array_equal(back.indices, sup.indices)
-    assert back.source_label == "seed0"
-    assert '"S":3' in text
