@@ -130,6 +130,8 @@ LIMITS = {
     "recon.lambda": (lambda v: v > 0, "must be positive"),
     "recon.max_iters": (lambda v: v >= 1, "must be at least 1"),
     "recon.inner_max_iters": (lambda v: v >= 1, "must be at least 1"),
+    "recon.inner_tol": (lambda v: v > 0, "must be positive"),
+    "recon.epsilon_scale": (lambda v: v > 0, "must be positive"),
     "recon.regularizers": (
         lambda v: v and set(v) <= {"wavelet", "tv"}, "must be a nonempty list of wavelet, tv"
     ),
@@ -404,12 +406,13 @@ def _write_csv(path: Path, preamble, columns, records) -> None:
 def cmd_evaluate(cfg) -> int:
     _, supports = _exemplars(cfg)
     out = cfg["output_dir"]
-    (out / "recon").mkdir(parents=True, exist_ok=True)
     golds = [
         (f"phantom{seed}", render_phantom(default_phantom_spec(cfg["grid"], seed)))
         for seed in cfg["test_phantoms.seeds"]
     ]
-    records = [_run_cell(cfg, *cell) for cell in _cells(cfg, supports, golds)]
+    cells = list(_cells(cfg, supports, golds))  # reads every pattern file first (exit 4)
+    (out / "recon").mkdir(parents=True, exist_ok=True)
+    records = [_run_cell(cfg, *cell) for cell in cells]
 
     # the report keeps, per cell, the Poisson seed of least NRMSE (failed seeds
     # last, ties to the first seed); poisson_seeds.csv keeps every seed

@@ -12,20 +12,21 @@ inversion lemma (r x r systems, not S x S inversions), then commits the
 chosen deletion with one rank-r downdate.
 
 A group is priced from its downdate forms ``M1 = B A^-1 B^H`` and
-``M2 = B A^-2 B^H`` (:mod:`oedipus.crb`), O(r S^2) per group to build.  A
-pair with ``r S + 4 r^2 < S^2`` keeps them and applies the rank-r update of
-each removal (Hager, SIAM Review 1989) by one GEMM over its stacked rows:
-O(P r (r S + r^2)) per deletion for P groups, O(P S) for one-row groups,
-not O(P r S^2).  Other pairs build them afresh for the groups they price.
-When a committed group's stored forms drift from their exact values by more
-than ``_DRIFT_LIMIT`` (relative), all the pair's forms are rebuilt.
+``M2 = B A^-2 B^H`` (:mod:`oedipus.crb`), O(r S^2) per group to build.  When
+every pair has ``r S + 4 r^2 < S^2``, every pair keeps them and applies the
+rank-r update of each removal (Hager, SIAM Review 1989) by one GEMM over its
+stacked rows: O(P r (r S + r^2)) per deletion for P groups, O(P S) for
+one-row groups, not O(P r S^2).  When a committed group's stored forms drift
+from their exact values by more than ``_DRIFT_LIMIT`` (relative), all the
+pair's forms are rebuilt.
 
-Those pairs price lazily (Minoux's accelerated greedy, 1978).  Removing
-rows only raises a CRB trace (``A - B^H B <= A`` gives ``(A - B^H B)^-1 >=
-A^-1``), so a group's price at an earlier deletion and the pair's current
-trace bound its price now from below, and their sum or max bounds its cost.
-A group is priced only while that bound can still win: exact from
-monotonicity alone, with no submodularity needed.
+Otherwise no pair keeps them, and groups are priced lazily from fresh forms
+(Minoux's accelerated greedy, 1978).  Removing rows only raises a CRB trace
+(``A - B^H B <= A`` gives ``(A - B^H B)^-1 >= A^-1``), so a group's price at
+an earlier deletion and the pair's current trace bound its price now from
+below, and their sum or max bounds its cost.  A group is priced only while
+that bound can still win: exact from monotonicity alone, with no
+submodularity needed.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ __all__ = [
 
 # Relative slack for treating two candidate costs as tied; the first
 # qualifying position, the lowest group index as ``active`` is ascending,
-# wins.  Keeps the selected sequence stable between the downdate-based and
-# rebuild-based cost computations.
+# wins.  Keeps the selected sequence stable between the two pricing modes
+# and a rescoring of every reduced Gram from scratch.
 _TIE_RTOL = 1e-9
 
 # Relative drift of a committed group's recursively updated forms from
@@ -172,7 +173,6 @@ def sbs_design(
     objective: DesignObjective,
     target_groups: int,
     spec: TransformSpec,
-    method: str = "smw",
 ) -> SamplingPattern:
     """Greedy backward selection down to ``target_groups`` groups.
 
@@ -183,84 +183,66 @@ def sbs_design(
     result is deterministic.
 
     Each (exemplar, map set) pair keeps its restricted rows in one
-    (groups, C, S) array, built once and never copied: a mask marks the
-    active groups.  ``method="smw"`` compresses each array with
-    :func:`~oedipus.crb.compress_rows`, prices the groups from their
-    downdate forms and commits each deletion with
-    :func:`~oedipus.crb.smw_removal`; ``method="direct"`` re-inverts every
-    reduced Gram from the raw rows (slow, used to validate the downdate
-    path).  Pairs without forms price a group only while its bound from its
-    last exact price can still win (:func:`_lazy_costs`), so the deletions
-    are those of full pricing.  ``extra`` holds the largest relative drift of
-    a committed group's forms (``max_drift``), the drift rebuilds, the form
-    pairs, the exact (pair, group) prices (``priced``) and the count full
-    pricing makes (``full_pricing``).
+    (groups, r, S) array compressed by :func:`~oedipus.crb.compress_rows`,
+    built once and never copied: a mask marks the active groups.  Every
+    deletion is committed with :func:`~oedipus.crb.smw_removal` and logged
+    as the committed objective.  The pricing mode is chosen once per
+    design: when every pair has ``r S + 4 r^2 < S^2``, every pair keeps its
+    downdate forms and prices every group; otherwise no pair does, and each
+    group is priced afresh only while its bound from its last exact price
+    can still win (:func:`_lazy_costs`), so the deletions are those of full
+    pricing.  ``extra`` holds the largest relative drift of a committed
+    group's forms (``max_drift``), the drift rebuilds, the form pairs, the
+    exact (pair, group) prices (``priced``) and the count full pricing makes
+    (``full_pricing``).
 
     Raises :class:`InfeasibleDesignError` if the initial full-candidate
     CRB cannot be built or every remaining group becomes mandatory before
     the budget is reached.
     """
-    if method not in ("smw", "direct"):
-        raise ValueError(f"unknown method {method!r}")
     cand = model.candidates
     supports = list(supports)
     _precheck(supports, target_groups, cand.C)
     if target_groups > cand.L:
-        raise ValueError(
-            f"target_groups {target_groups} exceeds group count {cand.L}"
-        )
+        raise ValueError(f"target_groups {target_groups} exceeds group count {cand.L}")
 
     pairs = [(k, t) for k in range(len(supports)) for t in range(model.T)]
-    rows = {}
-    for k, t in pairs:  # one pair at a time, so one raw row array is alive at once
-        rows[k, t] = restricted_matrix(model, supports[k], spec, t, range(cand.L))
-        if method == "smw":
-            rows[k, t] = compress_rows(rows[k, t])
+    rows = {  # one pair at a time, so one raw row array is alive at once
+        (k, t): compress_rows(restricted_matrix(model, supports[k], spec, t, range(cand.L)))
+        for k, t in pairs
+    }
     try:
         states = {p: state_from_gram(restricted_gram(rows[p])) for p in pairs}
     except InfeasibleDesignError as err:
         raise InfeasibleDesignError(
             f"full-candidate CRB build failed: {err}", iteration=0, cond=err.cond
         ) from err
-    forms = {}
-    for p in pairs:  # kept where updating them, ~r S + 4 r^2 a group, beats building, ~S^2
-        r, s = rows[p].shape[1:]
-        if method == "smw" and r * s + 4 * r * r < s * s:
-            forms[p] = downdate_forms(states[p].inv_gram, rows[p])
+    forms = {}  # kept where updating them, ~r S + 4 r^2 a group, beats building, ~S^2
+    if all(r * s + 4 * r * r < s * s for r, s in (rows[p].shape[1:] for p in pairs)):
+        forms = {p: downdate_forms(states[p].inv_gram, rows[p]) for p in pairs}
 
     alive = np.ones(cand.L, dtype=bool)
     last = np.zeros((len(pairs), cand.L))  # last exact removal trace of each (pair, group)
-    log = []
-    deleted = []
+    log, deleted = [], []
     max_drift, rebuilds, priced, full = 0.0, 0, 0, 0
     while len(deleted) < cand.L - target_groups:
         iteration = len(deleted) + 1
         active = np.flatnonzero(alive)
         full += len(pairs) * len(active)
-        if method == "direct":  # each reduced Gram is all groups' Grams minus the group's own
-            grams = (_grams(rows[p][active]) for p in pairs)
-            costs = objective.combine([gram_trace(g.sum(axis=0) - g) for g in grams])
-            priced = full
+        if forms:
+            costs = objective.combine([
+                forms_traces(states[p].trace, *(m[active] for m in forms[p])) for p in pairs
+            ])
+            priced += len(pairs) * len(active)
         else:
-            traces = [
-                forms_traces(states[p].trace, *(m[active] for m in forms[p]))
-                if p in forms
-                else np.maximum(last[j, active], states[p].trace)  # lower bounds
-                for j, p in enumerate(pairs)
-            ]
-            priced += len(forms) * len(active)
-            if len(forms) == len(pairs):  # every pair priced in full: no bounds to keep
-                costs = objective.combine(traces)
-            else:
-                table = np.array(traces)
-                exact = np.isinf(table) | np.array([[p in forms] for p in pairs])
-                fresh = [j for j, p in enumerate(pairs) if p not in forms]
-                costs, n = _lazy_costs(
-                    objective, table, exact, sorted(fresh, key=lambda j: -states[pairs[j]].trace),
-                    lambda j, idx: downdate_traces(states[pairs[j]], rows[pairs[j]][active[idx]]),
-                )
-                last[:, active] = table
-                priced += n
+            trace = [states[p].trace for p in pairs]
+            table = np.maximum(last[:, active], np.array(trace)[:, None])  # lower bounds
+            costs, n = _lazy_costs(
+                objective, table, sorted(range(len(pairs)), key=lambda j: -trace[j]),
+                lambda j, idx: downdate_traces(states[pairs[j]], rows[pairs[j]][active[idx]]),
+            )
+            last[:, active] = table
+            priced += n
         i = _select(costs)
         if i < 0:
             raise InfeasibleDesignError(
@@ -270,21 +252,18 @@ def sbs_design(
                 iteration=iteration,
             )
         c = int(active[i])
-        best = costs[i]
-        if method == "smw":
-            for p in pairs:
-                inv_gram = states[p].inv_gram
-                states[p], u, k = smw_removal(states[p], rows[p][c])
-                if p in forms:
-                    drift = _update_forms(forms[p], rows[p], inv_gram, c, u, k)
-                    max_drift = max(max_drift, drift)
-                    if not drift < _DRIFT_LIMIT:
-                        forms[p] = downdate_forms(states[p].inv_gram, rows[p])
-                        rebuilds += 1
-            best = objective.combine([states[p].trace for p in pairs])  # as committed
+        for p in pairs:
+            inv_gram = states[p].inv_gram
+            states[p], u, k = smw_removal(states[p], rows[p][c])
+            if forms:
+                drift = _update_forms(forms[p], rows[p], inv_gram, c, u, k)
+                max_drift = max(max_drift, drift)
+                if not drift < _DRIFT_LIMIT:
+                    forms[p] = downdate_forms(states[p].inv_gram, rows[p])
+                    rebuilds += 1
         alive[c] = False
         deleted.append(c)
-        log.append(best)
+        log.append(objective.combine([states[p].trace for p in pairs]))  # as committed
 
     return pattern_from_groups(
         cand,
@@ -297,13 +276,14 @@ def sbs_design(
     )
 
 
-def _lazy_costs(objective, table, exact, order, price):
+def _lazy_costs(objective, table, order, price):
     """Costs of the active groups and the prices made, from ``table`` (pairs, g)
-    of removal traces, exact where ``exact`` is set and lower bounds elsewhere
-    (both updated).  Pair j (in ``order``) prices groups ``idx`` by ``price(j,
-    idx)`` only while their combined bound is within ``(1 + _TIE_RTOL)^2`` of
-    the best exact cost, or is the lowest before any is exact, so every group
-    ``_select`` may pick is exact."""
+    of lower bounds on the removal traces, exact where +inf (updated).  Pair j
+    (in ``order``) prices groups ``idx`` by ``price(j, idx)`` only while their
+    combined bound is within ``(1 + _TIE_RTOL)^2`` of the best exact cost, or
+    is the lowest before any is exact, so every group ``_select`` may pick is
+    exact."""
+    exact = np.isinf(table)
     n = 0
     while True:
         costs = objective.combine(table)

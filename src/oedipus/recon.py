@@ -109,8 +109,9 @@ class ReconProblem:
     def __post_init__(self):
         if self.regularizer not in ("wavelet", "tv"):
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        for name in ("lam", "epsilon_scale", "inner_tol"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if np.asarray(self.data).size != self.pattern.M:
             raise ValueError(
                 f"data length {np.asarray(self.data).size} != pattern "

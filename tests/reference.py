@@ -1,15 +1,20 @@
-"""Dense reference rows that the tests compare production code against.
+"""References that the tests compare production code against.
 
 Each candidate row is built here entry by entry from its definition, and
 restricted to a support by a forward transform of the conjugated row; the
 package builds the same rows through the encoding operator instead.
+:func:`direct_sbs` is the greedy backward selection rescored from scratch at
+every deletion, with none of the SBS engine's downdates, forms or bounds.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from oedipus import forward_transform
+from oedipus import InfeasibleDesignError, forward_transform, pattern_from_groups
+from oedipus.crb import gram_trace, restricted_matrix
 
 
 def _row_phases(model, loc_indices: np.ndarray) -> np.ndarray:
@@ -84,3 +89,35 @@ def restricted_rows(rows, support, spec, dims):
         np.conj(rows).reshape(rows.shape[0], dims[0], dims[1]), spec
     ).reshape(rows.shape[0], n)
     return np.conj(coeffs[:, support.indices])
+
+
+def direct_sbs(model, supports, objective, target_groups, spec):
+    """Greedy backward selection by re-inverting every reduced Gram.
+
+    Each (exemplar, map set) pair keeps the per-group Grams of its raw
+    :func:`~oedipus.crb.restricted_matrix` rows.  Each deletion prices every
+    kept group by the :func:`~oedipus.crb.gram_trace` of the pair's Gram
+    without it, combines the pairs by ``objective`` and deletes the first
+    group whose cost is within 1e-9 (relative) of the minimum; the log holds
+    that cost.
+    """
+    cand = model.candidates
+    grams = []
+    for support in supports:
+        for t in range(model.T):
+            rows = restricted_matrix(model, support, spec, t, range(cand.L))
+            grams.append(np.swapaxes(rows.conj(), 1, 2) @ rows)  # (L, S, S)
+    kept, log, deleted = list(range(cand.L)), [], []
+    while len(kept) > target_groups:
+        costs = objective.combine(
+            [gram_trace(g[kept].sum(axis=0) - g[kept]) for g in grams]
+        )
+        best = costs.min()
+        if math.isinf(best):
+            raise InfeasibleDesignError("every remaining group is mandatory")
+        i = int(np.argmax(costs <= best * (1.0 + 1e-9)))
+        log.append(costs[i])
+        deleted.append(kept.pop(i))
+    return pattern_from_groups(
+        cand, kept, mode=f"direct/{objective.mode}", log=log, deleted=deleted
+    )

@@ -163,6 +163,9 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
         ("baseline", {"undersample_axes": [0]}, "baselines.caipi"),
         ("design", {"channels": {"single": False}}, "channels.single"),
         ("evaluate", {"evaluate_channels": ["multi"]}, "channels.multi"),
+        ("evaluate", {"recon": {"inner_tol": 0.0}}, "recon.inner_tol"),
+        ("evaluate", {"recon": {"epsilon_scale": 0.0}}, "recon.epsilon_scale"),
+        ("evaluate", {"recon": {"epsilon_scale": -1.0}}, "recon.epsilon_scale"),
     ],
 )
 def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):
@@ -232,6 +235,7 @@ def test_unusable_pattern_file_exits_4_and_names_it(tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and str(path) in err
     assert not (tmp_path / "out" / "report.csv").exists()
+    assert not (tmp_path / "out" / "recon").exists()
 
 
 def test_selftest_exit_codes(capsys, monkeypatch):

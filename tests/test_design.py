@@ -10,6 +10,7 @@ from oedipus import (
     InfeasibleDesignError,
     SupportSet,
     TransformSpec,
+    VoxelBasis,
     build_cartesian_candidates,
     build_full_crb,
     evaluate_pattern_crb,
@@ -24,6 +25,7 @@ from oedipus import design
 from oedipus.design import _select
 
 from conftest import make_model, random_support
+from reference import direct_sbs
 
 IDENT = TransformSpec("identity", 0)
 
@@ -130,8 +132,8 @@ def test_smw_and_direct_methods_agree(rng):
     model = make_model((4, 8), n_coils=2, undersample_axes=(1,), seed=3)
     support = random_support(rng, 32, 6)
     objective = DesignObjective("average")
-    a = sbs_design(model, [support], objective, 4, spec, method="smw")
-    b = sbs_design(model, [support], objective, 4, spec, method="direct")
+    a = sbs_design(model, [support], objective, 4, spec)
+    b = direct_sbs(model, [support], objective, 4, spec)
     assert a.deleted == b.deleted
     assert a.kept_groups == b.kept_groups
     np.testing.assert_allclose(a.log, b.log, rtol=1e-7)
@@ -179,8 +181,8 @@ def test_smw_and_direct_methods_agree_on_ensembles(case):
     dims, axes, target, voxels = ALIASING_CASES[case]
     model, supports = aliasing_ensemble(dims, axes, voxels)
     objective = DesignObjective("worst")
-    a = sbs_design(model, supports, objective, target, IDENT, method="smw")
-    b = sbs_design(model, supports, objective, target, IDENT, method="direct")
+    a = sbs_design(model, supports, objective, target, IDENT)
+    b = direct_sbs(model, supports, objective, target, IDENT)
     assert a.deleted == b.deleted
     assert a.kept_groups == b.kept_groups
     np.testing.assert_allclose(a.log, b.log, rtol=1e-7)
@@ -204,11 +206,11 @@ def test_lazy_pricing_matches_direct(case, mode):
     model, supports = aliasing_ensemble(dims, axes, voxels)
     objective = DesignObjective(mode)
     a = sbs_design(model, supports, objective, target, IDENT)
-    b = sbs_design(model, supports, objective, target, IDENT, method="direct")
+    b = direct_sbs(model, supports, objective, target, IDENT)
     assert a.deleted == b.deleted
     np.testing.assert_allclose(a.log, b.log, rtol=1e-7)
     full = sum(4 * (model.candidates.L - i) for i in range(len(a.deleted)))
-    assert a.extra["full_pricing"] == b.extra["full_pricing"] == b.extra["priced"] == full
+    assert a.extra["full_pricing"] == full
     assert a.extra["priced"] == full if case == "C1-2d" else a.extra["priced"] < full
 
 
@@ -228,18 +230,22 @@ def test_lazy_costs_select_what_full_pricing_selects(rng, mode):
         )
         table = np.where(stale < 0.25, 1.0, exact * below)
         table[stale > 0.85] = exact[stale > 0.85]
-        table[0] = exact[0]  # a pair priced in full
-        known = np.isinf(table) | (np.arange(3) == 0)[:, None]
+        table[0] = exact[0]  # a pair whose bounds are tight
+        seen = np.isinf(table)  # +inf bounds are exact and never priced
         full = objective.combine(exact)
-        n_known = np.count_nonzero(known)
-        costs, n = design._lazy_costs(
-            objective, table, known, [2, 1], lambda j, idx: exact[j, idx]
-        )
+        n_seen = np.count_nonzero(seen)
+
+        def price(j, idx):
+            assert not seen[j, idx].any()
+            seen[j, idx] = True
+            return exact[j, idx]
+
+        costs, n = design._lazy_costs(objective, table, [2, 1, 0], price)
         i = _select(costs)
         assert i == _select(full), trial
         assert costs[i] == full[i] and np.all(costs <= full)
-        assert n == np.count_nonzero(known) - n_known
-        np.testing.assert_array_equal(table[known], exact[known])
+        assert n == np.count_nonzero(seen) - n_seen
+        np.testing.assert_array_equal(table[seen], exact[seen])
 
 
 def test_worst_case_pair_ensemble_prices_fewer_removals(rng):
@@ -252,7 +258,7 @@ def test_worst_case_pair_ensemble_prices_fewer_removals(rng):
     supports = [random_support(rng, 64, 10)]
     objective = DesignObjective("worst")
     lazy = sbs_design(model, supports, objective, 3, TransformSpec("daub4", 1))
-    direct = sbs_design(model, supports, objective, 3, TransformSpec("daub4", 1), method="direct")
+    direct = direct_sbs(model, supports, objective, 3, TransformSpec("daub4", 1))
     assert lazy.extra["form_pairs"] == []
     assert lazy.deleted == direct.deleted
     assert lazy.extra["full_pricing"] == 2 * sum(range(4, 9))
@@ -302,14 +308,14 @@ def test_form_recursion_matches_rebuilding_the_forms(monkeypatch, case):
     if case not in ALIASING_CASES:
         assert n_form_pairs == 1
     if case == "8x8-C3":
-        direct = sbs_design(model, supports, objective, target, spec, method="direct")
+        direct = direct_sbs(model, supports, objective, target, spec)
         assert recursive.deleted == direct.deleted
 
 
 def test_pairs_keep_forms_only_when_updating_them_is_cheaper():
     # 8 lines of 8 rows: a support of 4 compresses each line to r = 4 rows
     # (4*4 + 4*16 >= 4^2, priced afresh); one of 24 keeps r = 8 rows
-    # (8*24 + 4*64 < 24^2, forms kept)
+    # (8*24 + 4*64 < 24^2), which keeps forms alone but not beside the first
     model = make_model((8, 8), undersample_axes=(0,))
     q = model.N
     supports = [
@@ -317,14 +323,12 @@ def test_pairs_keep_forms_only_when_updating_them_is_cheaper():
         SupportSet(indices=np.array([8 * r0 + r1 for r0 in range(3) for r1 in range(8)]), q=q),
     ]
     objective = DesignObjective("average")
+    assert sbs_design(model, supports[1:], objective, 5, IDENT).extra["form_pairs"] == [(0, 0)]
     pattern = sbs_design(model, supports, objective, 5, IDENT)
-    assert pattern.extra["form_pairs"] == [(1, 0)]
-    direct = sbs_design(model, supports, objective, 5, IDENT, method="direct")
+    assert pattern.extra["form_pairs"] == []
+    direct = direct_sbs(model, supports, objective, 5, IDENT)
     assert pattern.deleted == direct.deleted
     np.testing.assert_allclose(pattern.log, direct.log, rtol=1e-7)
-    assert direct.extra == {
-        "max_drift": 0.0, "rebuilds": 0, "form_pairs": [], "priced": 42, "full_pricing": 42,
-    }
     assert pattern.extra["full_pricing"] == 42
 
 
@@ -347,6 +351,27 @@ def test_multi_ensemble_average_objective(rng):
             for t in range(2):
                 total += build_full_crb(model, sup, IDENT, t, groups=active).trace
         assert pattern.log[step] == pytest.approx(total, rel=1e-7)
+
+
+@pytest.mark.parametrize("mode", ["worst", "average"])
+@pytest.mark.parametrize("oversampling, basis", [(1.0, "dirac"), (1.5, "rect")])
+def test_direct_sbs_one_deletion_is_exhaustive(rng, mode, oversampling, basis):
+    # to L - 1 groups the one greedy deletion tries every subset; 2 map sets.
+    # On the full dirac grid every removal ties, so only the objective is
+    # unique; oversampled rect-weighted candidates have one best removal
+    grid = ImageGrid((4, 4), (100.0, 100.0))
+    cand = build_cartesian_candidates(grid, oversampling, undersample_axes=(0, 1), n_coils=2)
+    maps = tuple(synthesize_coil_maps(grid, 2, seed=s) for s in (1, 2))
+    model = EncodingModel(grid=grid, candidates=cand, coil_maps=maps, basis=VoxelBasis(basis))
+    support = random_support(rng, 16, 6)
+    objective = DesignObjective(mode)
+    direct = direct_sbs(model, [support], objective, cand.L - 1, IDENT)
+    opt = exhaustive_design(model, support, cand.L - 1, IDENT, objective)
+    assert direct.log == pytest.approx(opt.log, rel=1e-9)
+    if basis == "rect":
+        costs = sorted(brute_force_costs(model, support, list(range(cand.L)), objective, IDENT))
+        assert costs[1] > costs[0] * (1 + 1e-6)
+        assert direct.kept_groups == opt.kept_groups
 
 
 def test_worst_case_objective_uses_max(rng):

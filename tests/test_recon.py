@@ -210,7 +210,9 @@ def test_problem_validation(rng):
     d = retrospective_undersample(gold, pattern, model)
     with pytest.raises(ValueError):
         ReconProblem(data=d, pattern=pattern, model=model, regularizer="tikhonov")
-    with pytest.raises(ValueError):
-        ReconProblem(data=d, pattern=pattern, model=model, lam=0.0)
+    for key in ("lam", "epsilon_scale", "inner_tol"):
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{key} must be positive"):
+                ReconProblem(data=d, pattern=pattern, model=model, **{key: value})
     with pytest.raises(ValueError):
         ReconProblem(data=d[:-1], pattern=pattern, model=model)
