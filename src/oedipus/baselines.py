@@ -87,7 +87,11 @@ def poisson_disc_pattern(
     are visited in a random order drawn from ``seed`` and accepted when at
     least the current radius away (in grid-index units) from every
     previously accepted group, stopping once the remaining sample budget is
-    spent.  The radius is bisected until the total kept count lands within
+    spent.  A throw scans forward from the last accepted position for the
+    next free one (cleared positions never free again) and, on accepting,
+    clears only the positions on a disc stencil around it, looked up in a
+    padded grid of visiting positions: O(L + accepted x stencil) per
+    throw.  The radius is bisected until the total kept count lands within
     ``max(1, 0.01 * target)`` of the target, which converges to the largest
     radius whose packing still reaches the budget.  Deterministic given the
     seed; ``extra`` records the seed and the final radius.
@@ -106,24 +110,26 @@ def poisson_disc_pattern(
     outside = np.setdiff1d(np.arange(n_groups), center)
     rng = np.random.default_rng(seed)
     order = outside[rng.permutation(outside.size)]
-    pts = coords[order]
-
     tol = max(1, int(round(0.01 * target_groups)))
     budget = target_groups - center.size
 
+    # visiting position of each offset (order.size: none), padded so a disc fits
+    ext = np.ptp(coords, axis=0) + 1
+    strides = np.cumprod([1, *(3 * ext[:0:-1] - 2)])[::-1]
+    spot = (coords[order] - coords.min(axis=0) + ext - 1) @ strides
+    where = np.full(np.prod(3 * ext - 2), order.size)
+    where[spot] = np.arange(order.size)
+
     def throw(radius: float) -> np.ndarray:
-        # the first free position in visiting order is the next accepted
-        # group; accepting it clears every position closer than the radius
-        free = np.ones(order.size, dtype=bool)
-        accepted = []
-        r2 = radius * radius
-        for _ in range(budget):
-            i = int(np.argmax(free))
-            if not free[i]:
-                break
+        reach = np.minimum(ext - 1, int(radius))
+        disc = np.indices(2 * reach + 1).reshape(len(ext), -1).T - reach
+        disc = disc[np.sum(disc**2, axis=1) < radius * radius] @ strides
+        free = bytearray([1]) * (order.size + 1)
+        view = np.frombuffer(free, dtype=np.uint8)
+        accepted, i = [], -1
+        while len(accepted) < budget and (i := free.find(1, i + 1, order.size)) >= 0:
             accepted.append(i)
-            free &= np.sum((pts - pts[i]) ** 2, axis=1) >= r2
-            free[i] = False
+            view[where[spot[i] + disc]] = 0
         return order[accepted]
 
     lo, hi = 0.0, float(np.hypot(*candidates.grid_dims)) + 1.0

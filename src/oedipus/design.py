@@ -282,7 +282,7 @@ def _lazy_costs(objective, table, order, price):
     (in ``order``) prices groups ``idx`` by ``price(j, idx)`` only while their
     combined bound is within ``(1 + _TIE_RTOL)^2`` of the best exact cost, or
     is the lowest before any is exact, so every group ``_select`` may pick is
-    exact."""
+    exact; ``idx`` is never empty."""
     exact = np.isinf(table)
     n = 0
     while True:
@@ -294,9 +294,10 @@ def _lazy_costs(objective, table, order, price):
             return costs, n
         for j in order:
             idx = np.flatnonzero(todo & ~exact[j] & (objective.combine(table) <= limit))
-            table[j, idx] = price(j, idx)
-            exact[j, idx] = True
-            n += len(idx)
+            if idx.size:
+                table[j, idx] = price(j, idx)
+                exact[j, idx] = True
+                n += len(idx)
 
 
 def _update_forms(forms, rows, inv_gram, c: int, u, k) -> float:

@@ -169,12 +169,34 @@ def extract_support(image: np.ndarray, spec: TransformSpec, fraction: float) -> 
     return SupportSet(indices=np.sort(order[:s]), q=q)
 
 
+@lru_cache(maxsize=None)
+def _synthesis_stack(n: int, taps: tuple, levels: int) -> np.ndarray:
+    """(levels, n, n): entry d - 1 is the product of the d finest transposed
+    analysis steps on length ``n``, each acting on the leading band."""
+    phi = np.eye(n)
+    out = np.empty((levels, n, n))
+    for k in range(levels):
+        phi[:, : n >> k] = phi[:, : n >> k] @ _analysis_matrix(n >> k, taps).T
+        out[k] = phi
+    out.flags.writeable = False
+    return out
+
+
 def support_atoms(support: SupportSet, spec: TransformSpec, dims, columns=slice(None)):
-    """Voxel images ``inverse_transform(e_s)`` of the support atoms selected
-    by ``columns`` (default: all), one batched transform, shape (s, N1, N2)."""
+    """Real voxel images ``inverse_transform(e_s)`` of the support atoms
+    selected by ``columns`` (default: all), shape (s, N1, N2): coefficient
+    (i, j) of depth d (the module docstring's rule) has the tensor-product
+    atom ``Phi1_d[:, i] (x) Phi2_d[:, j]``."""
     if support.q != dims[0] * dims[1]:
         raise ValueError("support length does not match grid size")
-    idx = support.indices[columns]
-    units = np.zeros((idx.size, support.q), dtype=complex)
-    units[np.arange(idx.size), idx] = 1.0
-    return inverse_transform(units.reshape(-1, *dims), spec)
+    i, j = np.divmod(support.indices[columns], dims[1])
+    if spec.family == "identity":
+        a1, a2 = np.eye(dims[0])[i], np.eye(dims[1])[j]
+    else:
+        check_dims(dims, spec)
+        taps = tuple(_FILTERS[spec.family].tolist())
+        k = np.arange(1, spec.levels)
+        d = np.count_nonzero((i[:, None] < dims[0] >> k) & (j[:, None] < dims[1] >> k), axis=1)
+        a1 = _synthesis_stack(dims[0], taps, spec.levels)[d, :, i]
+        a2 = _synthesis_stack(dims[1], taps, spec.levels)[d, :, j]
+    return a1[:, :, None] * a2[:, None, :]

@@ -5,6 +5,8 @@ restricted to a support by a forward transform of the conjugated row; the
 package builds the same rows through the encoding operator instead.
 :func:`direct_sbs` is the greedy backward selection rescored from scratch at
 every deletion, with none of the SBS engine's downdates, forms or bounds.
+:func:`reference_poisson_disc` throws darts by testing every position's
+distance at each acceptance, with no grid or stencil.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ import math
 
 import numpy as np
 
-from oedipus import InfeasibleDesignError, forward_transform, pattern_from_groups
+from oedipus import (
+    GenerationFailureError,
+    InfeasibleDesignError,
+    forward_transform,
+    pattern_from_groups,
+)
 from oedipus.crb import gram_trace, restricted_matrix
 
 
@@ -121,3 +128,44 @@ def direct_sbs(model, supports, objective, target_groups, spec):
     return pattern_from_groups(
         cand, kept, mode=f"direct/{objective.mode}", log=log, deleted=deleted
     )
+
+
+def reference_poisson_disc(candidates, target_groups, center_block, seed):
+    """Poisson-disc pattern by the acceptance rule of
+    :func:`~oedipus.poisson_disc_pattern`, pricing every free position's
+    distance to each accepted group: O(L) per acceptance."""
+    axes = list(candidates.undersample_axes)
+    coords = candidates.kidx[candidates.group_locs[:, 0]][:, axes]
+    b = center_block
+    center = np.flatnonzero(((coords >= -(b // 2)) & (coords < (b + 1) // 2)).all(axis=1))
+    outside = np.setdiff1d(np.arange(candidates.L), center)
+    order = outside[np.random.default_rng(seed).permutation(outside.size)]
+    pts = coords[order]
+    tol = max(1, int(round(0.01 * target_groups)))
+    budget = target_groups - center.size
+
+    def throw(radius):
+        free = np.ones(order.size, dtype=bool)
+        accepted = []
+        for _ in range(budget):
+            i = int(np.argmax(free))
+            if not free[i]:
+                break
+            accepted.append(i)
+            free &= np.sum((pts - pts[i]) ** 2, axis=1) >= radius * radius
+            free[i] = False
+        return order[accepted]
+
+    lo, hi = 0.0, float(np.hypot(*candidates.grid_dims)) + 1.0
+    for _ in range(50):
+        radius = 0.5 * (lo + hi)
+        accepted = throw(radius)
+        count = center.size + accepted.size
+        if abs(count - target_groups) <= tol:
+            kept = np.concatenate([center, accepted])
+            return pattern_from_groups(candidates, kept, "poisson-reference", extra={"radius": radius})
+        if count > target_groups:
+            lo = radius
+        else:
+            hi = radius
+    raise GenerationFailureError("no radius hits the target")

@@ -9,6 +9,8 @@ from oedipus import (
     uniform_pattern,
 )
 
+from reference import reference_poisson_disc
+
 
 def lines_candidates(n_lines, readout=4):
     grid = ImageGrid((readout, n_lines), (100.0, 100.0))
@@ -164,6 +166,18 @@ def test_poisson_short_patterns_are_maximal_packings(two_d, R, block):
         d2 = np.sum((coords[unkept][:, None, :] - coords[kept][None, :, :]) ** 2, axis=-1)
         assert np.all(d2.min(axis=1) < pattern.extra["radius"] ** 2)
     assert short  # some seeds fall short of the target at these settings
+
+
+@pytest.mark.parametrize("two_d, blocks", [(False, (4, 16)), (True, (4, 8))])
+def test_poisson_matches_the_reference_throw(two_d, blocks):
+    cand = grid_candidates(32, 24) if two_d else lines_candidates(64)
+    for R in (2, 3, 4):
+        for seed in range(3):
+            for block in blocks:
+                pattern = poisson_disc_pattern(cand, R, cand.L // R, center_block=block, seed=seed)
+                ref = reference_poisson_disc(cand, cand.L // R, block, seed)
+                assert pattern.kept_groups == ref.kept_groups, (R, seed, block)
+                assert pattern.extra["radius"] == ref.extra["radius"]
 
 
 def test_poisson_target_validation():

@@ -236,7 +236,7 @@ def test_lazy_costs_select_what_full_pricing_selects(rng, mode):
         n_seen = np.count_nonzero(seen)
 
         def price(j, idx):
-            assert not seen[j, idx].any()
+            assert idx.size and not seen[j, idx].any()
             seen[j, idx] = True
             return exact[j, idx]
 

@@ -8,6 +8,7 @@ from oedipus import (
     forward_transform,
     inverse_transform,
 )
+from oedipus.sparsity import support_atoms
 
 from conftest import dense_transform_matrix
 from reference import restricted_row, restricted_rows
@@ -195,6 +196,32 @@ def test_support_validation():
         SupportSet(indices=np.array([4]), q=4)
     with pytest.raises(ValueError):
         SupportSet(indices=np.array([], dtype=int), q=4)
+
+
+@pytest.mark.parametrize("dims", [(48, 48), (32, 16), (16, 32)])
+@pytest.mark.parametrize("family", ["haar", "daub4", "identity"])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_support_atoms_are_unit_image_syntheses(rng, dims, family, levels):
+    spec = TransformSpec(family, levels)
+    q = dims[0] * dims[1]
+    # the coarsest 4 x 4 corner holds every depth; the rest are random
+    corner = np.ravel_multi_index(np.mgrid[:4, :4].reshape(2, -1), dims)
+    sup = SupportSet(np.union1d(corner, rng.choice(q, 100, replace=False)), q)
+    units = np.zeros((sup.S, q))
+    units[np.arange(sup.S), sup.indices] = 1.0
+    expected = inverse_transform(units.reshape(-1, *dims), spec)
+    atoms = support_atoms(sup, spec, dims)
+    assert atoms.shape == (sup.S, *dims)
+    np.testing.assert_allclose(atoms, expected, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(support_atoms(sup, spec, dims, slice(5, 40)), atoms[5:40])
+
+
+def test_support_atoms_validation():
+    sup = SupportSet(np.arange(10), 64)
+    with pytest.raises(ValueError, match="support length"):
+        support_atoms(sup, TransformSpec("haar", 1), (8, 16))
+    with pytest.raises(ValueError, match="not divisible"):
+        support_atoms(SupportSet(np.arange(10), 96), TransformSpec("daub4", 3), (8, 12))
 
 
 def test_restricted_row_identities(rng):
