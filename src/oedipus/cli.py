@@ -127,6 +127,8 @@ LIMITS = {
     "channels.multi.map_seeds": (bool, "must be nonempty"),
     "exemplars.phantom_seeds": (bool, "must be nonempty"),
     "test_phantoms.seeds": (bool, "must be nonempty"),
+    "test_phantoms.noise_sigma": (lambda v: v >= 0, "must be at least 0"),
+    "baselines.poisson.center_block": (lambda v: v >= 0, "must be at least 0"),
     "recon.lambda": (lambda v: v > 0, "must be positive"),
     "recon.max_iters": (lambda v: v >= 1, "must be at least 1"),
     "recon.inner_max_iters": (lambda v: v >= 1, "must be at least 1"),

@@ -2,9 +2,9 @@
 
 For a candidate row set restricted to a known transform-domain support, the
 covariance of any unbiased estimator is bounded below by the inverse of the
-restricted Gram matrix.  The restricted rows are ``A Psi_S^H``: the
-encoding operator that synthesizes and reconstructs the data, applied to the
-voxel images of the S support atoms.  The layer passes plain arrays: a group
+restricted Gram matrix.  The restricted rows are ``A Psi_S^H``, the encoding
+applied to the S support atoms; :func:`restricted_matrix` builds them from 1D
+atom spectra, with no atom image.  The layer passes plain arrays: a group
 is its (C, S) restricted rows, and which groups a state holds is the caller's
 bookkeeping.  A group enters only through its Gram, so :func:`compress_rows`
 may first shrink each block to r <= C rows B of the same Gram.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EncodingModel, EncodingOperator
+from .encoding import EncodingModel, _axis_phases, _group_locations
 from .errors import InfeasibleDesignError
 from .sparsity import SupportSet, TransformSpec, support_atoms
 
@@ -56,9 +56,8 @@ __all__ = [
 # (double precision rule of thumb).
 COND_LIMIT = 1e12
 
-# Complex entries a temporary built per slice may hold: support atoms times
-# coils during assembly, or (groups x C x S) while pricing deletions.  Keeps
-# peak memory flat however large the support or the candidate set.
+# Complex entries of (groups x r x S) that building downdate forms may hold
+# per slice.  Keeps peak memory flat however large the candidate set.
 SLICE_ENTRIES = 2**13
 
 
@@ -77,26 +76,31 @@ class CrbState:
 
 
 def restricted_matrix(
-    model: EncodingModel,
-    support: SupportSet,
-    spec: TransformSpec,
-    t: int,
-    groups,
+    model: EncodingModel, support: SupportSet, spec: TransformSpec, t: int, groups
 ) -> np.ndarray:
     """Support-restricted rows of ``groups`` under map set ``t``, (len(groups), C, S).
 
-    This is ``A Psi_S^H``: the :class:`~oedipus.encoding.EncodingOperator`
-    of ``groups`` applied to the voxel image of each support atom, so entry
-    (p, s) is ``w_p sum_n c_p(r_n) psi_s(r_n) exp(-i 2 pi k_p . r_n)``.
-    Atoms are synthesized a slice of support columns at a time: as many as
-    fit in :data:`SLICE_ENTRIES` voxel entries times coils, and at least one.
+    ``A Psi_S^H`` in closed form, for any coil map, oversampling and voxel basis.
+    With atom s ``a1_s (x) a2_s`` (``support_atoms``) and coil map c the SVD terms
+    ``sigma_k u_k v_k^T`` within numpy's ``matrix_rank`` rule (one for the synthetic
+    and single-channel maps), row (p, c, s) is ``b_p sum_k (F1 (a1_s * sigma_k u_k))
+    [j1_p] ((a2_s * v_k)^T F2)[j2_p]``, with F1, F2, j1, j2 from ``_axis_phases``.
     """
-    op = EncodingOperator(model, groups, t)
-    out = np.empty((op.n_rows, support.S), dtype=complex)
-    step = max(1, SLICE_ENTRIES // (model.n_coils * model.N))
-    for i in range(0, support.S, step):
-        atoms = support_atoms(support, spec, model.grid.dims, slice(i, i + step))
-        out[:, i : i + step] = op.forward(atoms.reshape(len(atoms), -1)).T
+    locs, b = _group_locations(model, groups, t)
+    f1, f2, j1, j2 = _axis_phases(model, locs)
+    a1, a2 = support_atoms(support, spec, model.grid.dims)
+    u, sv, vh = np.linalg.svd(model.coil_maps[t].reshape(model.n_coils, *model.grid.dims))
+    ranks = (sv > sv[:, :1] * max(model.grid.dims) * np.finfo(float).eps).sum(axis=1)
+    second = np.empty((locs.size, support.S), dtype=complex)  # reused by every term
+    out = np.empty((locs.size, model.n_coils, support.S), dtype=complex)
+    for c, rank in enumerate(np.maximum(ranks, 1)):
+        for k in range(rank):  # the first term is formed in place in ``out``
+            p1 = f1 @ (a1 * (sv[c, k] * u[c, :, k])).T
+            term = np.take(p1, j1, axis=0, out=None if k else out[:, c], mode="clip")
+            term *= np.take(((a2 * vh[c, k]) @ f2).T, j2, axis=0, out=second, mode="clip")
+            if k:
+                out[:, c] += term
+    out *= b[:, None, None]
     return out.reshape(-1, model.candidates.C, support.S)
 
 
@@ -306,7 +310,7 @@ def image_domain_crb_trace(
     equals ``state.trace``; the explicit route makes that a checkable
     dual computation rather than an identity.
     """
-    basis = support_atoms(support, spec, dims).reshape(support.S, -1)
+    basis = np.einsum("si,sj->sij", *support_atoms(support, spec, dims)).reshape(support.S, -1)
     # Trace[V^T C conj(V)] with V[j] the synthesized coefficient image.
     w = state.inv_gram @ np.conj(basis)
     return float(np.einsum("sn,sn->", basis, w).real)

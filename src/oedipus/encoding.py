@@ -303,6 +303,18 @@ def _axis_phases(model: EncodingModel, locs: np.ndarray):
     return f1, f2, j1, j2
 
 
+def _group_locations(model: EncodingModel, groups, t: int):
+    """Locations of ``groups`` in order and their basis weights b_p; ValueError on a bad index."""
+    cand = model.candidates
+    groups = np.asarray(groups, dtype=int).reshape(-1)
+    if groups.size and not (0 <= groups.min() and groups.max() < cand.L):
+        raise ValueError(f"group index outside [0, {cand.L})")
+    if not 0 <= t < model.T:
+        raise ValueError(f"map-set index {t} out of range [0, {model.T})")
+    locs = cand.group_locs[groups].ravel()
+    return locs, model.basis.weights(cand.klocs[locs], model.grid)
+
+
 class EncodingOperator:
     """Applies the measurement matrix of the given groups and its adjoint.
 
@@ -320,14 +332,8 @@ class EncodingOperator:
 
     def __init__(self, model: EncodingModel, groups, t: int = 0):
         cand = model.candidates
-        groups = np.asarray(groups, dtype=int).reshape(-1)
-        if groups.size and not (0 <= groups.min() and groups.max() < cand.L):
-            raise ValueError(f"group index outside [0, {cand.L})")
-        if not 0 <= t < model.T:
-            raise ValueError(f"map-set index {t} out of range [0, {model.T})")
         self.model = model
-        self._locs = cand.group_locs[groups].ravel()
-        self._b = model.basis.weights(cand.klocs[self._locs], model.grid)
+        self._locs, self._b = _group_locations(model, groups, t)
         self._maps = model.coil_maps[t].reshape(model.n_coils, *model.grid.dims)
         self.n_rows = self._locs.size * cand.n_coils
         dims = tuple(model.grid.dims)

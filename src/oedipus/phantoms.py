@@ -42,7 +42,7 @@ _DEFAULT_ELLIPSES = (
     Ellipse((0.06, 0.16), (0.022, 0.035), -30.0, 0.28),
 )
 
-_PHASE_KINDS = ("none", "ramp", "poly")
+_PHASE_KINDS = ("none", "poly")
 
 # Width of the ellipse boundary transition in voxels.  Sub-voxel parameter
 # jitter then perturbs coefficient magnitudes smoothly instead of
@@ -137,20 +137,14 @@ def render_phantom(spec: PhantomSpec) -> np.ndarray:
         mag = np.clip(mag, 0.0, 1.0)
 
     if spec.phase == "none":
-        img = mag.astype(complex)
-    else:
-        if spec.phase == "ramp":
-            a1, a2 = 0.9, -1.3
-            phi = np.pi * (a1 * uu1 + a2 * uu2)
-        else:
-            coeffs = np.array([0.8, -0.6, 1.7, 1.1, -0.9])
-            coeffs = coeffs * (1.0 + spec.jitter * rng.uniform(-0.05, 0.05, size=5))
-            phi = np.pi * (
-                coeffs[0] * uu1
-                + coeffs[1] * uu2
-                + coeffs[2] * uu1 * uu2
-                + coeffs[3] * (uu1**2 - uu2**2)
-                + coeffs[4] * (uu1**2 + uu2**2)
-            )
-        img = mag * np.exp(1j * phi)
-    return img.ravel()
+        return mag.astype(complex).ravel()
+    coeffs = np.array([0.8, -0.6, 1.7, 1.1, -0.9])
+    coeffs = coeffs * (1.0 + spec.jitter * rng.uniform(-0.05, 0.05, size=5))
+    phi = np.pi * (
+        coeffs[0] * uu1
+        + coeffs[1] * uu2
+        + coeffs[2] * uu1 * uu2
+        + coeffs[3] * (uu1**2 - uu2**2)
+        + coeffs[4] * (uu1**2 + uu2**2)
+    )
+    return (mag * np.exp(1j * phi)).ravel()

@@ -182,21 +182,17 @@ def _synthesis_stack(n: int, taps: tuple, levels: int) -> np.ndarray:
     return out
 
 
-def support_atoms(support: SupportSet, spec: TransformSpec, dims, columns=slice(None)):
-    """Real voxel images ``inverse_transform(e_s)`` of the support atoms
-    selected by ``columns`` (default: all), shape (s, N1, N2): coefficient
-    (i, j) of depth d (the module docstring's rule) has the tensor-product
-    atom ``Phi1_d[:, i] (x) Phi2_d[:, j]``."""
+def support_atoms(support: SupportSet, spec: TransformSpec, dims):
+    """Real 1D factors (S, N1) and (S, N2) of the support atoms: coefficient
+    (i, j) of depth d (the module docstring's rule) has the voxel image
+    ``inverse_transform(e_s) = Phi1_d[:, i] (x) Phi2_d[:, j]``."""
     if support.q != dims[0] * dims[1]:
         raise ValueError("support length does not match grid size")
-    i, j = np.divmod(support.indices[columns], dims[1])
+    i, j = np.divmod(support.indices, dims[1])
     if spec.family == "identity":
-        a1, a2 = np.eye(dims[0])[i], np.eye(dims[1])[j]
-    else:
-        check_dims(dims, spec)
-        taps = tuple(_FILTERS[spec.family].tolist())
-        k = np.arange(1, spec.levels)
-        d = np.count_nonzero((i[:, None] < dims[0] >> k) & (j[:, None] < dims[1] >> k), axis=1)
-        a1 = _synthesis_stack(dims[0], taps, spec.levels)[d, :, i]
-        a2 = _synthesis_stack(dims[1], taps, spec.levels)[d, :, j]
-    return a1[:, :, None] * a2[:, None, :]
+        return np.eye(dims[0])[i], np.eye(dims[1])[j]
+    check_dims(dims, spec)
+    taps = tuple(_FILTERS[spec.family].tolist())
+    k = np.arange(1, spec.levels)
+    d = np.count_nonzero((i[:, None] < dims[0] >> k) & (j[:, None] < dims[1] >> k), axis=1)
+    return tuple(_synthesis_stack(n, taps, spec.levels)[d, :, x] for n, x in zip(dims, (i, j)))

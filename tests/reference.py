@@ -2,7 +2,7 @@
 
 Each candidate row is built here entry by entry from its definition, and
 restricted to a support by a forward transform of the conjugated row; the
-package builds the same rows through the encoding operator instead.
+package builds the same rows in closed form from 1D atom spectra instead.
 :func:`direct_sbs` is the greedy backward selection rescored from scratch at
 every deletion, with none of the SBS engine's downdates, forms or bounds.
 :func:`reference_poisson_disc` throws darts by testing every position's

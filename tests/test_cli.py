@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -39,8 +40,9 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
-def test_baseline_then_evaluate_end_to_end(tmp_path):
-    config = write_config(tmp_path)
+@pytest.mark.parametrize("oversampling", [1.0, 1.5])
+def test_baseline_then_evaluate_end_to_end(tmp_path, oversampling):
+    config = write_config(tmp_path, oversampling=oversampling)
     assert run("baseline", config) == 0
     assert run("evaluate", config) == 0
     out = tmp_path / "out"
@@ -57,6 +59,7 @@ def test_baseline_then_evaluate_end_to_end(tmp_path):
         "poisson_R2_seed01",
         "poisson_R2_seed02",
     }
+    assert all(0 < float(r["crb_objective"]) < math.inf for r in seeds)
     for row in report:
         if row["pattern_id"].startswith("poisson"):
             same = [s for s in seeds if s["regularizer"] == row["regularizer"]]
@@ -166,6 +169,12 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
         ("evaluate", {"recon": {"inner_tol": 0.0}}, "recon.inner_tol"),
         ("evaluate", {"recon": {"epsilon_scale": 0.0}}, "recon.epsilon_scale"),
         ("evaluate", {"recon": {"epsilon_scale": -1.0}}, "recon.epsilon_scale"),
+        ("evaluate", {"test_phantoms": {"noise_sigma": -0.5}}, "test_phantoms.noise_sigma"),
+        (
+            "baseline",
+            {"baselines": {"poisson": {"seeds": [1], "center_block": -6}}},
+            "baselines.poisson.center_block",
+        ),
     ],
 )
 def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oedipus import (
+    EncodingModel,
     InfeasibleDesignError,
     SupportSet,
     TransformSpec,
@@ -256,20 +257,25 @@ def test_compress_rows_keeps_grams_and_traces(rng):
     ],
 )
 def test_restricted_matrix_matches_dense_rows(
-    rng, monkeypatch, dims, n_coils, axes, oversampling, basis, family, levels
+    rng, dims, n_coils, axes, oversampling, basis, family, levels
 ):
     model = make_model(dims, n_coils, axes, seed=5, oversampling=oversampling, basis=basis)
     spec = TransformSpec(family, levels)
     support = random_support(rng, model.N, 11)
     cand = model.candidates
     groups = rng.permutation(cand.L)[: cand.L // 2 + 1].tolist()  # unsorted subset
-    monkeypatch.setattr(crb, "SLICE_ENTRIES", 4 * n_coils * model.N)  # 4, 4 and 3 atoms
-    got = crb.restricted_matrix(model, support, spec, 0, groups)
-    want = np.stack(
-        [restricted_rows(group_rows(model, g, 0), support, spec, dims) for g in groups]
-    )
-    assert got.shape == (len(groups), cand.C, support.S)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # map set 1 is random and of full rank, so every SVD term of every coil counts
+    shape = (n_coils, model.N)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert (np.linalg.matrix_rank(noise.reshape(n_coils, *dims)) == min(dims)).all()
+    both = EncodingModel(model.grid, cand, (model.coil_maps[0], noise), model.basis)
+    for t in (0, 1):
+        got = crb.restricted_matrix(both, support, spec, t, groups)
+        want = np.stack(
+            [restricted_rows(group_rows(both, g, t), support, spec, dims) for g in groups]
+        )
+        assert got.shape == (len(groups), cand.C, support.S)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert crb.restricted_matrix(model, support, spec, 0, []).shape == (0, cand.C, 11)
     for t, bad in ((0, [0, cand.L]), (0, [-1]), (1, [0])):
         with pytest.raises(ValueError):
