@@ -72,6 +72,11 @@ def _tuple(convert):
     return lambda values: tuple(convert(v) for v in values)
 
 
+def _distinct(allowed=None):
+    """Test of a nonempty list of distinct values, all in ``allowed`` if given."""
+    return lambda v: bool(v) and len(set(v)) == len(v) and (allowed is None or set(v) <= allowed)
+
+
 REQUIRED = object()
 # Every accepted key, as a dotted path into the YAML document: (converter,
 # default).  A None default is derived in load_config (eval_map_seed) or
@@ -126,7 +131,7 @@ LIMITS = {
     "channels.multi.decay": (lambda v: v > 0, "must be positive"),
     "channels.multi.map_seeds": (bool, "must be nonempty"),
     "exemplars.phantom_seeds": (bool, "must be nonempty"),
-    "test_phantoms.seeds": (bool, "must be nonempty"),
+    "test_phantoms.seeds": (_distinct(), "must be a nonempty list of distinct seeds"),
     "test_phantoms.noise_sigma": (lambda v: v >= 0, "must be at least 0"),
     "baselines.poisson.center_block": (lambda v: v >= 0, "must be at least 0"),
     "recon.lambda": (lambda v: v > 0, "must be positive"),
@@ -135,10 +140,10 @@ LIMITS = {
     "recon.inner_tol": (lambda v: v > 0, "must be positive"),
     "recon.epsilon_scale": (lambda v: v > 0, "must be positive"),
     "recon.regularizers": (
-        lambda v: v and set(v) <= {"wavelet", "tv"}, "must be a nonempty list of wavelet, tv"
+        _distinct({"wavelet", "tv"}), "must be a nonempty list of distinct wavelet, tv"
     ),
     "evaluate_channels": (
-        lambda v: v and set(v) <= {"single", "multi"}, "must be a nonempty list of single, multi"
+        _distinct({"single", "multi"}), "must be a nonempty list of distinct single, multi"
     ),
 }
 SECTIONS = {key.rsplit(".", n)[0] for key in CONFIG_KEYS for n in range(1, key.count(".") + 1)}
@@ -416,8 +421,9 @@ def cmd_evaluate(cfg) -> int:
     (out / "recon").mkdir(parents=True, exist_ok=True)
     records = [_run_cell(cfg, *cell) for cell in cells]
 
-    # the report keeps, per cell, the Poisson seed of least NRMSE (failed seeds
-    # last, ties to the first seed); poisson_seeds.csv keeps every seed
+    # the report keeps, per cell and nominal R (the pattern name without its
+    # seed), the Poisson seed of least NRMSE (failed seeds last, ties to the
+    # first seed); poisson_seeds.csv keeps every seed
     def score(rec):
         return math.inf if rec["nrmse"] is None else rec["nrmse"]
 
@@ -427,7 +433,8 @@ def cmd_evaluate(cfg) -> int:
             report.append(rec)
             continue
         poisson.append(rec)
-        key = tuple(rec[k] for k in ("channels", "R", "regularizer", "phantom"))
+        key = (rec["pattern_id"].rsplit("_seed", 1)[0],
+               *(rec[k] for k in ("channels", "regularizer", "phantom")))
         if key not in best or score(rec) < score(best[key]):
             best[key] = rec
     report += best.values()

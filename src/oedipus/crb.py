@@ -16,13 +16,15 @@ downdate forms ``M1 = B A^-1 B^H`` and ``M2 = B A^-2 B^H``: built by
 :func:`downdate_forms` at O(r S^2) per group and priced by
 :func:`forms_traces`, elementwise for one-row groups and by batched r x r
 solves otherwise.  :func:`smw_removal` commits a removal and returns the
-pieces that update kept forms at O(r^2 S + r^3) per group.  The module also
+``U`` and ``K`` from which :func:`update_forms` applies it to kept forms at
+O(r^2 S + r^3) per group (Hager, SIAM Review 1989).  So every step of the
+downdate forms (build, price, commit and update) lives here; the choice of
+when to keep, trust or rebuild them is the caller's.  The module also
 provides the support-aware least-squares estimator that attains the bound.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +40,13 @@ __all__ = [
     "restricted_matrix",
     "restricted_block",
     "compress_rows",
-    "gram_inverse",
     "gram_trace",
     "restricted_gram",
     "state_from_gram",
     "build_full_crb",
     "smw_removal",
     "downdate_forms",
+    "update_forms",
     "forms_traces",
     "downdate_traces",
     "downdate_trace",
@@ -59,6 +61,7 @@ COND_LIMIT = 1e12
 # Complex entries of (groups x r x S) that building downdate forms may hold
 # per slice.  Keeps peak memory flat however large the candidate set.
 SLICE_ENTRIES = 2**13
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,32 +139,21 @@ def _h(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def _regular(w: np.ndarray, trace: np.ndarray):
-    """``trace``, or ``+inf`` where a Gram with ascending eigenvalues w (..., S)
-    is singular: its smallest eigenvalue is not positive or its condition
-    number exceeds :data:`COND_LIMIT`; and the condition numbers."""
+def _cond(w: np.ndarray) -> np.ndarray:
+    """Condition numbers of Hermitian Grams with ascending eigenvalues w (..., S),
+    ``+inf`` where the smallest is not positive.  A Gram whose condition number
+    exceeds :data:`COND_LIMIT` is treated as singular."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(w[..., 0] > 0, w[..., -1] / w[..., 0], np.inf)
-    return np.where(cond > COND_LIMIT, np.inf, trace), cond
-
-
-def gram_inverse(gram: np.ndarray):
-    """Inverse, trace and condition number of Hermitian Grams (..., S, S); a
-    singular Gram (by :func:`_regular`) has trace ``+inf``, its inverse meaningless."""
-    w, v = np.linalg.eigh(0.5 * (gram + _h(gram)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = (v / w[..., None, :]) @ _h(v)
-    inv = 0.5 * (inv + _h(inv))
-    trace, cond = _regular(w, np.trace(inv, axis1=-2, axis2=-1).real)
-    return inv, trace, cond
+        return np.where(w[..., 0] > 0, w[..., -1] / w[..., 0], np.inf)
 
 
 def gram_trace(gram: np.ndarray) -> np.ndarray:
     """Trace of the inverse of Hermitian Grams (..., S, S) from their
-    eigenvalues w alone, ``sum 1/w``; ``+inf`` where singular by :func:`_regular`."""
+    eigenvalues w alone, ``sum 1/w``; ``+inf`` where singular by :func:`_cond`."""
     w = np.linalg.eigvalsh(0.5 * (gram + _h(gram)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _regular(w, (1.0 / w).sum(axis=-1))[0]
+        trace = (1.0 / w).sum(axis=-1)
+    return np.where(_cond(w) > COND_LIMIT, np.inf, trace)
 
 
 def restricted_gram(rows: np.ndarray) -> np.ndarray:
@@ -171,19 +163,21 @@ def restricted_gram(rows: np.ndarray) -> np.ndarray:
 
 
 def state_from_gram(gram: np.ndarray) -> CrbState:
-    """CRB state of a restricted Gram matrix.
+    """CRB state of a restricted Gram matrix, inverted from its eigenpairs.
 
     Raises :class:`InfeasibleDesignError` when the support cannot be
     identified (rank deficiency or condition above :data:`COND_LIMIT`).
     """
-    inv, trace, cond = gram_inverse(gram)
-    trace, cond = float(trace), float(cond)
-    if math.isinf(trace):
+    w, v = np.linalg.eigh(0.5 * (gram + _h(gram)))
+    cond = float(_cond(w))
+    if cond > COND_LIMIT:
         raise InfeasibleDesignError(
             f"restricted Gram is singular or near-singular (cond ~ {cond:.3g})",
             cond=cond,
         )
-    return CrbState(inv_gram=inv, trace=trace, cond=cond)
+    inv = (v / w) @ _h(v)
+    inv = 0.5 * (inv + _h(inv))
+    return CrbState(inv_gram=inv, trace=float(np.trace(inv).real), cond=cond)
 
 
 def build_full_crb(
@@ -248,6 +242,29 @@ def smw_removal(state: CrbState, rows: np.ndarray):
     inv += _h(inv)
     inv *= 0.5
     return CrbState(inv_gram=inv, trace=float(np.trace(inv).real), cond=state.cond), u, k
+
+
+def update_forms(forms, rows: np.ndarray, inv_gram: np.ndarray, c: int, u, k) -> float:
+    """Update the forms (M1, M2) of every group of ``rows`` (g, r, S) in place
+    for the removal of group ``c``, given ``inv_gram`` before it and the
+    ``U``, ``K`` of :func:`smw_removal`; returns the relative drift of group
+    c's stored forms from their exact values ``B_c U`` and ``U^H U``.  With
+    ``X = B U``, ``Y = B A^-1 U`` and ``V = X K`` (K is Hermitian):
+    ``M1 += V X^H`` and ``M2 += W V^H + (W V^H)^H`` with ``W = Y + V U^H U / 2``.
+    """
+    m1, m2 = forms
+    g, r, s = rows.shape
+    xy = rows.reshape(-1, s) @ np.concatenate([u, inv_gram @ u], axis=1)
+    uhu = _h(u) @ u
+    v = xy[:, :r] @ k
+    w = xy[:, r:] + 0.5 * (v @ uhu)
+    x, v, w = (a.reshape(g, r, r) for a in (xy[:, :r], v, w))
+    exact = ((m1[c], x[c]), (m2[c], uhu))
+    drift = max(np.abs(a - b).max() / max(np.abs(b).max(), _TINY) for a, b in exact)
+    m1 += v @ _h(x)
+    wv = w @ _h(v)
+    m2 += wv + _h(wv)
+    return float(drift)
 
 
 def downdate_forms(inv_gram: np.ndarray, rows: np.ndarray):

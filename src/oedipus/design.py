@@ -6,19 +6,19 @@ the measurement budget is reached.  The objective aggregates the CRB traces
 over an ensemble of (exemplar support, coil-map set) pairs, either as their
 sum (average case) or their maximum (worst case).  The restricted rows of
 every ensemble pair are assembled once into a (groups, C, S) array and
-compressed to (groups, r, S) rows B of the same per-group Grams, r <= C;
-each iteration prices the remaining groups of each pair with the matrix
+compressed to (groups, r, S) rows of the same per-group Grams, r <= C.
+Each iteration prices the remaining groups of each pair with the matrix
 inversion lemma (r x r systems, not S x S inversions), then commits the
-chosen deletion with one rank-r downdate.
+chosen deletion with one rank-r downdate.  Both steps, and the downdate
+forms a price is read from, are the algebra of :mod:`oedipus.crb`; this
+module holds the policy around them: which pairs keep their forms, when
+kept forms are rebuilt, which groups are priced and how ties are broken.
 
-A group is priced from its downdate forms ``M1 = B A^-1 B^H`` and
-``M2 = B A^-2 B^H`` (:mod:`oedipus.crb`), O(r S^2) per group to build.  When
-every pair has ``r S + 4 r^2 < S^2``, every pair keeps them and applies the
-rank-r update of each removal (Hager, SIAM Review 1989) by one GEMM over its
-stacked rows: O(P r (r S + r^2)) per deletion for P groups, O(P S) for
-one-row groups, not O(P r S^2).  When a committed group's stored forms drift
-from their exact values by more than ``_DRIFT_LIMIT`` (relative), all the
-pair's forms are rebuilt.
+When every pair has ``r S + 4 r^2 < S^2``, updating a group's forms after a
+deletion (~r S + 4 r^2) costs less than building them afresh (~S^2), so
+every pair keeps them and prices every group.  When a committed group's
+stored forms drift from their exact values by more than ``_DRIFT_LIMIT``
+(relative), all the pair's forms are rebuilt.
 
 Otherwise no pair keeps them, and groups are priced lazily from fresh forms
 (Minoux's accelerated greedy, 1978).  Removing rows only raises a CRB trace
@@ -47,6 +47,7 @@ from .crb import (
     restricted_matrix,
     smw_removal,
     state_from_gram,
+    update_forms,
 )
 from .encoding import EncodingModel
 from .errors import InfeasibleDesignError
@@ -70,7 +71,6 @@ _TIE_RTOL = 1e-9
 # Relative drift of a committed group's recursively updated forms from
 # their exact values beyond which the pair's forms are rebuilt.
 _DRIFT_LIMIT = 1e-10
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,7 @@ def sbs_design(
             inv_gram = states[p].inv_gram
             states[p], u, k = smw_removal(states[p], rows[p][c])
             if forms:
-                drift = _update_forms(forms[p], rows[p], inv_gram, c, u, k)
+                drift = update_forms(forms[p], rows[p], inv_gram, c, u, k)
                 max_drift = max(max_drift, drift)
                 if not drift < _DRIFT_LIMIT:
                     forms[p] = downdate_forms(states[p].inv_gram, rows[p])
@@ -298,30 +298,6 @@ def _lazy_costs(objective, table, order, price):
                 table[j, idx] = price(j, idx)
                 exact[j, idx] = True
                 n += len(idx)
-
-
-def _update_forms(forms, rows, inv_gram, c: int, u, k) -> float:
-    """Update the forms (M1, M2) of every group of ``rows`` (g, r, S) in place
-    for the removal of group ``c``, given ``inv_gram`` before it and the
-    ``U``, ``K`` of :func:`~oedipus.crb.smw_removal`; returns the relative
-    drift of group c's stored forms from their exact values ``B_c U`` and
-    ``U^H U``.  With ``X = B U``, ``Y = B A^-1 U`` and ``V = X K`` (K is
-    Hermitian): ``M1 += V X^H`` and ``M2 += W V^H + (W V^H)^H`` with
-    ``W = Y + V U^H U / 2``.
-    """
-    m1, m2 = forms
-    g, r, s = rows.shape
-    xy = rows.reshape(-1, s) @ np.concatenate([u, inv_gram @ u], axis=1)
-    uhu = u.conj().T @ u
-    v = xy[:, :r] @ k
-    w = xy[:, r:] + 0.5 * (v @ uhu)
-    x, v, w = (a.reshape(g, r, r) for a in (xy[:, :r], v, w))
-    exact = ((m1[c], x[c]), (m2[c], uhu))
-    drift = max(np.abs(a - b).max() / max(np.abs(b).max(), _TINY) for a, b in exact)
-    m1 += v @ np.swapaxes(x.conj(), 1, 2)
-    wv = w @ np.swapaxes(v.conj(), 1, 2)
-    m2 += wv + np.swapaxes(wv.conj(), 1, 2)
-    return float(drift)
 
 
 def _grams(rows) -> np.ndarray:

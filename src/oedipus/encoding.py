@@ -321,13 +321,13 @@ class EncodingOperator:
     Rows follow the groups in the order given (callers pass the ascending
     ``kept_groups`` of a pattern), within a group by ascending row index;
     an empty group list gives an operator with no rows.  ``forward`` maps
-    one flat image (N,) or a stack (..., N) to data (..., M).  Both
-    directions go through the spectra of the coil-weighted images on a
-    grid: the group locations are gathered from it (or scattered into it)
-    and weighted by the voxel basis.  When the candidate grid is the voxel
-    grid (oversampling 1) the spectra are FFTs; otherwise they are taken
-    with the separable DFT factors of the row phases, exact for any
-    oversampling.
+    one flat image (N,) to data (M,) and ``adjoint`` data back to a flat
+    image.  Both directions go through the spectra of the coil-weighted
+    images on a grid: the group locations are gathered from it (or
+    scattered into it) and weighted by the voxel basis.  When the
+    candidate grid is the voxel grid (oversampling 1) the spectra are FFTs;
+    otherwise they are taken with the separable DFT factors of the row
+    phases, exact for any oversampling.
     """
 
     def __init__(self, model: EncodingModel, groups, t: int = 0):
@@ -352,15 +352,13 @@ class EncodingOperator:
         return (self.n_rows, self.model.N)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a flat image (N,) or a stack (..., N); returns (..., M)."""
-        x = np.asarray(x)
-        images = self._maps * x.reshape(*x.shape[:-1], 1, *self.model.grid.dims)
+        """A @ x for a flat image (N,); returns (M,)."""
+        images = self._maps * np.asarray(x).reshape(self.model.grid.dims)
         if self._factors is None:
             spectra = np.fft.fft2(images)
         else:
             spectra = self._factors[0] @ images @ self._factors[1]
-        out = np.swapaxes(spectra[..., self._j1, self._j2], -1, -2) * self._b[:, None]
-        return out.reshape(*x.shape[:-1], self.n_rows)
+        return (spectra[:, self._j1, self._j2].T * self._b[:, None]).reshape(self.n_rows)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A^H @ y, returns a flat (N,) image vector."""

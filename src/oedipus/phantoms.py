@@ -42,8 +42,6 @@ _DEFAULT_ELLIPSES = (
     Ellipse((0.06, 0.16), (0.022, 0.035), -30.0, 0.28),
 )
 
-_PHASE_KINDS = ("none", "poly")
-
 # Width of the ellipse boundary transition in voxels.  Sub-voxel parameter
 # jitter then perturbs coefficient magnitudes smoothly instead of
 # re-randomizing them, which keeps the dominant wavelet support stable
@@ -59,7 +57,6 @@ class PhantomSpec:
 
     grid: ImageGrid
     ellipses: tuple[Ellipse, ...] = _DEFAULT_ELLIPSES
-    phase: str = "poly"
     perturbation_seed: int = 0
     texture: float = 0.02
     jitter: float = 1.0
@@ -67,8 +64,6 @@ class PhantomSpec:
     def __post_init__(self):
         if not self.ellipses:
             raise ValueError("at least one ellipse is required")
-        if self.phase not in _PHASE_KINDS:
-            raise ValueError(f"unknown phase kind {self.phase!r}")
         if self.jitter < 0:
             raise ValueError("jitter must be nonnegative")
 
@@ -136,8 +131,6 @@ def render_phantom(spec: PhantomSpec) -> np.ndarray:
         mag = mag * (1.0 + spec.texture * _smooth_field(dims, rng))
         mag = np.clip(mag, 0.0, 1.0)
 
-    if spec.phase == "none":
-        return mag.astype(complex).ravel()
     coeffs = np.array([0.8, -0.6, 1.7, 1.1, -0.9])
     coeffs = coeffs * (1.0 + spec.jitter * rng.uniform(-0.05, 0.05, size=5))
     phi = np.pi * (

@@ -71,6 +71,42 @@ def test_baseline_then_evaluate_end_to_end(tmp_path, oversampling):
             )
 
 
+def test_report_keeps_one_poisson_row_per_nominal_acceleration(tmp_path):
+    # 16 lines at R = 2: seed 1 keeps 8 lines (R 2), seed 2 keeps 7 (R 2.2857)
+    baselines = {"uniform": False, "poisson": {"seeds": [1, 2], "center_block": 0}}
+    config = write_config(tmp_path, undersample_axes=[0], baselines=baselines)
+    assert run("baseline", config) == 0
+    assert run("evaluate", config) == 0
+    out = tmp_path / "out"
+    report = read_csv(out / "report.csv", skip=2)
+    seeds = read_csv(out / "poisson_seeds.csv")
+    assert sorted({r["R"] for r in seeds}) == ["2.0", "2.2857142857142856"]
+    assert sorted(r["regularizer"] for r in report) == ["tv", "wavelet"]
+    for row in report:
+        same = [s for s in seeds if s["regularizer"] == row["regularizer"]]
+        assert row["nrmse"] == min(same, key=lambda s: float(s["nrmse"]))["nrmse"]
+
+
+def test_evaluate_two_channel_modes_shares_only_the_baselines(tmp_path):
+    channels = {"single": True, "multi": {"n_coils": 2}}
+    modes = ["single", "multi"]
+    config = write_config(
+        tmp_path, channels=channels, evaluate_channels=modes, baselines={"uniform": True},
+        recon={"max_iters": 10, "inner_max_iters": 1000},  # 2-coil CG needs over 200 steps
+    )
+    for command in ("design", "baseline", "evaluate"):
+        assert run(command, config) == 0
+    report = read_csv(tmp_path / "out" / "report.csv", skip=2)
+    keys = [(r["channels"], r["pattern_id"], r["regularizer"], r["phantom"]) for r in report]
+    assert len(set(keys)) == len(keys)  # one row per cell
+    assert sorted(keys) == sorted(
+        (mode, stem, reg, "phantom3")
+        for mode in modes
+        for stem in (f"designed_{mode}_R2", "uniform_R2")
+        for reg in ("wavelet", "tv")
+    )
+
+
 def test_solver_failures_are_rows_and_exit_5(tmp_path, capsys):
     config = write_config(tmp_path, recon={"max_iters": 10, "inner_max_iters": 1})
     assert run("baseline", config) == 0
@@ -175,6 +211,9 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
             {"baselines": {"poisson": {"seeds": [1], "center_block": -6}}},
             "baselines.poisson.center_block",
         ),
+        ("evaluate", {"recon": {"regularizers": ["wavelet", "wavelet"]}}, "recon.regularizers"),
+        ("evaluate", {"evaluate_channels": ["single", "single"]}, "evaluate_channels"),
+        ("evaluate", {"test_phantoms": {"seeds": [3, 3]}}, "test_phantoms.seeds"),
     ],
 )
 def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):

@@ -194,17 +194,19 @@ def test_removal_traces_only_rise_after_a_commit(rng):
 
 
 def test_gram_trace_matches_gram_inverse(rng):
-    # the trace from eigenvalues alone equals that of the inverse, and both
-    # call the same Grams singular: rank deficient, or above COND_LIMIT
+    # the trace from eigenvalues alone equals that of the inverse state, and
+    # both call the same Grams singular: rank deficient, or above COND_LIMIT
     a = rng.standard_normal((3, 8, 6)) + 1j * rng.standard_normal((3, 8, 6))
     grams = np.swapaxes(a.conj(), 1, 2) @ a
     grams[1] = grams[1] - np.linalg.eigvalsh(grams[1])[0] * np.eye(6)  # rank 5
     w, v = np.linalg.eigh(grams[2])
     grams[2] = (v * np.r_[w[-1] / 1e13, w[1:]]) @ v.conj().T  # cond 1e13
     got = crb.gram_trace(grams)
-    want = crb.gram_inverse(grams)[1]
-    assert np.isinf(got).tolist() == np.isinf(want).tolist() == [False, True, True]
-    assert got[0] == pytest.approx(want[0], rel=1e-12)
+    assert np.isinf(got).tolist() == [False, True, True]
+    assert got[0] == pytest.approx(crb.state_from_gram(grams[0]).trace, rel=1e-12)
+    for gram in grams[1:]:
+        with pytest.raises(InfeasibleDesignError):
+            crb.state_from_gram(gram)
 
 
 def test_smw_removal_equals_the_out_of_place_update(rng):

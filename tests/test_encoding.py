@@ -185,11 +185,6 @@ def test_oversampled_operator_matches_group_rows(rng, oversampling, n_coils):
         y = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
         for got, want in [(op.forward(x), dense @ x), (op.adjoint(y), dense.conj().T @ y)]:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        stack = rng.standard_normal((3, model.N)) + 1j * rng.standard_normal((3, model.N))
-        got = op.forward(stack)
-        assert got.shape == (3, op.n_rows)
-        want = np.stack([op.forward(img) for img in stack])
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_oversampled_operator_at_64x64(rng):

@@ -35,14 +35,11 @@ def test_single_centered_ellipse_symmetry():
     spec = PhantomSpec(
         grid=grid,
         ellipses=(Ellipse((0.0, 0.0), (0.3, 0.2), 0.0, 0.8),),
-        phase="none",
         texture=0.0,
         jitter=0.0,
     )
-    img = render_phantom(spec).reshape(32, 32)
-    assert np.all(img.imag == 0)
-    assert np.all(img.real >= 0)
-    assert np.count_nonzero(img.real > 0.4) > 0
+    img = np.abs(render_phantom(spec)).reshape(32, 32)
+    assert np.count_nonzero(img > 0.4) > 0
     # 180-degree rotation about the grid centre leaves it unchanged
     assert np.allclose(img, img[::-1, ::-1], atol=1e-14)
 
@@ -71,4 +68,4 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         PhantomSpec(grid=grid, ellipses=())
     with pytest.raises(ValueError):
-        PhantomSpec(grid=grid, phase="checkerboard")
+        PhantomSpec(grid=grid, jitter=-1.0)

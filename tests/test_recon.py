@@ -16,7 +16,7 @@ from oedipus import (
     single_channel_model,
     uniform_pattern,
 )
-from oedipus.phantoms import default_phantom_spec
+from oedipus.phantoms import PhantomSpec, default_phantom_spec
 from oedipus.recon import TvOperator, WaveletOperator
 
 from conftest import make_model
@@ -158,11 +158,7 @@ def test_tv_recon_beats_zero_fill_on_piecewise_constant():
     grid = ImageGrid((32, 32), (100.0, 100.0))
     cand = build_cartesian_candidates(grid, undersample_axes=(0,), n_coils=1)
     model = single_channel_model(grid, cand)
-    gold = render_phantom(
-        default_phantom_spec(grid, 0).__class__(
-            grid=grid, phase="none", texture=0.0, perturbation_seed=0
-        )
-    )
+    gold = np.abs(render_phantom(PhantomSpec(grid=grid, texture=0.0))).astype(complex)
     pattern = uniform_pattern(cand, 2)
     d = retrospective_undersample(gold, pattern, model)
     from oedipus import EncodingOperator
