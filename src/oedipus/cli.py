@@ -9,7 +9,6 @@ every accepted key with its default (see the README).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -44,7 +43,7 @@ from .encoding import (
     single_channel_model,
     synthesize_coil_maps,
 )
-from .errors import InfeasibleDesignError, SolverFailureError
+from .errors import GenerationFailureError, InfeasibleDesignError, SolverFailureError
 from .phantoms import default_phantom_spec, render_phantom
 from .recon import ReconProblem, TvOperator, irls_solve, nrmse, retrospective_undersample
 from .sparsity import (
@@ -75,6 +74,11 @@ def _tuple(convert):
 def _distinct(allowed=None):
     """Test of a nonempty list of distinct values, all in ``allowed`` if given."""
     return lambda v: bool(v) and len(set(v)) == len(v) and (allowed is None or set(v) <= allowed)
+
+
+def _seeds(v) -> bool:
+    """Test of a nonempty list of nonnegative seeds."""
+    return bool(v) and min(v) >= 0
 
 
 REQUIRED = object()
@@ -129,10 +133,15 @@ LIMITS = {
     "accelerations": (lambda v: v and min(v) >= 1, "must be a nonempty list of values >= 1"),
     "channels.multi.n_coils": (lambda v: v >= 1, "must be at least 1"),
     "channels.multi.decay": (lambda v: v > 0, "must be positive"),
-    "channels.multi.map_seeds": (bool, "must be nonempty"),
-    "exemplars.phantom_seeds": (bool, "must be nonempty"),
-    "test_phantoms.seeds": (_distinct(), "must be a nonempty list of distinct seeds"),
+    "channels.multi.map_seeds": (_seeds, "must be a nonempty list of seeds >= 0"),
+    "channels.multi.eval_map_seed": (lambda v: v is None or v >= 0, "must be at least 0"),
+    "exemplars.phantom_seeds": (_seeds, "must be a nonempty list of seeds >= 0"),
+    "test_phantoms.seeds": (
+        lambda v: _seeds(v) and _distinct()(v), "must be a nonempty list of distinct seeds >= 0"
+    ),
     "test_phantoms.noise_sigma": (lambda v: v >= 0, "must be at least 0"),
+    "test_phantoms.noise_seed": (lambda v: v >= 0, "must be at least 0"),
+    "baselines.poisson.seeds": (lambda v: min(v, default=0) >= 0, "must be seeds >= 0"),
     "baselines.poisson.center_block": (lambda v: v >= 0, "must be at least 0"),
     "recon.lambda": (lambda v: v > 0, "must be positive"),
     "recon.max_iters": (lambda v: v >= 1, "must be at least 1"),
@@ -201,6 +210,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: transform.levels: {err}") from err
     if not cfg["channels.single"] and not cfg["multi"]:
         raise ConfigError(f"{path}: at least one of channels.single / channels.multi required")
+    if "tv" in cfg["recon.regularizers"] and min(cfg["grid.dims"]) < 2:
+        raise ConfigError(f"{path}: recon.regularizers: tv needs a grid of at least 2x2")
     if cfg["multi"] and cfg["channels.multi.eval_map_seed"] is None:
         cfg["channels.multi.eval_map_seed"] = cfg["channels.multi.map_seeds"][0]
     if "multi" in cfg["evaluate_channels"] and not cfg["multi"]:
@@ -284,15 +295,17 @@ def cmd_design(cfg) -> int:
             n = cand.L - target
             pattern = pattern_from_groups(
                 cand, longest.kept_groups + longest.deleted[n:], longest.mode,
-                longest.log[:n], longest.deleted[:n], longest.extra,
+                longest.log[:n], longest.deleted[:n],
             )
             _write_pattern(cfg, name, pattern)
-            extra = pattern.extra
-            print(
-                f"designed {name}: kept {len(pattern.kept_groups)} groups; "
-                f"drift {extra['max_drift']:.1e}, {extra['rebuilds']} rebuilds; "
-                f"priced {extra['priced'] / max(extra['full_pricing'], 1):.0%} of removals"
-            )
+            line = f"designed {name}: kept {len(pattern.kept_groups)} groups"
+            if n == len(longest.deleted):  # the run's statistics belong to where it ended
+                extra = longest.extra
+                line += (
+                    f"; drift {extra['max_drift']:.1e}, {extra['rebuilds']} rebuilds; "
+                    f"priced {extra['priced'] / max(extra['full_pricing'], 1):.0%} of removals"
+                )
+            print(line)
     for name, msg in infeasible:
         print(f"infeasible acceleration: {name}: {msg}", file=sys.stderr)
     return 3 if infeasible else 0
@@ -322,7 +335,7 @@ def cmd_baseline(cfg) -> int:
     for r in cfg["accelerations"]:
         try:
             patterns += _baselines(cfg, candidates, r)
-        except ValueError as err:  # nothing is written for an unusable acceleration
+        except (ValueError, GenerationFailureError) as err:  # nothing is written for it
             raise ConfigError(f"acceleration {r:g}: {err}") from err
     for name, pattern in patterns:
         _write_pattern(cfg, name, pattern)
@@ -347,13 +360,14 @@ def _load_patterns(cfg, candidates):
 
 
 def _cells(cfg, supports, golds):
-    """Every evaluation cell in report order: (n, model, pattern, gold, record).
+    """Every evaluation cell: (model, pattern, gold, noise seed, record).
 
-    ``n`` numbers the cells from 1 and seeds the cell's noise, so this order
-    is part of the output; ``record`` holds the cell's key columns and, for
-    Poisson patterns, the CRB objective.
+    The noise seed [noise_seed, phantom seed, 0 single or 1 multi] names the
+    acquisition, so every pattern and regularizer of one (channels, phantom)
+    subsamples the same noisy data; ``record`` holds the cell's key columns
+    and, for Poisson patterns, the CRB objective.
     """
-    n = 0
+    noise_seed = cfg["test_phantoms.noise_seed"]
     for mode in cfg["evaluate_channels"]:
         model = _model(cfg, mode, (cfg["channels.multi.eval_map_seed"],))
         for stem, pattern in _load_patterns(cfg, model.candidates):
@@ -364,17 +378,16 @@ def _cells(cfg, supports, golds):
                 crb = evaluate_pattern_crb(
                     pattern, model, supports, cfg["objective"], cfg["transform"]
                 )
-            for (label, gold), reg in itertools.product(golds, cfg["recon.regularizers"]):
-                n += 1
-                yield n, model, pattern, gold, {
-                    "pattern_id": stem, "R": pattern.R, "channels": mode, "regularizer": reg,
-                    "lambda": cfg["recon.lambda"], "phantom": label, "crb_objective": crb,
-                }
+            for label, seed, gold in golds:
+                for reg in cfg["recon.regularizers"]:
+                    yield model, pattern, gold, [noise_seed, seed, int(mode == "multi")], {
+                        "pattern_id": stem, "R": pattern.R, "channels": mode, "regularizer": reg,
+                        "lambda": cfg["recon.lambda"], "phantom": label, "crb_objective": crb,
+                    }
 
 
-def _run_cell(cfg, n, model, pattern, gold, record) -> dict:
+def _run_cell(cfg, model, pattern, gold, seed, record) -> dict:
     """Reconstruct one cell; returns its record with iters, nrmse and status."""
-    seed = cfg["test_phantoms.noise_seed"] * 1000003 + n
     data = retrospective_undersample(gold, pattern, model, cfg["test_phantoms.noise_sigma"], seed)
     limits = ("max_iters", "tol", "inner_tol", "inner_max_iters", "epsilon_scale")
     problem = ReconProblem(
@@ -414,7 +427,7 @@ def cmd_evaluate(cfg) -> int:
     _, supports = _exemplars(cfg)
     out = cfg["output_dir"]
     golds = [
-        (f"phantom{seed}", render_phantom(default_phantom_spec(cfg["grid"], seed)))
+        (f"phantom{seed}", seed, render_phantom(default_phantom_spec(cfg["grid"], seed)))
         for seed in cfg["test_phantoms.seeds"]
     ]
     cells = list(_cells(cfg, supports, golds))  # reads every pattern file first (exit 4)
@@ -528,7 +541,9 @@ def _selftest_checks():
     noise = (
         rng.standard_normal((8, n_draws)) + 1j * rng.standard_normal((8, n_draws))
     ) / np.sqrt(2.0)
-    est = np.linalg.pinv(rows) @ noise
+    est = np.stack(
+        [oracle_lsq_estimate(draw, rows, support3)[support3.indices] for draw in noise.T], axis=1
+    )
     emp = (est @ est.conj().T) / n_draws
     se = np.sqrt(np.outer(np.diag(cov).real, np.diag(cov).real) / n_draws)
     max_dev = float(np.max(np.abs(emp - cov) / se))

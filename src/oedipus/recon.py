@@ -135,20 +135,21 @@ def retrospective_undersample(
     pattern: SamplingPattern,
     model: EncodingModel,
     noise_sigma: float = 0.0,
-    seed: int = 0,
+    seed: int | list[int] = 0,
 ) -> np.ndarray:
     """Synthesize measured data d = A f + n for the retained groups.
 
-    Noise is circularly-symmetric complex Gaussian with per-sample variance
-    ``noise_sigma ** 2`` (``0`` gives noiseless data); deterministic given
-    ``seed``.
+    The noise is one full acquisition's: an (L, C) circular complex Gaussian
+    draw from ``seed``, variance ``noise_sigma ** 2`` per sample (``0`` gives
+    noiseless data), of which the pattern keeps its groups' rows.
     """
     op = EncodingOperator(model, pattern.kept_groups)
     d = op.forward(np.asarray(full_image).ravel())
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
-        noise = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
-        d = d + noise_sigma * noise / np.sqrt(2.0)
+        shape = model.candidates.groups.shape
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        d = d + noise_sigma * noise[list(pattern.kept_groups)].ravel() / np.sqrt(2.0)
     return d
 
 

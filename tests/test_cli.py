@@ -9,7 +9,7 @@ import yaml
 
 from oedipus import cli, design, sbs_design, sparsity
 from oedipus import io as oio
-from oedipus.errors import SolverFailureError
+from oedipus.errors import GenerationFailureError, SolverFailureError
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.yaml"))
 
@@ -105,6 +105,65 @@ def test_evaluate_two_channel_modes_shares_only_the_baselines(tmp_path):
         for stem in (f"designed_{mode}_R2", "uniform_R2")
         for reg in ("wavelet", "tv")
     )
+
+
+def cell_values(out):
+    """(pattern, channels, regularizer, phantom) -> (nrmse, iters, status) of both CSVs."""
+    rows = read_csv(out / "report.csv", skip=2) + read_csv(out / "poisson_seeds.csv")
+    return {
+        tuple(r[k] for k in ("pattern_id", "channels", "regularizer", "phantom")): tuple(
+            r[k] for k in ("nrmse", "iters", "status")
+        )
+        for r in rows
+    }
+
+
+SMALL = {
+    "test_phantoms": {"seeds": [3], "noise_sigma": 0.001},
+    "baselines": {"poisson": {"seeds": [1], "center_block": 4}},
+    "recon": {"max_iters": 10, "regularizers": ["wavelet"]},
+}
+
+
+@pytest.mark.parametrize(
+    "section, key, values",
+    [
+        ("recon", "regularizers", ["wavelet", "tv"]),
+        ("test_phantoms", "seeds", [3, 4]),
+        ("baselines", "poisson", {"seeds": [1, 2], "center_block": 4}),
+    ],
+)
+def test_adding_a_cell_leaves_every_existing_cell_unchanged(tmp_path, section, key, values):
+    larger = {**SMALL, section: {**SMALL[section], key: values}}
+    cells = []
+    for name, doc in (("small", SMALL), ("larger", larger)):
+        (tmp_path / name).mkdir()
+        config = write_config(tmp_path / name, **doc)
+        assert run("baseline", config) == 0
+        assert run("evaluate", config) == 0
+        cells.append(cell_values(tmp_path / name / "out"))
+    small, larger = cells
+    assert len(larger) > len(small)
+    assert {cell: larger[cell] for cell in small} == small
+
+
+def test_every_regularizer_reconstructs_from_the_acquisition_of_its_phantom(
+    tmp_path, monkeypatch
+):
+    solve, seen = cli.irls_solve, {}
+
+    def recording(problem):
+        key = (problem.pattern.mode, problem.data.tobytes())
+        seen.setdefault(key, []).append(problem.regularizer)
+        return solve(problem)
+
+    monkeypatch.setattr(cli, "irls_solve", recording)
+    config = write_config(tmp_path, test_phantoms={"seeds": [3, 4], "noise_sigma": 0.001})
+    assert run("baseline", config) == 0
+    assert run("evaluate", config) == 0
+    # 4 patterns x 2 phantoms: 8 acquisitions, each reconstructed by both regularizers
+    assert len(seen) == 8
+    assert all(sorted(regs) == ["tv", "wavelet"] for regs in seen.values())
 
 
 def test_solver_failures_are_rows_and_exit_5(tmp_path, capsys):
@@ -214,6 +273,30 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
         ("evaluate", {"recon": {"regularizers": ["wavelet", "wavelet"]}}, "recon.regularizers"),
         ("evaluate", {"evaluate_channels": ["single", "single"]}, "evaluate_channels"),
         ("evaluate", {"test_phantoms": {"seeds": [3, 3]}}, "test_phantoms.seeds"),
+        ("design", {"exemplars": {"phantom_seeds": [-1]}}, "exemplars.phantom_seeds"),
+        ("design", {"channels": {"multi": {"map_seeds": [-2]}}}, "channels.multi.map_seeds"),
+        ("evaluate", {"test_phantoms": {"seeds": [-1]}}, "test_phantoms.seeds"),
+        (
+            "evaluate",
+            {"test_phantoms": {"seeds": [3], "noise_sigma": 0.1, "noise_seed": -3}},
+            "test_phantoms.noise_seed",
+        ),
+        (
+            "evaluate",
+            {"channels": {"multi": {"eval_map_seed": -1}}, "evaluate_channels": ["multi"]},
+            "channels.multi.eval_map_seed",
+        ),
+        (
+            "baseline",
+            {"baselines": {"poisson": {"seeds": [-1], "center_block": 4}}},
+            "baselines.poisson.seeds",
+        ),
+        (
+            "evaluate",
+            {"grid": {"dims": [1, 16]}, "transform": {"family": "identity"},
+             "recon": {"regularizers": ["tv"]}},
+            "recon.regularizers",
+        ),
     ],
 )
 def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):
@@ -228,6 +311,17 @@ def test_poisson_centre_block_above_target_is_a_config_error(tmp_path, capsys):
     config = write_config(tmp_path, baselines={"poisson": {"seeds": [1]}})
     assert run("baseline", config) == 2
     assert "acceleration 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "patterns").exists()
+
+
+def test_poisson_generation_failure_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def missing(*args):
+        raise GenerationFailureError("bisection missed the target")
+
+    monkeypatch.setattr(cli, "poisson_disc_pattern", missing)
+    assert run("baseline", write_config(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: acceleration 2:") and "bisection missed" in err
     assert not (tmp_path / "out" / "patterns").exists()
 
 
@@ -270,6 +364,18 @@ def test_design_prints_the_drift_and_rebuilds_of_its_forms(tmp_path, capsys, mon
     assert int(match[3]) == 100  # one pair that keeps its forms prices every group
 
 
+def test_design_prints_the_run_statistics_only_where_the_run_ended(tmp_path, capsys):
+    assert run("design", write_config(tmp_path, accelerations=[2, 3])) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "designed designed_single_R2: kept 128 groups"
+    assert re.fullmatch(
+        r"designed designed_single_R3: kept 85 groups; drift \S+, \d+ rebuilds; "
+        r"priced \d+% of removals",
+        lines[1],
+    ), lines[1]
+    assert len(lines) == 2
+
+
 @pytest.mark.parametrize("fault", ["malformed", "other_grid"])
 def test_unusable_pattern_file_exits_4_and_names_it(tmp_path, capsys, fault):
     config = write_config(tmp_path)
@@ -292,6 +398,14 @@ def test_selftest_exit_codes(capsys, monkeypatch):
     monkeypatch.setitem(sparsity._FILTERS, "daub4", sparsity._FILTERS["daub4"] + 1e-3)
     assert run("selftest") == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_selftest_covariance_check_runs_the_oracle_estimator(capsys, monkeypatch):
+    estimate = cli.oracle_lsq_estimate
+    monkeypatch.setattr(cli, "oracle_lsq_estimate", lambda *args: 1.5 * estimate(*args))
+    assert run("selftest") == 1
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if "oracle-covariance-mc" in x]
+    assert line.startswith("FAIL")
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])

@@ -104,6 +104,22 @@ def test_retrospective_noise_statistics(rng):
     assert np.array_equal(a, b)
 
 
+def test_patterns_subsample_one_acquisition(rng):
+    model = make_model((8, 8), n_coils=2, undersample_axes=(0,))
+    cand = model.candidates
+    img = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    sigma, seed = 0.3, [5, 11, 1]
+    full = retrospective_undersample(img, full_pattern(model), model, sigma, seed)
+    # the full pattern's noise is the first 2 L C normal draws, real parts first
+    draws = np.random.default_rng(seed).standard_normal((2, cand.L * cand.C))
+    clean = retrospective_undersample(img, full_pattern(model), model)
+    assert np.array_equal(full, clean + sigma * (draws[0] + 1j * draws[1]) / np.sqrt(2.0))
+    for kept in ([0, 2, 3, 5], [2, 5, 7]):
+        pattern = pattern_from_groups(cand, kept, mode="subset")
+        data = retrospective_undersample(img, pattern, model, sigma, seed)
+        assert np.array_equal(data.reshape(len(kept), cand.C), full.reshape(cand.L, -1)[kept])
+
+
 def _phantom_model(dims=(16, 16)):
     grid = ImageGrid(dims, (100.0, 100.0))
     cand = build_cartesian_candidates(grid, undersample_axes=(0,), n_coils=1)
