@@ -303,7 +303,8 @@ def cmd_design(cfg) -> int:
                 extra = longest.extra
                 line += (
                     f"; drift {extra['max_drift']:.1e}, {extra['rebuilds']} rebuilds; "
-                    f"priced {extra['priced'] / max(extra['full_pricing'], 1):.0%} of removals"
+                    f"priced {extra['priced'] / max(extra['full_pricing'], 1):.0%} of removals; "
+                    f"{'/'.join(map(str, extra['rows_per_group']))} rows per group"
                 )
             print(line)
     for name, msg in infeasible:
@@ -360,12 +361,13 @@ def _load_patterns(cfg, candidates):
 
 
 def _cells(cfg, supports, golds):
-    """Every evaluation cell: (model, pattern, gold, noise seed, record).
+    """Every evaluation cell: (model, pattern, gold, data, record).
 
     The noise seed [noise_seed, phantom seed, 0 single or 1 multi] names the
-    acquisition, so every pattern and regularizer of one (channels, phantom)
-    subsamples the same noisy data; ``record`` holds the cell's key columns
-    and, for Poisson patterns, the CRB objective.
+    acquisition, so every pattern of one (channels, phantom) subsamples the
+    same noisy data, synthesized once per pattern for all its regularizers;
+    ``record`` holds the cell's key columns and, for Poisson patterns, the
+    CRB objective.
     """
     noise_seed = cfg["test_phantoms.noise_seed"]
     for mode in cfg["evaluate_channels"]:
@@ -379,16 +381,19 @@ def _cells(cfg, supports, golds):
                     pattern, model, supports, cfg["objective"], cfg["transform"]
                 )
             for label, seed, gold in golds:
+                data = retrospective_undersample(
+                    gold, pattern, model, cfg["test_phantoms.noise_sigma"],
+                    [noise_seed, seed, int(mode == "multi")],
+                )
                 for reg in cfg["recon.regularizers"]:
-                    yield model, pattern, gold, [noise_seed, seed, int(mode == "multi")], {
+                    yield model, pattern, gold, data, {
                         "pattern_id": stem, "R": pattern.R, "channels": mode, "regularizer": reg,
                         "lambda": cfg["recon.lambda"], "phantom": label, "crb_objective": crb,
                     }
 
 
-def _run_cell(cfg, model, pattern, gold, seed, record) -> dict:
+def _run_cell(cfg, model, pattern, gold, data, record) -> dict:
     """Reconstruct one cell; returns its record with iters, nrmse and status."""
-    data = retrospective_undersample(gold, pattern, model, cfg["test_phantoms.noise_sigma"], seed)
     limits = ("max_iters", "tol", "inner_tol", "inner_max_iters", "epsilon_scale")
     problem = ReconProblem(
         data, pattern, model, record["regularizer"], cfg["transform"], cfg["recon.lambda"],

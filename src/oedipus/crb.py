@@ -6,8 +6,10 @@ restricted Gram matrix.  The restricted rows are ``A Psi_S^H``, the encoding
 applied to the S support atoms; :func:`restricted_matrix` builds them from 1D
 atom spectra, with no atom image.  The layer passes plain arrays: a group
 is its (C, S) restricted rows, and which groups a state holds is the caller's
-bookkeeping.  A group enters only through its Gram, so :func:`compress_rows`
-may first shrink each block to r <= C rows B of the same Gram.
+bookkeeping.  A group enters only through its Gram, so every Gram and
+downdate is taken from :func:`compressed_rows`: r <= C rows B of the same
+Gram, which for a readout line come from one SVD per coil of the readout
+spectra shared by every line.
 
 Groups are removed via the matrix inversion lemma, a rank-r "downdate"
 that inverts an r x r system.  Removing B from the rows of Gram A leaves
@@ -39,7 +41,7 @@ __all__ = [
     "SLICE_ENTRIES",
     "restricted_matrix",
     "restricted_block",
-    "compress_rows",
+    "compressed_rows",
     "gram_trace",
     "restricted_gram",
     "state_from_gram",
@@ -78,32 +80,54 @@ class CrbState:
     cond: float
 
 
+def _spectra(model: EncodingModel, support: SupportSet, spec: TransformSpec, t: int, groups):
+    """Per-axis spectra of the support atoms under each coil of map set ``t``.
+
+    With atom s ``a1_s (x) a2_s`` (``support_atoms``) and coil map c the SVD
+    terms ``sigma_k u_k v_k^T`` within numpy's ``matrix_rank`` rule (one for
+    the synthetic and single-channel maps), returns (j1, j2, terms): the axis
+    indices of the locations of ``groups`` and, per coil, P1 (K, d1, S) and
+    P2 (K, d2, S) with ``P1[k] = w1 F1 (a1_s * sigma_k u_k)`` and
+    ``P2[k] = w2 ((a2_s * v_k)^T F2)``.  F1, F2, j1, j2 are from
+    ``_axis_phases`` and w1, w2 the voxel basis weights of each axis offset,
+    so row (p, c, s) of ``A Psi_S^H`` is ``sum_k P1[k, j1_p, s] P2[k, j2_p, s]``.
+    """
+    grid, locs = model.grid, _group_locations(model, groups, t)
+    f1, f2, j1, j2 = _axis_phases(model, locs)
+    klocs = model.candidates.klocs[locs]
+    w1, w2 = np.empty(len(f1)), np.empty(f2.shape[1])
+    w1[j1] = model.basis.axis_weights(klocs[:, 0], grid, 0)
+    w2[j2] = model.basis.axis_weights(klocs[:, 1], grid, 1)
+    f1, f2 = w1[:, None] * f1, f2 * w2
+    a1, a2 = support_atoms(support, spec, grid.dims)
+    u, sv, vh = np.linalg.svd(model.coil_maps[t].reshape(model.n_coils, *grid.dims))
+    ranks = (sv > sv[:, :1] * max(grid.dims) * np.finfo(float).eps).sum(axis=1)
+    terms = [
+        (np.stack([f1 @ (a1 * (sv[c, k] * u[c, :, k])).T for k in range(rank)]),
+         np.stack([((a2 * vh[c, k]) @ f2).T for k in range(rank)]))
+        for c, rank in enumerate(np.maximum(ranks, 1))
+    ]
+    return j1, j2, terms
+
+
 def restricted_matrix(
     model: EncodingModel, support: SupportSet, spec: TransformSpec, t: int, groups
 ) -> np.ndarray:
     """Support-restricted rows of ``groups`` under map set ``t``, (len(groups), C, S).
 
-    ``A Psi_S^H`` in closed form, for any coil map, oversampling and voxel basis.
-    With atom s ``a1_s (x) a2_s`` (``support_atoms``) and coil map c the SVD terms
-    ``sigma_k u_k v_k^T`` within numpy's ``matrix_rank`` rule (one for the synthetic
-    and single-channel maps), row (p, c, s) is ``b_p sum_k (F1 (a1_s * sigma_k u_k))
-    [j1_p] ((a2_s * v_k)^T F2)[j2_p]``, with F1, F2, j1, j2 from ``_axis_phases``.
+    ``A Psi_S^H`` in closed form, for any coil map, oversampling and voxel
+    basis: row (p, c, s) is ``sum_k P1[k, j1_p, s] P2[k, j2_p, s]`` from the
+    per-axis spectra of :func:`_spectra`.
     """
-    locs, b = _group_locations(model, groups, t)
-    f1, f2, j1, j2 = _axis_phases(model, locs)
-    a1, a2 = support_atoms(support, spec, model.grid.dims)
-    u, sv, vh = np.linalg.svd(model.coil_maps[t].reshape(model.n_coils, *model.grid.dims))
-    ranks = (sv > sv[:, :1] * max(model.grid.dims) * np.finfo(float).eps).sum(axis=1)
-    second = np.empty((locs.size, support.S), dtype=complex)  # reused by every term
-    out = np.empty((locs.size, model.n_coils, support.S), dtype=complex)
-    for c, rank in enumerate(np.maximum(ranks, 1)):
-        for k in range(rank):  # the first term is formed in place in ``out``
-            p1 = f1 @ (a1 * (sv[c, k] * u[c, :, k])).T
-            term = np.take(p1, j1, axis=0, out=None if k else out[:, c], mode="clip")
-            term *= np.take(((a2 * vh[c, k]) @ f2).T, j2, axis=0, out=second, mode="clip")
+    j1, j2, terms = _spectra(model, support, spec, t, groups)
+    second = np.empty((j1.size, support.S), dtype=complex)  # reused by every term
+    out = np.empty((j1.size, model.n_coils, support.S), dtype=complex)
+    for c, (p1, p2) in enumerate(terms):
+        for k in range(len(p1)):  # the first term is formed in place in ``out``
+            term = np.take(p1[k], j1, axis=0, out=None if k else out[:, c], mode="clip")
+            term *= np.take(p2[k], j2, axis=0, out=second, mode="clip")
             if k:
                 out[:, c] += term
-    out *= b[:, None, None]
     return out.reshape(-1, model.candidates.C, support.S)
 
 
@@ -114,24 +138,39 @@ def restricted_block(
     return restricted_matrix(model, support, spec, t, [group_index])[0]
 
 
-def compress_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows (g, r, S) with the Grams ``B_g^H B_g`` of ``rows`` (g, C, S), r <= C.
+def compressed_rows(
+    model: EncodingModel, support: SupportSet, spec: TransformSpec, t: int, groups
+) -> np.ndarray:
+    """Rows (len(groups), r, S) with the Grams of the :func:`restricted_matrix`
+    rows of ``groups``, r <= C.
 
-    Row i of group g is ``sigma_i v_i^H`` from the group's thin SVD, so the
-    Grams, the traces and singularity of every downdate, and every committed
-    state are those of the raw rows up to rounding.  r is the largest
-    numerical rank over the groups under numpy's ``matrix_rank`` rule
-    (``sigma > sigma_max max(C, S) eps``), at least 1; groups of lower rank
-    keep their tiny tail rows.  A one-row block, or one whose rank is C, is
-    returned as it is.
+    Groups of one location, or no groups, keep their C rows.  The locations
+    of a line share the index j of the undersampled axis and cover every
+    offset of the readout axis, so by :func:`_spectra` the rows of coil c
+    are ``X_c D_j``: ``X_c`` (n_read, K S) stacks the readout spectra
+    ``P_read[k]`` of the K terms and is the same for every line, and ``D_j``
+    stacks ``diag(P_fixed[k, j])`` over k.  With one thin SVD
+    ``X_c = U Sigma W^H`` per coil and its m_c terms within numpy's
+    ``matrix_rank`` rule, the rows ``Sigma W^H D_j`` have the Gram of the
+    raw rows up to rounding, so the traces and singularity of every
+    downdate are theirs: r = sum_c m_c.
     """
-    c, s = rows.shape[1:]
-    if c == 1:
-        return rows
-    _, sv, vh = np.linalg.svd(rows, full_matrices=False)
-    tol = sv[:, :1] * max(c, s) * np.finfo(float).eps
-    r = int((sv > tol).sum(axis=1).max(initial=1))
-    return rows if r == c else sv[:, :r, None] * vh[:, :r]
+    cand = model.candidates
+    n_read = cand.group_locs.shape[1]
+    if n_read == 1 or len(groups) == 0:
+        return restricted_matrix(model, support, spec, t, groups)
+    j1, j2, terms = _spectra(model, support, spec, t, groups)
+    along0 = cand.undersample_axes == (0,)  # lines are grid rows, read out along axis 1
+    j = (j1 if along0 else j2)[::n_read]
+    out = []
+    for p1, p2 in terms:
+        fixed, read = (p1, p2) if along0 else (p2, p1)
+        x = np.swapaxes(read, 0, 1).reshape(read.shape[1], -1)
+        _, sv, wh = np.linalg.svd(x, full_matrices=False)
+        m = int((sv > sv[:1] * max(x.shape) * np.finfo(float).eps).sum())
+        y = (sv[:m, None] * wh[:m]).reshape(m, len(read), support.S)
+        out.append(np.einsum("iks,kgs->gis", y, fixed[:, j]))
+    return np.concatenate(out, axis=1)
 
 
 def _h(a: np.ndarray) -> np.ndarray:
@@ -200,7 +239,7 @@ def build_full_crb(
             f"support size {support.S} exceeds candidate row count {n_rows}"
         )
     # no reference to the rows outlives the Gram: they are freed before the inversion
-    gram = restricted_gram(restricted_matrix(model, support, spec, t, groups))
+    gram = restricted_gram(compressed_rows(model, support, spec, t, groups))
     return state_from_gram(gram)
 
 

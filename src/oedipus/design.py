@@ -5,8 +5,8 @@ acquisition group whose removal degrades the design objective least, until
 the measurement budget is reached.  The objective aggregates the CRB traces
 over an ensemble of (exemplar support, coil-map set) pairs, either as their
 sum (average case) or their maximum (worst case).  The restricted rows of
-every ensemble pair are assembled once into a (groups, C, S) array and
-compressed to (groups, r, S) rows of the same per-group Grams, r <= C.
+every ensemble pair are assembled once as (groups, r, S) rows of the same
+per-group Grams, r <= C (:func:`~oedipus.crb.compressed_rows`).
 Each iteration prices the remaining groups of each pair with the matrix
 inversion lemma (r x r systems, not S x S inversions), then commits the
 chosen deletion with one rank-r downdate.  Both steps, and the downdate
@@ -38,13 +38,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crb import (
-    compress_rows,
+    compressed_rows,
     downdate_forms,
     downdate_traces,
     forms_traces,
     gram_trace,
     restricted_gram,
-    restricted_matrix,
     smw_removal,
     state_from_gram,
     update_forms,
@@ -183,18 +182,20 @@ def sbs_design(
     result is deterministic.
 
     Each (exemplar, map set) pair keeps its restricted rows in one
-    (groups, r, S) array compressed by :func:`~oedipus.crb.compress_rows`,
-    built once and never copied: a mask marks the active groups.  Every
-    deletion is committed with :func:`~oedipus.crb.smw_removal` and logged
-    as the committed objective.  The pricing mode is chosen once per
-    design: when every pair has ``r S + 4 r^2 < S^2``, every pair keeps its
-    downdate forms and prices every group; otherwise no pair does, and each
-    group is priced afresh only while its bound from its last exact price
-    can still win (:func:`_lazy_costs`), so the deletions are those of full
-    pricing.  ``extra`` holds the largest relative drift of a committed
-    group's forms (``max_drift``), the drift rebuilds, the form pairs, the
-    exact (pair, group) prices (``priced``) and the count full pricing makes
-    (``full_pricing``).
+    (groups, r, S) array from :func:`~oedipus.crb.compressed_rows`, built
+    once and never copied: a mask marks the active groups.  A line group
+    gets r = sum over coils of the rank of that coil's readout spectra,
+    with no decomposition per group.  Every deletion is committed with
+    :func:`~oedipus.crb.smw_removal` and logged as the committed
+    objective.  The pricing mode is chosen once per design: when every pair
+    has ``r S + 4 r^2 < S^2``, every pair keeps its downdate forms and
+    prices every group; otherwise no pair does, and each group is priced
+    afresh only while its bound from its last exact price can still win
+    (:func:`_lazy_costs`), so the deletions are those of full pricing.
+    ``extra`` holds the largest relative drift of a committed group's forms
+    (``max_drift``), the drift rebuilds, the form pairs, the exact (pair,
+    group) prices (``priced``), the count full pricing makes
+    (``full_pricing``) and each pair's r (``rows_per_group``).
 
     Raises :class:`InfeasibleDesignError` if the initial full-candidate
     CRB cannot be built or every remaining group becomes mandatory before
@@ -207,10 +208,7 @@ def sbs_design(
         raise ValueError(f"target_groups {target_groups} exceeds group count {cand.L}")
 
     pairs = [(k, t) for k in range(len(supports)) for t in range(model.T)]
-    rows = {  # one pair at a time, so one raw row array is alive at once
-        (k, t): compress_rows(restricted_matrix(model, supports[k], spec, t, range(cand.L)))
-        for k, t in pairs
-    }
+    rows = {(k, t): compressed_rows(model, supports[k], spec, t, range(cand.L)) for k, t in pairs}
     try:
         states = {p: state_from_gram(restricted_gram(rows[p])) for p in pairs}
     except InfeasibleDesignError as err:
@@ -272,7 +270,8 @@ def sbs_design(
         log=log,
         deleted=deleted,
         extra={"max_drift": max_drift, "rebuilds": rebuilds, "form_pairs": list(forms),
-               "priced": priced, "full_pricing": full},
+               "priced": priced, "full_pricing": full,
+               "rows_per_group": [rows[p].shape[1] for p in pairs]},
     )
 
 
@@ -327,7 +326,7 @@ def exhaustive_design(
         )
     # per-group Grams of every map set, (T, L, S, S)
     grams = np.stack(
-        [_grams(restricted_matrix(model, support, spec, t, range(cand.L))) for t in range(model.T)]
+        [_grams(compressed_rows(model, support, spec, t, range(cand.L))) for t in range(model.T)]
     )
     best_cost = math.inf
     best_subset = None
@@ -367,5 +366,5 @@ def evaluate_pattern_crb(
     if pattern.kept_groups[-1] >= cand.L:
         raise ValueError("pattern references groups outside the candidate set")
     kept, pairs = pattern.kept_groups, [(s, t) for s in supports for t in range(model.T)]
-    grams = (restricted_gram(restricted_matrix(model, s, spec, t, kept)) for s, t in pairs)
+    grams = (restricted_gram(compressed_rows(model, s, spec, t, kept)) for s, t in pairs)
     return float(objective.combine([gram_trace(g) for g in grams]))

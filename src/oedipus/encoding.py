@@ -79,12 +79,15 @@ class VoxelBasis:
             raise ValueError(f"unknown voxel basis {self.kind!r}")
 
     def weights(self, klocs: np.ndarray, grid: ImageGrid) -> np.ndarray:
-        """Per-location weights b_p, shape (n_locations,)."""
+        """Per-location weights b_p, shape (n_locations,): the product of the
+        :meth:`axis_weights` of both coordinates."""
+        return self.axis_weights(klocs[:, 0], grid, 0) * self.axis_weights(klocs[:, 1], grid, 1)
+
+    def axis_weights(self, k: np.ndarray, grid: ImageGrid, axis: int) -> np.ndarray:
+        """Weight factor of coordinates ``k`` (cycles/mm) along one image axis."""
         if self.kind == "dirac":
-            return np.ones(klocs.shape[0])
-        vox1 = grid.fov[0] / grid.dims[0]
-        vox2 = grid.fov[1] / grid.dims[1]
-        return np.sinc(klocs[:, 0] * vox1) * np.sinc(klocs[:, 1] * vox2)
+            return np.ones(len(k))
+        return np.sinc(k * (grid.fov[axis] / grid.dims[axis]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,16 +306,15 @@ def _axis_phases(model: EncodingModel, locs: np.ndarray):
     return f1, f2, j1, j2
 
 
-def _group_locations(model: EncodingModel, groups, t: int):
-    """Locations of ``groups`` in order and their basis weights b_p; ValueError on a bad index."""
+def _group_locations(model: EncodingModel, groups, t: int) -> np.ndarray:
+    """Locations of ``groups`` in order; ValueError on a bad group or map-set index."""
     cand = model.candidates
     groups = np.asarray(groups, dtype=int).reshape(-1)
     if groups.size and not (0 <= groups.min() and groups.max() < cand.L):
         raise ValueError(f"group index outside [0, {cand.L})")
     if not 0 <= t < model.T:
         raise ValueError(f"map-set index {t} out of range [0, {model.T})")
-    locs = cand.group_locs[groups].ravel()
-    return locs, model.basis.weights(cand.klocs[locs], model.grid)
+    return cand.group_locs[groups].ravel()
 
 
 class EncodingOperator:
@@ -333,7 +335,8 @@ class EncodingOperator:
     def __init__(self, model: EncodingModel, groups, t: int = 0):
         cand = model.candidates
         self.model = model
-        self._locs, self._b = _group_locations(model, groups, t)
+        self._locs = _group_locations(model, groups, t)
+        self._b = model.basis.weights(cand.klocs[self._locs], model.grid)
         self._maps = model.coil_maps[t].reshape(model.n_coils, *model.grid.dims)
         self.n_rows = self._locs.size * cand.n_coils
         dims = tuple(model.grid.dims)

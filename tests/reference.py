@@ -163,7 +163,9 @@ def reference_poisson_disc(candidates, target_groups, center_block, seed):
         count = center.size + accepted.size
         if abs(count - target_groups) <= tol:
             kept = np.concatenate([center, accepted])
-            return pattern_from_groups(candidates, kept, "poisson-reference", extra={"radius": radius})
+            return pattern_from_groups(
+                candidates, kept, "poisson-reference", extra={"radius": radius}
+            )
         if count > target_groups:
             lo = radius
         else:

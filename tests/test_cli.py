@@ -195,6 +195,21 @@ def test_capped_cells_are_max_iters_rows_and_exit_0(tmp_path):
     assert len(list((out / "recon").iterdir())) == 8
 
 
+def test_each_acquisition_is_synthesized_once_for_every_regularizer(tmp_path, monkeypatch):
+    # 4 patterns x 1 test phantom, each reconstructed with 2 regularizers
+    synthesize, acquired = cli.retrospective_undersample, []
+
+    def counted(gold, pattern, *args):
+        acquired.append(pattern.mode)
+        return synthesize(gold, pattern, *args)
+
+    monkeypatch.setattr(cli, "retrospective_undersample", counted)
+    config = write_config(tmp_path, recon={"max_iters": 1})
+    assert run("baseline", config) == 0
+    assert run("evaluate", config) == 0
+    assert len(acquired) == len(set(acquired)) == 4
+
+
 def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
     solve = cli.irls_solve
 
@@ -355,13 +370,14 @@ def test_design_prints_the_drift_and_rebuilds_of_its_forms(tmp_path, capsys, mon
     (line,) = capsys.readouterr().out.splitlines()
     pattern = (
         r"designed designed_single_R2: kept 128 groups; drift (\S+), (\d+) rebuilds; "
-        r"priced (\d+)% of removals"
+        r"priced (\d+)% of removals; (\d+) rows per group"
     )
     match = re.fullmatch(pattern, line)
     assert match is not None, line
     assert 0.0 <= float(match[1]) < 1e-12
     assert int(match[2]) == (128 if limit == 0.0 else 0)
     assert int(match[3]) == 100  # one pair that keeps its forms prices every group
+    assert int(match[4]) == 1  # one location, one coil
 
 
 def test_design_prints_the_run_statistics_only_where_the_run_ended(tmp_path, capsys):
@@ -370,7 +386,7 @@ def test_design_prints_the_run_statistics_only_where_the_run_ended(tmp_path, cap
     assert lines[0] == "designed designed_single_R2: kept 128 groups"
     assert re.fullmatch(
         r"designed designed_single_R3: kept 85 groups; drift \S+, \d+ rebuilds; "
-        r"priced \d+% of removals",
+        r"priced \d+% of removals; 1 rows per group",
         lines[1],
     ), lines[1]
     assert len(lines) == 2

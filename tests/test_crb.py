@@ -179,9 +179,7 @@ def test_removal_traces_only_rise_after_a_commit(rng):
     # mandatory (+inf) group stays mandatory
     model = make_model((8, 8), n_coils=2, undersample_axes=(0,), seed=4)
     support = random_support(rng, 64, 12)
-    rows = crb.compress_rows(
-        crb.restricted_matrix(model, support, TransformSpec("daub4", 1), 0, range(8))
-    )
+    rows = crb.compressed_rows(model, support, TransformSpec("daub4", 1), 0, range(8))
     state = crb.state_from_gram(crb.restricted_gram(rows))
     alive = list(range(8))
     for c in (3, 0, 6, 1):
@@ -219,7 +217,7 @@ def test_smw_removal_equals_the_out_of_place_update(rng):
     np.testing.assert_array_equal(new.inv_gram, 0.5 * (inv + inv.conj().T))
 
 
-def test_compress_rows_keeps_grams_and_traces(rng):
+def test_compressed_rows_keep_grams_and_traces():
     # 2-coil lines of an 8x8 grid; the support fills 2 columns, so a line's
     # 16 rows have rank 2 x 2 coils.  Voxel rows 0, 2, 4, 6 alias 4-fold on
     # the lines k = -4 and 0 (groups 0 and 4), so of groups 0, 4 and 2 the
@@ -230,7 +228,7 @@ def test_compress_rows_keeps_grams_and_traces(rng):
     support = SupportSet(indices=np.array(voxels), q=64)
     for groups, inf in ((range(8), [False] * 8), ([0, 4, 2], [False, False, True])):
         rows = crb.restricted_matrix(model, support, spec, 0, groups)
-        small = crb.compress_rows(rows)
+        small = crb.compressed_rows(model, support, spec, 0, groups)
         assert rows.shape == (len(inf), 16, 8) and small.shape == (len(inf), 4, 8)
         want, got = (np.swapaxes(b.conj(), 1, 2) @ b for b in (rows, small))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -238,16 +236,11 @@ def test_compress_rows_keeps_grams_and_traces(rng):
         want, got = crb.downdate_traces(state, rows), crb.downdate_traces(state, small)
         assert np.isinf(want).tolist() == np.isinf(got).tolist() == inf
         np.testing.assert_allclose(got[~np.isinf(got)], want[~np.isinf(want)], rtol=1e-12)
-
-    full_rank = rng.standard_normal((3, 4, 10)) + 1j * rng.standard_normal((3, 4, 10))
-    one_row = full_rank[:, :1]
-    assert crb.compress_rows(full_rank) is full_rank
-    assert crb.compress_rows(one_row) is one_row
-    empty = crb.compress_rows(np.zeros((0, 16, 8), dtype=complex))
-    assert empty.shape == (0, 1, 8) and crb.downdate_traces(state, empty).shape == (0,)
+    empty = crb.compressed_rows(model, support, spec, 0, [])
+    assert empty.shape == (0, 16, 8) and crb.downdate_traces(state, empty).shape == (0,)
 
 
-@pytest.mark.parametrize(
+ROW_CASES = pytest.mark.parametrize(
     "dims,n_coils,axes,oversampling,basis,family,levels",
     [
         ((8, 8), 1, (0, 1), 1.0, "dirac", "haar", 2),
@@ -256,32 +249,65 @@ def test_compress_rows_keeps_grams_and_traces(rng):
         ((8, 8), 1, (0, 1), 2.0, "rect", "daub4", 1),
         ((16, 8), 3, (0, 1), 1.5, "dirac", "haar", 3),
         ((8, 8), 1, (1,), 1.0, "rect", "identity", 0),
+        ((8, 16), 2, (0,), 2.0, "rect", "daub4", 1),
+        ((8, 8), 2, (0, 1), 1.0, "dirac", "identity", 0),
     ],
 )
-def test_restricted_matrix_matches_dense_rows(
-    rng, dims, n_coils, axes, oversampling, basis, family, levels
-):
+
+
+def row_case(rng, dims, n_coils, axes, oversampling, basis):
+    """Model with a second, random full-rank map set (every SVD term of every
+    coil counts), a support of 11 and an unsorted subset of its groups."""
     model = make_model(dims, n_coils, axes, seed=5, oversampling=oversampling, basis=basis)
-    spec = TransformSpec(family, levels)
     support = random_support(rng, model.N, 11)
     cand = model.candidates
-    groups = rng.permutation(cand.L)[: cand.L // 2 + 1].tolist()  # unsorted subset
-    # map set 1 is random and of full rank, so every SVD term of every coil counts
+    groups = rng.permutation(cand.L)[: cand.L // 2 + 1].tolist()
     shape = (n_coils, model.N)
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert (np.linalg.matrix_rank(noise.reshape(n_coils, *dims)) == min(dims)).all()
     both = EncodingModel(model.grid, cand, (model.coil_maps[0], noise), model.basis)
+    return both, support, groups
+
+
+@ROW_CASES
+def test_restricted_matrix_matches_dense_rows(
+    rng, dims, n_coils, axes, oversampling, basis, family, levels
+):
+    model, support, groups = row_case(rng, dims, n_coils, axes, oversampling, basis)
+    cand, spec = model.candidates, TransformSpec(family, levels)
     for t in (0, 1):
-        got = crb.restricted_matrix(both, support, spec, t, groups)
+        got = crb.restricted_matrix(model, support, spec, t, groups)
         want = np.stack(
-            [restricted_rows(group_rows(both, g, t), support, spec, dims) for g in groups]
+            [restricted_rows(group_rows(model, g, t), support, spec, dims) for g in groups]
         )
         assert got.shape == (len(groups), cand.C, support.S)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert crb.restricted_matrix(model, support, spec, 0, []).shape == (0, cand.C, 11)
-    for t, bad in ((0, [0, cand.L]), (0, [-1]), (1, [0])):
+    for t, bad in ((0, [0, cand.L]), (0, [-1]), (2, [0])):
         with pytest.raises(ValueError):
             crb.restricted_matrix(model, support, spec, t, bad)
+
+
+@ROW_CASES
+def test_compressed_rows_keep_the_grams_of_the_raw_rows(
+    rng, dims, n_coils, axes, oversampling, basis, family, levels
+):
+    # a line compresses to r <= C rows of the same Gram and the same removal
+    # traces; a group of one location keeps its C rows
+    model, support, groups = row_case(rng, dims, n_coils, axes, oversampling, basis)
+    cand, spec = model.candidates, TransformSpec(family, levels)
+    for t in (0, 1):
+        rows = crb.restricted_matrix(model, support, spec, t, groups)
+        small = crb.compressed_rows(model, support, spec, t, groups)
+        assert small.shape[0] == len(groups) and small.shape[1] <= cand.C
+        if axes == (0, 1):
+            np.testing.assert_array_equal(small, rows)
+        want, got = (np.swapaxes(b.conj(), 1, 2) @ b for b in (rows, small))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        state = crb.state_from_gram(crb.restricted_gram(rows))
+        want, got = crb.downdate_traces(state, rows), crb.downdate_traces(state, small)
+        assert np.isinf(want).tolist() == np.isinf(got).tolist()
+        np.testing.assert_allclose(got[~np.isinf(got)], want[~np.isinf(want)], rtol=1e-12)
 
 
 def _middle_matrix(rng, c, lam_min):

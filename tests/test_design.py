@@ -259,7 +259,7 @@ def test_worst_case_pair_ensemble_prices_fewer_removals(rng):
     objective = DesignObjective("worst")
     lazy = sbs_design(model, supports, objective, 3, TransformSpec("daub4", 1))
     direct = direct_sbs(model, supports, objective, 3, TransformSpec("daub4", 1))
-    assert lazy.extra["form_pairs"] == []
+    assert lazy.extra["form_pairs"] == [] and lazy.extra["rows_per_group"] == [10, 10]
     assert lazy.deleted == direct.deleted
     assert lazy.extra["full_pricing"] == 2 * sum(range(4, 9))
     assert lazy.extra["priced"] < lazy.extra["full_pricing"]
@@ -325,7 +325,7 @@ def test_pairs_keep_forms_only_when_updating_them_is_cheaper():
     objective = DesignObjective("average")
     assert sbs_design(model, supports[1:], objective, 5, IDENT).extra["form_pairs"] == [(0, 0)]
     pattern = sbs_design(model, supports, objective, 5, IDENT)
-    assert pattern.extra["form_pairs"] == []
+    assert pattern.extra["form_pairs"] == [] and pattern.extra["rows_per_group"] == [4, 8]
     direct = direct_sbs(model, supports, objective, 5, IDENT)
     assert pattern.deleted == direct.deleted
     np.testing.assert_allclose(pattern.log, direct.log, rtol=1e-7)
