@@ -24,7 +24,6 @@ from .encoding import (
     ImageGrid,
     VoxelBasis,
     build_cartesian_candidates,
-    single_channel_model,
     synthesize_coil_maps,
 )
 from .errors import (

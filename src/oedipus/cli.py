@@ -1,7 +1,7 @@
 """Command-line front end: design, baseline, evaluate, selftest.
 
 All experiment parameters live in a YAML config; ``CONFIG_KEYS`` lists
-every accepted key with its default (see the README).  Exit codes:
+every accepted key with its converter and default (see the README).  Exit codes:
 0 success, 1 selftest failure, 2 config error, 3 infeasible acceleration,
 4 I/O error, 5 some evaluation cells have ``status`` ``solver_failure``.
 """
@@ -40,7 +40,6 @@ from .encoding import (
     ImageGrid,
     VoxelBasis,
     build_cartesian_candidates,
-    single_channel_model,
     synthesize_coil_maps,
 )
 from .errors import GenerationFailureError, InfeasibleDesignError, SolverFailureError
@@ -67,93 +66,95 @@ class ConfigError(Exception):
     pass
 
 
-def _tuple(convert):
-    return lambda values: tuple(convert(v) for v in values)
+def _number(kind, least=None, above=None, most=None):
+    """Converter to a finite int or float ``kind`` in the given bounds ``least <= v``,
+    ``above < v``, ``v <= most``; numeric strings (YAML's ``1e-6``) count, bools not."""
+    what = "an integer" if kind is int else "a finite number"
+    bounds = ((">=", least), (">", above), ("<=", most))
+    rule = " and ".join(f"{op} {bound}" for op, bound in bounds if bound is not None)
+
+    def convert(value):
+        v = float(value)
+        if isinstance(value, bool) or not math.isfinite(v) or (kind is int and not v.is_integer()):
+            raise ValueError(f"must be {what}, got {value!r}")
+        if not ((least is None or v >= least) and (above is None or v > above)
+                and (most is None or v <= most)):
+            raise ValueError(f"must be {rule}, got {value!r}")
+        return value if type(value) is kind else kind(v)
+
+    return convert
 
 
-def _distinct(allowed=None):
-    """Test of a nonempty list of distinct values, all in ``allowed`` if given."""
-    return lambda v: bool(v) and len(set(v)) == len(v) and (allowed is None or set(v) <= allowed)
+def _flag(value) -> bool:
+    """Converter of YAML ``true`` or ``false``; 0, 1, null and strings are errors."""
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
 
 
-def _seeds(v) -> bool:
-    """Test of a nonempty list of nonnegative seeds."""
-    return bool(v) and min(v) >= 0
+def _list(item, length=None, allowed=None, distinct=False, empty=False):
+    """Converter of a list to a tuple of ``item`` values: ``length`` of them if given,
+    else at least one unless ``empty``; all in ``allowed`` if given; none twice if ``distinct``."""
+
+    def convert(value):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"must be a list, got {value!r}")
+        values = tuple(item(v) for v in value)
+        if len(values) != (length or len(values)) or not (values or empty):
+            raise ValueError(f"must be a list of {length or 'one or more'} values, got {value!r}")
+        if allowed is not None and not set(values) <= allowed:
+            raise ValueError(f"must hold only values in {sorted(allowed)}, got {value!r}")
+        if distinct and len(set(values)) != len(values):
+            raise ValueError(f"must hold distinct values, got {value!r}")
+        return values
+
+    return convert
 
 
+_seed = _number(int, least=0)
 REQUIRED = object()
 # Every accepted key, as a dotted path into the YAML document: (converter,
-# default).  A None default is derived in load_config (eval_map_seed) or
-# per acceleration in _baselines (rz).
+# default).  The converter carries the key's type and range and raises
+# ValueError outside them.  A None default is derived in load_config
+# (eval_map_seed) or per acceleration in _baselines (rz).
 CONFIG_KEYS = {
     "experiment": (str, "experiment"),
     "output_dir": (Path, REQUIRED),
-    "grid.dims": (_tuple(int), REQUIRED),
-    "grid.fov": (_tuple(float), (200.0, 200.0)),
+    "grid.dims": (_list(_number(int, least=1), length=2), REQUIRED),
+    "grid.fov": (_list(_number(float, above=0), length=2), (200.0, 200.0)),
     "basis": (VoxelBasis, "dirac"),
-    "oversampling": (float, 1.0),
-    "undersample_axes": (_tuple(int), (0, 1)),
+    "oversampling": (_number(float, least=1), 1.0),
+    "undersample_axes": (_list(_number(int), allowed={0, 1}), (0, 1)),
     "transform.family": (str, "daub4"),
-    "transform.levels": (int, 3),
-    "fraction": (float, 0.15),
+    "transform.levels": (_number(int), 3),
+    "fraction": (_number(float, above=0, most=1), 0.15),
     "objective": (DesignObjective, "average"),
-    "accelerations": (_tuple(float), REQUIRED),
-    "channels.single": (bool, False),
-    "channels.multi.n_coils": (int, 4),
-    "channels.multi.decay": (float, 5.0),
-    "channels.multi.map_seeds": (_tuple(int), (7,)),
-    "channels.multi.eval_map_seed": (int, None),
-    "exemplars.phantom_seeds": (_tuple(int), (0,)),
-    "test_phantoms.seeds": (_tuple(int), (1,)),
-    "test_phantoms.noise_sigma": (float, 0.0),
-    "test_phantoms.noise_seed": (int, 1),
-    "baselines.uniform": (bool, True),
-    "baselines.caipi.ry": (int, 1),
-    "baselines.caipi.rz": (int, None),
-    "baselines.caipi.shift": (int, 1),
-    "baselines.poisson.seeds": (_tuple(int), ()),
-    "baselines.poisson.center_block": (int, 16),
-    "recon.lambda": (float, 0.01),
-    "recon.max_iters": (int, 50),
-    "recon.tol": (float, 1e-6),
-    "recon.inner_tol": (float, 1e-6),
-    "recon.inner_max_iters": (int, 200),
-    "recon.epsilon_scale": (float, 1e-6),
-    "recon.regularizers": (_tuple(str), ("wavelet", "tv")),
-    "evaluate_channels": (_tuple(str), ("single",)),
-}
-# Keys whose values a lower layer would reject or run to no purpose:
-# key -> (test, valid values).
-LIMITS = {
-    "grid.dims": (lambda v: len(v) == 2, "must be a list of two values"),
-    "grid.fov": (lambda v: len(v) == 2, "must be a list of two values"),
-    "oversampling": (lambda v: v >= 1, "must be at least 1"),
-    "undersample_axes": (lambda v: v and set(v) <= {0, 1}, "must be a nonempty list of 0 and 1"),
-    "fraction": (lambda v: 0 < v <= 1, "must be in (0, 1]"),
-    "accelerations": (lambda v: v and min(v) >= 1, "must be a nonempty list of values >= 1"),
-    "channels.multi.n_coils": (lambda v: v >= 1, "must be at least 1"),
-    "channels.multi.decay": (lambda v: v > 0, "must be positive"),
-    "channels.multi.map_seeds": (_seeds, "must be a nonempty list of seeds >= 0"),
-    "channels.multi.eval_map_seed": (lambda v: v is None or v >= 0, "must be at least 0"),
-    "exemplars.phantom_seeds": (_seeds, "must be a nonempty list of seeds >= 0"),
-    "test_phantoms.seeds": (
-        lambda v: _seeds(v) and _distinct()(v), "must be a nonempty list of distinct seeds >= 0"
-    ),
-    "test_phantoms.noise_sigma": (lambda v: v >= 0, "must be at least 0"),
-    "test_phantoms.noise_seed": (lambda v: v >= 0, "must be at least 0"),
-    "baselines.poisson.seeds": (lambda v: min(v, default=0) >= 0, "must be seeds >= 0"),
-    "baselines.poisson.center_block": (lambda v: v >= 0, "must be at least 0"),
-    "recon.lambda": (lambda v: v > 0, "must be positive"),
-    "recon.max_iters": (lambda v: v >= 1, "must be at least 1"),
-    "recon.inner_max_iters": (lambda v: v >= 1, "must be at least 1"),
-    "recon.inner_tol": (lambda v: v > 0, "must be positive"),
-    "recon.epsilon_scale": (lambda v: v > 0, "must be positive"),
+    "accelerations": (_list(_number(float, least=1)), REQUIRED),
+    "channels.single": (_flag, False),
+    "channels.multi.n_coils": (_number(int, least=1), 4),
+    "channels.multi.decay": (_number(float, above=0), 5.0),
+    "channels.multi.map_seeds": (_list(_seed), (7,)),
+    "channels.multi.eval_map_seed": (_seed, None),
+    "exemplars.phantom_seeds": (_list(_seed), (0,)),
+    "test_phantoms.seeds": (_list(_seed, distinct=True), (1,)),
+    "test_phantoms.noise_sigma": (_number(float, least=0), 0.0),
+    "test_phantoms.noise_seed": (_seed, 1),
+    "baselines.uniform": (_flag, True),
+    "baselines.caipi.ry": (_number(int), 1),
+    "baselines.caipi.rz": (_number(int), None),
+    "baselines.caipi.shift": (_number(int), 1),
+    "baselines.poisson.seeds": (_list(_seed, empty=True), ()),
+    "baselines.poisson.center_block": (_number(int, least=0), 16),
+    "recon.lambda": (_number(float, above=0), 0.01),
+    "recon.max_iters": (_number(int, least=1), 50),
+    "recon.tol": (_number(float), 1e-6),
+    "recon.inner_tol": (_number(float, above=0), 1e-6),
+    "recon.inner_max_iters": (_number(int, least=1), 200),
+    "recon.epsilon_scale": (_number(float, above=0), 1e-6),
     "recon.regularizers": (
-        _distinct({"wavelet", "tv"}), "must be a nonempty list of distinct wavelet, tv"
+        _list(str, allowed={"wavelet", "tv"}, distinct=True), ("wavelet", "tv")
     ),
-    "evaluate_channels": (
-        _distinct({"single", "multi"}), "must be a nonempty list of distinct single, multi"
-    ),
+    "evaluate_channels": (_list(str, allowed={"single", "multi"}, distinct=True), ("single",)),
 }
 SECTIONS = {key.rsplit(".", n)[0] for key in CONFIG_KEYS for n in range(1, key.count(".") + 1)}
 
@@ -194,11 +195,8 @@ def load_config(path) -> dict:
             raise ConfigError(f"missing config key {key!r}")
         try:
             cfg[key] = None if value is None and key not in flat else convert(value)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"{path}: {key}: {err}") from err
-    for key, (valid, rule) in LIMITS.items():
-        if not valid(cfg[key]):
-            raise ConfigError(f"{path}: {key}: {rule}, got {cfg[key]}")
     try:
         cfg["grid"] = ImageGrid(dims=cfg["grid.dims"], fov=cfg["grid.fov"])
         cfg["transform"] = TransformSpec(cfg["transform.family"], cfg["transform.levels"])
@@ -222,16 +220,15 @@ def load_config(path) -> dict:
 
 
 def _model(cfg, mode: str, map_seeds) -> EncodingModel:
-    """Encoding model of a channel mode; ``multi`` has one coil-map set per seed."""
+    """Encoding model of a channel mode: ``multi`` has one coil-map set per
+    seed, ``single`` one all-ones map whatever ``map_seeds`` holds."""
     grid = cfg["grid"]
-    n_coils = cfg["channels.multi.n_coils"] if mode == "multi" else 1
+    n_coils, seeds = (cfg["channels.multi.n_coils"], map_seeds) if mode == "multi" else (1, (0,))
     candidates = build_cartesian_candidates(
         grid, cfg["oversampling"], cfg["undersample_axes"], n_coils
     )
-    if mode == "single":
-        return single_channel_model(grid, candidates, cfg["basis"])
     decay = cfg["channels.multi.decay"]
-    maps = tuple(synthesize_coil_maps(grid, n_coils, decay, seed) for seed in map_seeds)
+    maps = tuple(synthesize_coil_maps(grid, n_coils, decay, s) for s in seeds)
     return EncodingModel(grid=grid, candidates=candidates, coil_maps=maps, basis=cfg["basis"])
 
 
@@ -258,11 +255,15 @@ def _write_pattern(cfg, name: str, pattern) -> None:
 def _target_groups(candidates, r: float) -> int:
     target = int(round(candidates.L / r))
     if target < 1:
-        raise ConfigError(f"acceleration {r} leaves no groups")
+        raise ConfigError(f"acceleration {r:g}: leaves none of {candidates.L} groups")
     return target
 
 
 def cmd_design(cfg) -> int:
+    modes = (("single", cfg["channels.single"]), ("multi", cfg["multi"]))
+    models = [(m, _model(cfg, m, cfg["channels.multi.map_seeds"])) for m, on in modes if on]
+    # check every acceleration before writing; L does not depend on the coils
+    targets = [(r, _target_groups(models[0][1].candidates, r)) for r in cfg["accelerations"]]
     images, supports = _exemplars(cfg)
     out = cfg["output_dir"]
     out.mkdir(parents=True, exist_ok=True)
@@ -270,16 +271,13 @@ def cmd_design(cfg) -> int:
         oio.write_oedm(out / f"exemplar_{i}.oedm", img[None, None])
 
     infeasible = []
-    modes = (("single", cfg["channels.single"]), ("multi", cfg["multi"]))
-    for mode in [mode for mode, wanted in modes if wanted]:
-        model = _model(cfg, mode, cfg["channels.multi.map_seeds"])
+    for mode, model in models:
         if mode == "multi":
             maps = [m.reshape(-1, *cfg["grid"].dims) for m in model.coil_maps]
             oio.write_oedm(out / "coil_maps_design.oedm", np.stack(maps))
         # backward selection is nested: the pattern for T groups is the state
         # after L - T deletions of one run to the smallest feasible target
         cand = model.candidates
-        targets = [(r, _target_groups(cand, r)) for r in cfg["accelerations"]]
         failed = {}
         for target in sorted({target for _, target in targets}):
             try:
@@ -314,6 +312,7 @@ def cmd_design(cfg) -> int:
 
 def _baselines(cfg, candidates, r: float):
     """(name, pattern) of every baseline the config asks for at acceleration ``r``."""
+    target = _target_groups(candidates, r)
     out = []
     if cfg["baselines.uniform"]:
         out.append((f"uniform_R{r:g}", uniform_pattern(candidates, r)))
@@ -321,7 +320,6 @@ def _baselines(cfg, candidates, r: float):
         ry, rz, shift = (cfg[f"baselines.caipi.{k}"] for k in ("ry", "rz", "shift"))
         pattern = caipi_pattern(candidates, r, ry, int(r) if rz is None else rz, shift)
         out.append((f"caipi_R{r:g}", pattern))
-    target = _target_groups(candidates, r)
     block = cfg["baselines.poisson.center_block"]
     for seed in cfg["baselines.poisson.seeds"]:
         pattern = poisson_disc_pattern(candidates, r, target, block, seed)
@@ -513,7 +511,7 @@ def _selftest_checks():
     # greedy matches exhaustive on a toy
     toy_grid = ImageGrid((1, 8), (100.0, 100.0))
     toy_cand = build_cartesian_candidates(toy_grid, undersample_axes=(1,), n_coils=1)
-    toy_model = single_channel_model(toy_grid, toy_cand)
+    toy_model = EncodingModel(toy_grid, toy_cand, (synthesize_coil_maps(toy_grid, 1),))
     ispec = TransformSpec("identity")
     toy_support = SupportSet(indices=np.array([0, 2, 5]), q=8)
     pat = sbs_design(toy_model, [toy_support], DesignObjective("average"), 4, ispec)

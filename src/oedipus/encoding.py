@@ -223,21 +223,6 @@ class EncodingModel:
         return self.grid.n_voxels
 
 
-def single_channel_model(
-    grid: ImageGrid, candidates: CandidateSet, basis: VoxelBasis | None = None
-) -> EncodingModel:
-    """Model with one all-ones sensitivity map (plain Fourier encoding)."""
-    if candidates.n_coils != 1:
-        raise ValueError("single-channel model requires n_coils == 1 candidates")
-    maps = (np.ones((1, grid.n_voxels), dtype=complex),)
-    return EncodingModel(
-        grid=grid,
-        candidates=candidates,
-        coil_maps=maps,
-        basis=basis or VoxelBasis(),
-    )
-
-
 def normalized_coords(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis coordinates centred on the grid, in units of the FOV.
 

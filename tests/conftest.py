@@ -7,7 +7,6 @@ from oedipus import (
     SupportSet,
     VoxelBasis,
     build_cartesian_candidates,
-    single_channel_model,
     synthesize_coil_maps,
 )
 
@@ -26,8 +25,6 @@ def make_model(
         grid, oversampling=oversampling, undersample_axes=undersample_axes, n_coils=n_coils
     )
     basis = VoxelBasis(basis or "dirac")
-    if n_coils == 1:
-        return single_channel_model(grid, cand, basis)
     maps = (synthesize_coil_maps(grid, n_coils, seed=seed),)
     return EncodingModel(grid=grid, candidates=cand, coil_maps=maps, basis=basis)
 

@@ -312,6 +312,20 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
              "recon": {"regularizers": ["tv"]}},
             "recon.regularizers",
         ),
+        ("design", {"oversampling": math.inf}, "oversampling"),
+        ("baseline", {"oversampling": math.inf}, "oversampling"),
+        ("evaluate", {"oversampling": math.inf}, "oversampling"),
+        ("design", {"grid": {"dims": [16.5, 16]}}, "grid.dims"),
+        ("design", {"grid": {"dims": [16, 16], "fov": [math.nan, 200.0]}}, "grid.fov"),
+        ("design", {"channels": {"single": "false"}}, "channels.single"),
+        ("evaluate", {"recon": {"max_iters": True}}, "recon.max_iters"),
+        (
+            "evaluate",
+            {"test_phantoms": {"seeds": [3], "noise_sigma": math.inf}},
+            "test_phantoms.noise_sigma",
+        ),
+        ("design", {"accelerations": [2, 1000]}, "acceleration 1000: leaves none"),
+        ("baseline", {"accelerations": [2, 1000]}, "acceleration 1000: leaves none"),
     ],
 )
 def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):
@@ -320,6 +334,18 @@ def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert not (tmp_path / "out").exists()
+
+
+def test_every_default_passes_its_own_converter():
+    for key, (convert, default) in cli.CONFIG_KEYS.items():
+        if default is not cli.REQUIRED and default is not None:
+            convert(default)
+
+
+def test_a_yaml_exponent_without_a_dot_is_a_number(tmp_path):
+    # YAML 1.1 reads 1e-7 as a string
+    cfg = cli.load_config(write_config(tmp_path, recon={"tol": "1e-7", "max_iters": "10"}))
+    assert (cfg["recon.tol"], cfg["recon.max_iters"]) == (1e-7, 10)
 
 
 def test_poisson_centre_block_above_target_is_a_config_error(tmp_path, capsys):
@@ -353,7 +379,8 @@ def test_design_falls_back_when_the_largest_acceleration_is_infeasible(tmp_path,
     pdir = tmp_path / "out" / "patterns"
     assert not (pdir / "designed_single_R8.json").exists()
     cfg = cli.load_config(config)
-    model = cli._model(cfg, "single", ())
+    model = cli._model(cfg, "single", (7, 8))
+    assert model.T == 1  # one all-ones map set, whatever the map seeds
     _, supports = cli._exemplars(cfg)
     for r, target in ((3, 85), (2, 128)):
         # each pattern is the one a run to its own target designs

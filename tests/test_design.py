@@ -18,7 +18,6 @@ from oedipus import (
     ImageGrid,
     pattern_from_groups,
     sbs_design,
-    single_channel_model,
     synthesize_coil_maps,
 )
 from oedipus import design
@@ -36,7 +35,7 @@ def toy_1d_model(n=4, oversampling=1.5):
     cand = build_cartesian_candidates(
         grid, oversampling=oversampling, undersample_axes=(1,), n_coils=1
     )
-    return single_channel_model(grid, cand)
+    return EncodingModel(grid, cand, (synthesize_coil_maps(grid, 1),))
 
 
 def brute_force_costs(model, support, active, objective, spec):
@@ -475,7 +474,7 @@ def test_uniform_lattice_aliasing_gives_infinite_objective():
     # indistinguishable; a support containing such a pair is unidentifiable
     grid = ImageGrid((1, 8), (10.0, 100.0))
     cand = build_cartesian_candidates(grid, undersample_axes=(1,), n_coils=1)
-    model = single_channel_model(grid, cand)
+    model = EncodingModel(grid, cand, (synthesize_coil_maps(grid, 1),))
     even_groups = [g for g in range(8) if cand.kidx[cand.group_locs[g][0], 1] % 2 == 0]
     pattern = pattern_from_groups(cand, even_groups, mode="uniform-R2")
     support = SupportSet(indices=np.array([0, 4]), q=8)

@@ -7,7 +7,6 @@ from oedipus import (
     ImageGrid,
     VoxelBasis,
     build_cartesian_candidates,
-    single_channel_model,
     synthesize_coil_maps,
 )
 
@@ -76,7 +75,7 @@ def test_dc_row_is_all_ones():
 def test_1d_dft_rows_orthogonal():
     grid = ImageGrid((1, 4), (10.0, 100.0))
     cand = build_cartesian_candidates(grid, undersample_axes=(1,))
-    model = single_channel_model(grid, cand)
+    model = EncodingModel(grid, cand, (synthesize_coil_maps(grid, 1),))
     rows = np.stack([candidate_row(model, p, 0) for p in range(4)])
     gram = rows @ rows.conj().T
     assert np.allclose(gram, 4 * np.eye(4), atol=1e-12)

@@ -3,6 +3,7 @@ import pytest
 
 from oedipus import (
     DesignObjective,
+    EncodingModel,
     ImageGrid,
     ReconProblem,
     SolverFailureError,
@@ -13,7 +14,7 @@ from oedipus import (
     pattern_from_groups,
     render_phantom,
     retrospective_undersample,
-    single_channel_model,
+    synthesize_coil_maps,
     uniform_pattern,
 )
 from oedipus.phantoms import PhantomSpec, default_phantom_spec
@@ -123,7 +124,7 @@ def test_patterns_subsample_one_acquisition(rng):
 def _phantom_model(dims=(16, 16)):
     grid = ImageGrid(dims, (100.0, 100.0))
     cand = build_cartesian_candidates(grid, undersample_axes=(0,), n_coils=1)
-    model = single_channel_model(grid, cand)
+    model = EncodingModel(grid, cand, (synthesize_coil_maps(grid, 1),))
     gold = render_phantom(default_phantom_spec(grid, 0))
     return model, gold
 
@@ -173,7 +174,7 @@ def test_irls_objective_monotone_random_problems(rng):
 def test_tv_recon_beats_zero_fill_on_piecewise_constant():
     grid = ImageGrid((32, 32), (100.0, 100.0))
     cand = build_cartesian_candidates(grid, undersample_axes=(0,), n_coils=1)
-    model = single_channel_model(grid, cand)
+    model = EncodingModel(grid, cand, (synthesize_coil_maps(grid, 1),))
     gold = np.abs(render_phantom(PhantomSpec(grid=grid, texture=0.0))).astype(complex)
     pattern = uniform_pattern(cand, 2)
     d = retrospective_undersample(gold, pattern, model)
