@@ -125,8 +125,8 @@ CONFIG_KEYS = {
     "basis": (VoxelBasis, "dirac"),
     "oversampling": (_number(float, least=1), 1.0),
     "undersample_axes": (_list(_number(int), allowed={0, 1}), (0, 1)),
-    "transform.family": (str, "daub4"),
-    "transform.levels": (_number(int), 3),
+    "transform.family": (lambda name: TransformSpec(name, 1).family, "daub4"),
+    "transform.levels": (_number(int, least=0), 3),
     "fraction": (_number(float, above=0, most=1), 0.15),
     "objective": (DesignObjective, "average"),
     "accelerations": (_list(_number(float, least=1)), REQUIRED),
@@ -140,8 +140,8 @@ CONFIG_KEYS = {
     "test_phantoms.noise_sigma": (_number(float, least=0), 0.0),
     "test_phantoms.noise_seed": (_seed, 1),
     "baselines.uniform": (_flag, True),
-    "baselines.caipi.ry": (_number(int), 1),
-    "baselines.caipi.rz": (_number(int), None),
+    "baselines.caipi.ry": (_number(int, least=1), 1),
+    "baselines.caipi.rz": (_number(int, least=1), None),
     "baselines.caipi.shift": (_number(int), 1),
     "baselines.poisson.seeds": (_list(_seed, empty=True), ()),
     "baselines.poisson.center_block": (_number(int, least=0), 16),
@@ -197,12 +197,9 @@ def load_config(path) -> dict:
             cfg[key] = None if value is None and key not in flat else convert(value)
         except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"{path}: {key}: {err}") from err
-    try:
-        cfg["grid"] = ImageGrid(dims=cfg["grid.dims"], fov=cfg["grid.fov"])
+    cfg["grid"] = ImageGrid(dims=cfg["grid.dims"], fov=cfg["grid.fov"])
+    try:  # the family is known here, so only its level rule can fail
         cfg["transform"] = TransformSpec(cfg["transform.family"], cfg["transform.levels"])
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from err
-    try:
         sparsity.check_dims(cfg["grid"].dims, cfg["transform"])
     except ValueError as err:
         raise ConfigError(f"{path}: transform.levels: {err}") from err

@@ -94,10 +94,10 @@ def _spectra(model: EncodingModel, support: SupportSet, spec: TransformSpec, t: 
     """
     grid, locs = model.grid, _group_locations(model, groups, t)
     f1, f2, j1, j2 = _axis_phases(model, locs)
-    klocs = model.candidates.klocs[locs]
+    m, ov = model.candidates.kidx[locs], model.candidates.oversampling
     w1, w2 = np.empty(len(f1)), np.empty(f2.shape[1])
-    w1[j1] = model.basis.axis_weights(klocs[:, 0], grid, 0)
-    w2[j2] = model.basis.axis_weights(klocs[:, 1], grid, 1)
+    w1[j1] = model.basis.axis_weights(m[:, 0], ov * grid.dims[0])
+    w2[j2] = model.basis.axis_weights(m[:, 1], ov * grid.dims[1])
     f1, f2 = w1[:, None] * f1, f2 * w2
     a1, a2 = support_atoms(support, spec, grid.dims)
     u, sv, vh = np.linalg.svd(model.coil_maps[t].reshape(model.n_coils, *grid.dims))

@@ -7,14 +7,15 @@ only be acquired together (one readout line, or one k-space location seen
 simultaneously by every coil) are collected into groups; groups are the
 atomic unit that the design algorithms keep or delete.
 
-Conventions fixed here and used package-wide:
+Conventions fixed here and used package-wide, all in grid units:
 
-* voxels are row-major, voxel ``n = n1 * N2 + n2`` sits at
-  ``r_n = (n1 * fov1 / N1, n2 * fov2 / N2)`` millimetres;
-* k-space coordinates are in cycles/mm on a centred Cartesian grid with
-  spacing ``1 / (oversampling * fov)`` per axis;
-* candidate rows are indexed location-major, coil-minor:
-  ``p = location_index * n_coils + coil_index``.
+* voxel ``n = n1 * N2 + n2`` (row-major) has integer coordinates ``(n1, n2)``;
+* a k-space location is its signed integer offset ``m`` from the centre of
+  a grid of ``ceil(ov * N)`` offsets per axis, and its row has phase
+  ``-2 pi (m1 n1 / (ov N1) + m2 n2 / (ov N2))`` at voxel n.  The field of
+  view cancels from ``k . r`` (``m / (ov fov)`` cycles/mm at ``n fov / N``
+  mm), so no row, Gram or CRB depends on it;
+* the rows of a group are ordered location-major, coil-minor.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class ImageGrid:
     dims : (int, int)
         Voxel counts ``(N1, N2)`` along the two image axes.
     fov : (float, float)
-        Field of view in millimetres along the two axes.
+        Field of view in millimetres along the two axes.  It is validated
+        but changes no output: k-space is in grid units.
     """
 
     dims: tuple[int, int]
@@ -68,8 +70,8 @@ class VoxelBasis:
     """Voxel basis function selector.
 
     ``dirac`` gives unit weights; ``rect`` weights each candidate row by the
-    separable sinc of ``k * voxel_size`` along both axes (the k-space
-    footprint of a rectangular voxel).
+    separable sinc of its offset over the candidate period along both axes
+    (the k-space footprint of a rectangular voxel).
     """
 
     kind: str = "dirac"
@@ -78,55 +80,42 @@ class VoxelBasis:
         if self.kind not in ("dirac", "rect"):
             raise ValueError(f"unknown voxel basis {self.kind!r}")
 
-    def weights(self, klocs: np.ndarray, grid: ImageGrid) -> np.ndarray:
-        """Per-location weights b_p, shape (n_locations,): the product of the
-        :meth:`axis_weights` of both coordinates."""
-        return self.axis_weights(klocs[:, 0], grid, 0) * self.axis_weights(klocs[:, 1], grid, 1)
-
-    def axis_weights(self, k: np.ndarray, grid: ImageGrid, axis: int) -> np.ndarray:
-        """Weight factor of coordinates ``k`` (cycles/mm) along one image axis."""
+    def axis_weights(self, m: np.ndarray, period: float) -> np.ndarray:
+        """Weight factor of integer offsets ``m`` along one axis whose
+        candidate grid has ``period = oversampling * N`` offsets."""
         if self.kind == "dirac":
-            return np.ones(len(k))
-        return np.sinc(k * (grid.fov[axis] / grid.dims[axis]))
+            return np.ones(len(m))
+        return np.sinc(m / period)
 
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
     """All candidate k-space measurements plus their acquisition grouping.
 
-    ``klocs[j]`` is the j-th location in cycles/mm and ``kidx[j]`` its signed
-    integer offset from the k-space centre.  Row ``p`` corresponds to
-    location ``p // n_coils`` seen by coil ``p % n_coils``.  ``group_locs``
-    is an (L, n_loc) int array: row ``l`` holds the ascending location
-    indices of group ``l``.  ``groups`` is the (L, C) int array of their
-    rows, ``group_locs * n_coils + coil`` in location-major, coil-minor
-    (ascending) order.
+    ``kidx[j]`` is the signed integer offset of the j-th location from the
+    k-space centre.  ``group_locs`` is an (L, n_loc) int array: row ``l``
+    holds the ascending location indices of group ``l``, each seen by all
+    ``n_coils`` coils, so a group has ``C = n_loc * n_coils`` rows.
     """
 
-    klocs: np.ndarray
     kidx: np.ndarray
     grid_dims: tuple[int, int]
     oversampling: float
     n_coils: int
     undersample_axes: tuple[int, ...]
-    groups: np.ndarray
     group_locs: np.ndarray
 
     @property
     def n_locations(self) -> int:
-        return self.klocs.shape[0]
-
-    @property
-    def P(self) -> int:
-        return self.n_locations * self.n_coils
+        return self.kidx.shape[0]
 
     @property
     def L(self) -> int:
-        return len(self.groups)
+        return self.group_locs.shape[0]
 
     @property
     def C(self) -> int:
-        return self.groups.shape[1]
+        return self.group_locs.shape[1] * self.n_coils
 
 
 def build_cartesian_candidates(
@@ -137,8 +126,8 @@ def build_cartesian_candidates(
 ) -> CandidateSet:
     """Enumerate a centred Cartesian candidate grid and group its rows.
 
-    The candidate grid has ``ceil(oversampling * N)`` locations per axis at
-    spacing ``1 / (oversampling * fov)``; a singleton axis stays singleton
+    The candidate grid has ``ceil(oversampling * N)`` integer offsets per
+    axis, centred on zero; a singleton axis stays singleton
     (its voxel coordinate is zero, so extra offsets would duplicate rows
     exactly).  With 2D undersampling every location forms its own group
     (times coils, ``C = n_coils``); with 1D undersampling along one axis
@@ -161,25 +150,19 @@ def build_cartesian_candidates(
     m2 = np.arange(g2) - g2 // 2
     mm1, mm2 = np.meshgrid(m1, m2, indexing="ij")
     kidx = np.stack([mm1.ravel(), mm2.ravel()], axis=1)
-    dk1 = 1.0 / (oversampling * grid.fov[0])
-    dk2 = 1.0 / (oversampling * grid.fov[1])
-    klocs = kidx * np.array([dk1, dk2])
 
     loc_ids = np.arange(g1 * g2).reshape(g1, g2)
     # one group per location (2D), per grid row (undersampled axis 0) or per
     # grid column (undersampled axis 1)
     by_axes = {(0, 1): loc_ids.reshape(-1, 1), (0,): loc_ids, (1,): loc_ids.T}
     group_locs = np.ascontiguousarray(by_axes[axes])
-    groups = (group_locs[:, :, None] * n_coils + np.arange(n_coils)).reshape(len(group_locs), -1)
 
     return CandidateSet(
-        klocs=klocs,
         kidx=kidx,
         grid_dims=(g1, g2),
         oversampling=float(oversampling),
         n_coils=n_coils,
         undersample_axes=axes,
-        groups=groups,
         group_locs=group_locs,
     )
 
@@ -279,9 +262,10 @@ def synthesize_coil_maps(
 
 def _axis_phases(model: EncodingModel, locs: np.ndarray):
     """Per-axis factors F1 (d1, N1), F2 (N2, d2) of the row phases
-    ``exp(-i 2 pi k_p . r_n)`` over the distinct offsets of ``locs``, with
-    the index (j1, j2) of each location: ``(F1 @ x @ F2)[j1, j2]`` is the
-    spectrum of image x at each location, for any oversampling."""
+    ``exp(-i 2 pi (m1 n1 / (ov N1) + m2 n2 / (ov N2)))`` over the distinct
+    offsets m of ``locs``, with the index (j1, j2) of each location:
+    ``(F1 @ x @ F2)[j1, j2]`` is the spectrum of image x at each location,
+    for any oversampling."""
     (n1, n2), ov = model.grid.dims, model.candidates.oversampling
     m = model.candidates.kidx[locs]
     u1, j1 = np.unique(m[:, 0], return_inverse=True)
@@ -321,13 +305,13 @@ class EncodingOperator:
         cand = model.candidates
         self.model = model
         self._locs = _group_locations(model, groups, t)
-        self._b = model.basis.weights(cand.klocs[self._locs], model.grid)
-        self._maps = model.coil_maps[t].reshape(model.n_coils, *model.grid.dims)
+        m, dims, ov = cand.kidx[self._locs], tuple(model.grid.dims), cand.oversampling
+        w1 = model.basis.axis_weights(m[:, 0], ov * dims[0])
+        self._b = w1 * model.basis.axis_weights(m[:, 1], ov * dims[1])
+        self._maps = model.coil_maps[t].reshape(model.n_coils, *dims)
         self.n_rows = self._locs.size * cand.n_coils
-        dims = tuple(model.grid.dims)
-        if cand.grid_dims == dims and cand.oversampling == 1.0:
+        if cand.grid_dims == dims and ov == 1.0:
             self._factors = None  # spectra by FFT on the voxel grid
-            m = cand.kidx[self._locs]
             self._j1, self._j2 = np.mod(m[:, 0], dims[0]), np.mod(m[:, 1], dims[1])
             self._grid_dims = dims
         else:

@@ -147,7 +147,7 @@ def retrospective_undersample(
     d = op.forward(np.asarray(full_image).ravel())
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
-        shape = model.candidates.groups.shape
+        shape = (model.candidates.L, model.candidates.C)
         noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         d = d + noise_sigma * noise[list(pattern.kept_groups)].ravel() / np.sqrt(2.0)
     return d

@@ -37,8 +37,9 @@ def dense_candidate_matrix(model, t=0):
     """Stack every candidate row densely (test oracle only)."""
     from reference import candidate_row
 
+    cand = model.candidates
     return np.stack(
-        [candidate_row(model, p, t) for p in range(model.candidates.P)]
+        [candidate_row(model, p, t) for p in range(cand.n_locations * cand.n_coils)]
     )
 
 

@@ -24,19 +24,35 @@ from oedipus import (
 from oedipus.crb import gram_trace, restricted_matrix
 
 
-def _row_phases(model, loc_indices: np.ndarray) -> np.ndarray:
-    """exp(-i 2 pi k_p . r_n) for the given locations, shape (n_loc, N)."""
+def row_indices(cand, groups) -> np.ndarray:
+    """Flat row indices ``loc * n_coils + coil`` of each group, (len(groups), C),
+    location-major and coil-minor; the rows of all locations are
+    ``range(cand.n_locations * cand.n_coils)``."""
+    locs = cand.group_locs[np.asarray(groups, dtype=int)]
+    return (locs[:, :, None] * cand.n_coils + np.arange(cand.n_coils)).reshape(len(locs), -1)
+
+
+def kspace_locations(model, loc_indices) -> np.ndarray:
+    """Physical coordinates in cycles/mm of the given locations, (n_loc, 2):
+    the integer offset m times the candidate spacing ``1 / (ov * fov)``."""
     cand = model.candidates
+    return cand.kidx[loc_indices] / (cand.oversampling * np.asarray(model.grid.fov))
+
+
+def _physical_rows(model, loc_indices) -> tuple[np.ndarray, np.ndarray]:
+    """Basis weights b_p (n_loc,) and phases ``exp(-i 2 pi k_p . r_n)`` (n_loc, N)
+    of the given locations, from k_p in cycles/mm and the voxel centres
+    ``r_n = (n1 * fov1 / N1, n2 * fov2 / N2)`` in mm; the package works in
+    grid units, where the field of view cancels."""
+    voxel = np.asarray(model.grid.fov) / np.asarray(model.grid.dims)  # mm
+    k = kspace_locations(model, loc_indices)
     n1, n2 = model.grid.dims
-    ov = cand.oversampling
-    i1, i2 = np.divmod(np.arange(n1 * n2), n2)  # row-major voxel indices
-    m = cand.kidx[loc_indices]
-    # k . r reduces to m1*n1/(ov*N1) + m2*n2/(ov*N2); fov cancels exactly.
-    phase = (
-        m[:, 0:1] * (i1[None, :] / (ov * n1))
-        + m[:, 1:2] * (i2[None, :] / (ov * n2))
-    )
-    return np.exp(-2j * np.pi * phase)
+    r = np.stack(np.divmod(np.arange(n1 * n2), n2), axis=1) * voxel  # row-major voxels
+    if model.basis.kind == "rect":  # k-space footprint of a rectangular voxel
+        b = np.prod(np.sinc(k * voxel), axis=1)
+    else:
+        b = np.ones(len(k))
+    return b, np.exp(-2j * np.pi * (k @ r.T))
 
 
 def candidate_row(model, p: int, t: int) -> np.ndarray:
@@ -47,15 +63,14 @@ def candidate_row(model, p: int, t: int) -> np.ndarray:
     unit coil map and dirac basis this is a pure DFT row.
     """
     cand = model.candidates
-    if not 0 <= p < cand.P:
-        raise ValueError(f"row index {p} out of range [0, {cand.P})")
+    n_rows = cand.n_locations * cand.n_coils
+    if not 0 <= p < n_rows:
+        raise ValueError(f"row index {p} out of range [0, {n_rows})")
     if not 0 <= t < model.T:
         raise ValueError(f"map-set index {t} out of range [0, {model.T})")
-    loc = p // cand.n_coils
-    coil = p % cand.n_coils
-    b = model.basis.weights(cand.klocs[loc : loc + 1], model.grid)[0]
-    phases = _row_phases(model, np.array([loc]))[0]
-    return model.coil_maps[t][coil] * b * phases
+    loc, coil = divmod(p, cand.n_coils)
+    b, phases = _physical_rows(model, np.array([loc]))
+    return model.coil_maps[t][coil] * b[0] * phases[0]
 
 
 def group_rows(model, group_index: int, t: int) -> np.ndarray:
@@ -65,9 +80,7 @@ def group_rows(model, group_index: int, t: int) -> np.ndarray:
         raise ValueError(f"group index {group_index} out of range [0, {cand.L})")
     if not 0 <= t < model.T:
         raise ValueError(f"map-set index {t} out of range [0, {model.T})")
-    locs = cand.group_locs[group_index]
-    b = model.basis.weights(cand.klocs[locs], model.grid)
-    phases = _row_phases(model, locs)  # (n_loc, N)
+    b, phases = _physical_rows(model, cand.group_locs[group_index])  # (n_loc,), (n_loc, N)
     maps = model.coil_maps[t]  # (n_coils, N)
     # rows ordered location-major, coil-minor to match row index p ordering
     block = (b[:, None, None] * phases[:, None, :]) * maps[None, :, :]

@@ -326,6 +326,10 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
         ),
         ("design", {"accelerations": [2, 1000]}, "acceleration 1000: leaves none"),
         ("baseline", {"accelerations": [2, 1000]}, "acceleration 1000: leaves none"),
+        ("baseline", {"baselines": {"caipi": {"ry": 0}}}, "baselines.caipi.ry"),
+        ("baseline", {"baselines": {"caipi": {"rz": 0}}}, "baselines.caipi.rz"),
+        ("design", {"transform": {"levels": 0}}, "transform.levels"),
+        ("design", {"transform": {"family": "db8"}}, "transform.family"),
     ],
 )
 def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):
@@ -340,6 +344,28 @@ def test_every_default_passes_its_own_converter():
     for key, (convert, default) in cli.CONFIG_KEYS.items():
         if default is not cli.REQUIRED and default is not None:
             convert(default)
+
+
+def test_identity_transform_takes_zero_levels(tmp_path):
+    transform = {"family": "identity", "levels": 0}
+    cfg = cli.load_config(write_config(tmp_path, transform=transform))
+    assert (cfg["transform"].family, cfg["transform"].levels) == ("identity", 0)
+
+
+def test_field_of_view_changes_no_output(tmp_path):
+    # k-space is in grid units, so the field of view cancels from every row,
+    # Gram and CRB; the rect basis is where it used to enter
+    trees = []
+    for fov in ([200.0, 200.0], [50.0, 300.0]):
+        root = tmp_path / f"fov_{fov[0]:g}_{fov[1]:g}"
+        root.mkdir()
+        config = write_config(root, grid={"dims": [16, 16], "fov": fov}, basis="rect")
+        for command in ("design", "baseline", "evaluate"):
+            assert run(command, config) == 0
+        out = root / "out"
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert trees[0].keys() == trees[1].keys()
+    assert [p for p in trees[0] if trees[0][p] != trees[1][p]] == []
 
 
 def test_a_yaml_exponent_without_a_dot_is_a_number(tmp_path):

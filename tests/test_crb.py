@@ -14,7 +14,7 @@ from oedipus import crb
 from oedipus.crb import CrbState, smw_removal
 
 from conftest import dense_candidate_matrix, dense_transform_matrix, make_model, random_support
-from reference import group_rows, restricted_rows
+from reference import group_rows, restricted_rows, row_indices
 
 
 def dense_crb_oracle(model, support, spec, t=0, groups=None):
@@ -23,7 +23,7 @@ def dense_crb_oracle(model, support, spec, t=0, groups=None):
     cand = model.candidates
     groups = range(cand.L) if groups is None else groups
     rows = dense_candidate_matrix(model, t)
-    keep = np.concatenate([cand.groups[g] for g in groups])
+    keep = row_indices(cand, groups).ravel()
     psi = dense_transform_matrix(model.grid.dims, spec)
     restricted = (rows[keep] @ psi.conj().T)[:, support.indices]
     return np.linalg.inv(restricted.conj().T @ restricted)

@@ -11,7 +11,7 @@ from oedipus import (
 )
 
 from conftest import dense_candidate_matrix, make_model
-from reference import candidate_row, group_rows
+from reference import candidate_row, group_rows, kspace_locations, row_indices
 
 
 def test_grid_validation():
@@ -24,7 +24,7 @@ def test_grid_validation():
 def test_candidate_counts_2d_single_coil():
     grid = ImageGrid((4, 4), (100.0, 100.0))
     cand = build_cartesian_candidates(grid, undersample_axes=(0, 1), n_coils=1)
-    assert (cand.P, cand.L, cand.C) == (16, 16, 1)
+    assert (cand.n_locations, cand.L, cand.C) == (16, 16, 1)
 
 
 def test_candidate_counts_1d_two_coils():
@@ -43,21 +43,23 @@ def test_candidate_counts_paper_scale_lines():
 
 def test_groups_partition_rows():
     cand = make_model((4, 6), n_coils=3, undersample_axes=(0,)).candidates
-    seen = cand.groups.ravel()
-    assert len(seen) == cand.P
-    assert np.array_equal(np.sort(seen), np.arange(cand.P))
-    sizes = {len(g) for g in cand.groups}
-    assert sizes == {cand.C}
+    rows = row_indices(cand, range(cand.L))
+    assert rows.shape == (cand.L, cand.C)
+    assert np.array_equal(np.sort(rows.ravel()), np.arange(cand.n_locations * cand.n_coils))
 
 
 def test_oversampling_grows_grid_and_shrinks_spacing():
     grid = ImageGrid((4, 4), (100.0, 100.0))
     cand = build_cartesian_candidates(grid, oversampling=1.5, undersample_axes=(1,))
     assert cand.grid_dims == (6, 6)
+    assert np.array_equal(np.unique(cand.kidx[:, 0]), np.arange(-3, 3))
     base = build_cartesian_candidates(grid, undersample_axes=(1,))
-    dk = np.diff(np.unique(cand.klocs[:, 0]))[0]
-    dk_base = np.diff(np.unique(base.klocs[:, 0]))[0]
-    assert dk == pytest.approx(dk_base / 1.5)
+
+    def spacing(c):  # cycles/mm along axis 0
+        model = EncodingModel(grid, c, (synthesize_coil_maps(grid, 1),))
+        return np.diff(np.unique(kspace_locations(model, np.arange(c.n_locations))[:, 0]))[0]
+
+    assert spacing(cand) == pytest.approx(spacing(base) / 1.5)
     with pytest.raises(ValueError):
         build_cartesian_candidates(grid, oversampling=0.5)
     with pytest.raises(ValueError):
@@ -106,21 +108,24 @@ def test_candidate_row_index_errors():
     with pytest.raises(ValueError):
         candidate_row(model, -1, 0)
     with pytest.raises(ValueError):
-        candidate_row(model, model.candidates.P, 0)
+        candidate_row(model, model.candidates.n_locations, 0)
     with pytest.raises(ValueError):
         candidate_row(model, 0, 1)
 
 
 def test_rect_basis_weights():
     grid = ImageGrid((4, 4), (100.0, 100.0))
-    cand = build_cartesian_candidates(grid)
-    b = VoxelBasis("rect").weights(cand.klocs, grid)
+    cand = build_cartesian_candidates(grid, oversampling=1.5)
+    m, rect, period = cand.kidx, VoxelBasis("rect"), 1.5 * 4
+    b = rect.axis_weights(m[:, 0], period) * rect.axis_weights(m[:, 1], period)
     dc = np.flatnonzero((cand.kidx == 0).all(axis=1))[0]
     assert b[dc] == pytest.approx(1.0)
     assert np.all(b <= 1.0) and np.all(b > 0.0)
-    k = cand.klocs[0]
+    # sinc(k * voxel size) of k = m / (ov * fov) cycles/mm and 25 mm voxels
+    k = m[0] / (1.5 * 100.0)
     expected = np.sinc(k[0] * 25.0) * np.sinc(k[1] * 25.0)
     assert b[0] == pytest.approx(expected)
+    assert np.array_equal(VoxelBasis("dirac").axis_weights(m[:, 0], period), np.ones(len(m)))
 
 
 def test_coil_maps_deterministic_and_covering():
@@ -144,7 +149,7 @@ def test_group_rows_match_candidate_rows():
     cand = model.candidates
     for g in range(cand.L):
         block = group_rows(model, g, 0)
-        for i, p in enumerate(cand.groups[g]):
+        for i, p in enumerate(row_indices(cand, [g])[0]):
             assert np.allclose(block[i], candidate_row(model, int(p), 0))
 
 
