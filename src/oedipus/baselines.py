@@ -41,7 +41,7 @@ def uniform_pattern(candidates: CandidateSet, R: float) -> SamplingPattern:
     if R > n_groups:
         raise ValueError(f"R={R} exceeds group count {n_groups}")
     n_keep = int(round(n_groups / R))
-    kept = np.unique(np.floor(np.arange(n_keep) * n_groups / n_keep).astype(int))
+    kept = np.floor(np.arange(n_keep) * n_groups / n_keep).astype(int)  # distinct: spacing >= 1
     return pattern_from_groups(candidates, kept, mode=f"uniform/R{R:g}")
 
 
@@ -107,7 +107,7 @@ def poisson_disc_pattern(
         raise ValueError(
             f"target {target_groups} below centre-block group count {center.size}"
         )
-    outside = np.setdiff1d(np.arange(n_groups), center)
+    outside = np.delete(np.arange(n_groups), center)
     rng = np.random.default_rng(seed)
     order = outside[rng.permutation(outside.size)]
     tol = max(1, int(round(0.01 * target_groups)))

@@ -179,7 +179,7 @@ def load_config(path) -> dict:
     and the switches ``multi`` (nonempty channels.multi) and ``caipi``."""
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
     flat = _flatten(doc)

@@ -265,11 +265,12 @@ def _axis_phases(model: EncodingModel, locs: np.ndarray):
     ``exp(-i 2 pi (m1 n1 / (ov N1) + m2 n2 / (ov N2)))`` over the distinct
     offsets m of ``locs``, with the index (j1, j2) of each location:
     ``(F1 @ x @ F2)[j1, j2]`` is the spectrum of image x at each location,
-    for any oversampling."""
-    (n1, n2), ov = model.grid.dims, model.candidates.oversampling
-    m = model.candidates.kidx[locs]
-    u1, j1 = np.unique(m[:, 0], return_inverse=True)
-    u2, j2 = np.unique(m[:, 1], return_inverse=True)
+    for any oversampling (np.unique would import numpy.ma)."""
+    (n1, n2), (g1, g2) = model.grid.dims, model.candidates.grid_dims
+    ov, m = model.candidates.oversampling, model.candidates.kidx[locs]
+    u1 = np.flatnonzero(np.bincount(m[:, 0] + g1 // 2, minlength=g1)) - g1 // 2
+    u2 = np.flatnonzero(np.bincount(m[:, 1] + g2 // 2, minlength=g2)) - g2 // 2
+    j1, j2 = np.searchsorted(u1, m[:, 0]), np.searchsorted(u2, m[:, 1])
     f1 = np.exp(-2j * np.pi * (u1[:, None] * (np.arange(n1)[None, :] / (ov * n1))))
     f2 = np.exp(-2j * np.pi * ((np.arange(n2)[:, None] / (ov * n2)) * u2[None, :]))
     return f1, f2, j1, j2
@@ -298,7 +299,7 @@ class EncodingOperator:
     scattered into it) and weighted by the voxel basis.  When the
     candidate grid is the voxel grid (oversampling 1) the spectra are FFTs;
     otherwise they are taken with the separable DFT factors of the row
-    phases, exact for any oversampling.
+    phases, exact for any oversampling.  ``normal`` (A^H A) weights them twice.
     """
 
     def __init__(self, model: EncodingModel, groups, t: int = 0):
@@ -309,37 +310,54 @@ class EncodingOperator:
         w1 = model.basis.axis_weights(m[:, 0], ov * dims[0])
         self._b = w1 * model.basis.axis_weights(m[:, 1], ov * dims[1])
         self._maps = model.coil_maps[t].reshape(model.n_coils, *dims)
+        self._maps_conj = self._maps.conj()
         self.n_rows = self._locs.size * cand.n_coils
         if cand.grid_dims == dims and ov == 1.0:
             self._factors = None  # spectra by FFT on the voxel grid
             self._j1, self._j2 = np.mod(m[:, 0], dims[0]), np.mod(m[:, 1], dims[1])
-            self._grid_dims = dims
+            self._weights = np.zeros(dims)  # b at each kept location, 0 elsewhere
         else:
             f1, f2, self._j1, self._j2 = _axis_phases(model, self._locs)
             self._factors = (f1, f2)
-            self._grid_dims = (f1.shape[0], f2.shape[1])
+            self._weights = np.zeros((f1.shape[0], f2.shape[1]))
+        self._weights[self._j1, self._j2] = self._b
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.model.N)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a flat image (N,); returns (M,)."""
+    def _spectra(self, x: np.ndarray) -> np.ndarray:
         images = self._maps * np.asarray(x).reshape(self.model.grid.dims)
         if self._factors is None:
-            spectra = np.fft.fft2(images)
+            for axis in (-1, -2):  # the passes of fft2, in place
+                np.fft.fft(images, axis=axis, out=images)
+            return images
+        return self._factors[0] @ images @ self._factors[1]
+
+    def _image(self, spectra: np.ndarray) -> np.ndarray:
+        """Coil-combined image of ``spectra``, which it may overwrite."""
+        if self._factors is None:
+            for axis in (-1, -2):  # the passes of ifft2, in place
+                np.fft.ifft(spectra, axis=axis, out=spectra)
+            spectra *= self.model.N
         else:
-            spectra = self._factors[0] @ images @ self._factors[1]
-        return (spectra[:, self._j1, self._j2].T * self._b[:, None]).reshape(self.n_rows)
+            spectra = self._factors[0].conj().T @ spectra @ self._factors[1].conj().T
+        return (self._maps_conj * spectra).sum(axis=0).ravel()
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for a flat image (N,); returns (M,)."""
+        return (self._spectra(x)[:, self._j1, self._j2].T * self._b[:, None]).reshape(self.n_rows)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A^H @ y, returns a flat (N,) image vector."""
         vals = np.asarray(y).reshape(self._locs.size, self.model.n_coils) * self._b[:, None]
-        spectra = np.zeros((self.model.n_coils, *self._grid_dims), dtype=complex)
+        spectra = np.zeros((self.model.n_coils, *self._weights.shape), dtype=complex)
         spectra[:, self._j1, self._j2] = vals.T
-        if self._factors is None:
-            images = np.fft.ifft2(spectra) * self.model.N
-        else:
-            f1, f2 = self._factors
-            images = f1.conj().T @ spectra @ f2.conj().T
-        return (self._maps.conj() * images).sum(axis=0).ravel()
+        return self._image(spectra)
+
+    def normal(self, x: np.ndarray) -> np.ndarray:
+        """A^H A @ x, bit for bit ``adjoint(forward(x))``; returns (N,)."""
+        spectra = self._spectra(x)
+        spectra *= self._weights
+        spectra *= self._weights
+        return self._image(spectra)

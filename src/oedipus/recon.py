@@ -6,7 +6,8 @@ penalty (orthonormal wavelet coefficients or anisotropic total variation)
 and scoring by NRMSE.  The solver is the multiplicative half-quadratic
 scheme: each outer iteration reweights the penalty by the current
 coefficient magnitudes and solves the resulting weighted normal equations
-with warm-started conjugate gradients.  The smoothed objective
+with warm-started conjugate gradients (A^H A by ``EncodingOperator.normal``).
+The smoothed objective
 
     ||A f - d||^2 + lambda * sum_j rho_eps((T f)_j)
 
@@ -51,21 +52,21 @@ class TvOperator:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         img = np.asarray(x).reshape(self.dims)
-        d1 = np.zeros_like(img)
-        d2 = np.zeros_like(img)
-        d1[:-1, :] = img[1:, :] - img[:-1, :]
-        d2[:, :-1] = img[:, 1:] - img[:, :-1]
-        return np.concatenate([d1.ravel(), d2.ravel()])
+        d = np.zeros((2, *self.dims), dtype=img.dtype)
+        np.subtract(img[1:, :], img[:-1, :], out=d[0, :-1, :])
+        np.subtract(img.ravel()[1:], img.ravel()[:-1], out=d[1].ravel()[:-1])
+        d[1, :, -1] = 0  # axis 1 ran as one flat run: zero the differences across row ends
+        return d.reshape(-1)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        n = self.dims[0] * self.dims[1]
-        y1 = np.asarray(y)[:n].reshape(self.dims)
-        y2 = np.asarray(y)[n:].reshape(self.dims)
+        y1, y2 = np.asarray(y).reshape(2, *self.dims)
         out = np.zeros(self.dims, dtype=complex)
         out[1:, :] += y1[:-1, :]
         out[:-1, :] -= y1[:-1, :]
-        out[:, 1:] += y2[:, :-1]
-        out[:, :-1] -= y2[:, :-1]
+        z = y2.flatten()
+        z[self.dims[1] - 1 :: self.dims[1]] = 0  # unused last column: the flat runs add and take 0
+        out.ravel()[1:] += z[:-1]
+        out.ravel()[:-1] -= z[:-1]
         return out.ravel()
 
 
@@ -174,12 +175,13 @@ def _cg_solve(apply_h, b, x0, tol, max_iters):
         if denom <= 0:
             return x, it, False
         alpha = rs / denom
-        x = x + alpha * p
-        r = r - alpha * hp
+        x += alpha * p
+        r -= alpha * hp
         rs_new = np.vdot(r, r).real
         if np.sqrt(rs_new) <= target:
             return x, it, True
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     return x, max_iters, False
 
@@ -229,7 +231,7 @@ def irls_solve(problem: ReconProblem) -> ReconResult:
         weights = 1.0 / np.maximum(tmag, eps)
 
         def apply_h(x):
-            return a_op.adjoint(a_op.forward(x)) + (problem.lam / 2.0) * t_op.adjoint(
+            return a_op.normal(x) + (problem.lam / 2.0) * t_op.adjoint(
                 weights * t_op.forward(x)
             )
 

@@ -74,14 +74,14 @@ class SupportSet:
     q: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices)
+        idx = np.sort(self.indices, axis=None)
         if idx.size == 0:
             raise ValueError("support must be nonempty")
-        if idx.min() < 0 or idx.max() >= self.q:
+        if idx[0] < 0 or idx[-1] >= self.q:
             raise ValueError("support indices out of range")
-        if np.unique(idx).size != idx.size:
+        if (idx[1:] == idx[:-1]).any():
             raise ValueError("support indices must be unique")
-        object.__setattr__(self, "indices", np.sort(idx.astype(int)))
+        object.__setattr__(self, "indices", idx.astype(int))
 
     @property
     def S(self) -> int:

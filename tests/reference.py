@@ -7,6 +7,9 @@ package builds the same rows in closed form from 1D atom spectra instead.
 every deletion, with none of the SBS engine's downdates, forms or bounds.
 :func:`reference_poisson_disc` throws darts by testing every position's
 distance at each acceptance, with no grid or stencil.
+:func:`tv_forward` and :func:`tv_adjoint` are the total-variation differences
+and their adjoint with one zeroed array per axis; ``TvOperator`` writes them
+into one buffer and runs axis 1 as one flat run.
 """
 
 from __future__ import annotations
@@ -184,3 +187,26 @@ def reference_poisson_disc(candidates, target_groups, center_block, seed):
         else:
             hi = radius
     raise GenerationFailureError("no radius hits the target")
+
+
+def tv_forward(x, dims) -> np.ndarray:
+    """Axis-0 then axis-1 forward differences of a flat image, replicate boundary."""
+    img = np.asarray(x).reshape(dims)
+    d1 = np.zeros_like(img)
+    d2 = np.zeros_like(img)
+    d1[:-1, :] = img[1:, :] - img[:-1, :]
+    d2[:, :-1] = img[:, 1:] - img[:, :-1]
+    return np.concatenate([d1.ravel(), d2.ravel()])
+
+
+def tv_adjoint(y, dims) -> np.ndarray:
+    """Adjoint of :func:`tv_forward`: the negative divergence of a (2N,) stack."""
+    n = dims[0] * dims[1]
+    y1 = np.asarray(y)[:n].reshape(dims)
+    y2 = np.asarray(y)[n:].reshape(dims)
+    out = np.zeros(dims, dtype=complex)
+    out[1:, :] += y1[:-1, :]
+    out[:-1, :] -= y1[:-1, :]
+    out[:, 1:] += y2[:, :-1]
+    out[:, :-1] -= y2[:, :-1]
+    return out.ravel()

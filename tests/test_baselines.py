@@ -71,6 +71,13 @@ def test_uniform_r1_and_r4():
         uniform_pattern(cand, 9)
 
 
+@pytest.mark.parametrize("n_groups", [7, 16, 33])
+@pytest.mark.parametrize("R", [1, 1.3, 2, 2.5, 3])
+def test_uniform_keeps_round_l_over_r_distinct_groups(n_groups, R):
+    kept = uniform_pattern(lines_candidates(n_groups), R).kept_groups
+    assert len(kept) == round(n_groups / R) and list(kept) == sorted(set(kept))
+
+
 def test_caipi_reduces_to_uniform_rows():
     cand = grid_candidates(8, 8)
     pattern = caipi_pattern(cand, 2, ry=2, rz=1, shift=0)

@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -481,6 +484,40 @@ def test_selftest_covariance_check_runs_the_oracle_estimator(capsys, monkeypatch
 def test_example_configs_load(path):
     cfg = cli.load_config(path)
     assert cfg["accelerations"] and cfg["output_dir"].parts[0] == "runs"
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_example_configs_parse_alike_under_both_yaml_loaders(path):
+    # load_config parses with libyaml where PyYAML was built with it
+    text, fast = path.read_text(), getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert yaml.load(text, Loader=fast) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_an_unparsable_config_exits_2_and_names_the_file(tmp_path, capsys, monkeypatch, libyaml):
+    if not libyaml:  # the pure-Python parser, as without libyaml
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "broken.yaml"
+    path.write_text("grid: {dims: [16, 16]\naccelerations: [2]\n")
+    assert run("design", path) == 2
+    assert f"cannot parse {path}" in capsys.readouterr().err
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.unique and np.setdiff1d import numpy.ma, about 15 ms in every process
+    config = write_config(tmp_path, oversampling=1.5, grid={"dims": [8, 8]})
+    script = (
+        "import sys\nfrom oedipus import cli\n"
+        "for command in ('design', 'baseline', 'evaluate'):\n"
+        f"    assert cli.main([command, {str(config)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_readme_lists_every_config_key():

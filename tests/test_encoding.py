@@ -9,6 +9,7 @@ from oedipus import (
     build_cartesian_candidates,
     synthesize_coil_maps,
 )
+from oedipus.encoding import _axis_phases
 
 from conftest import dense_candidate_matrix, make_model
 from reference import candidate_row, group_rows, kspace_locations, row_indices
@@ -202,6 +203,32 @@ def test_oversampled_operator_at_64x64(rng):
     y = rng.standard_normal(op.n_rows) + 1j * rng.standard_normal(op.n_rows)
     lhs, rhs = np.vdot(y, op.forward(x)), np.vdot(op.adjoint(y), x)
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+@pytest.mark.parametrize("basis", ["dirac", "rect"])
+@pytest.mark.parametrize("oversampling", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("n_coils", [1, 2, 4])
+@pytest.mark.parametrize("axes", [(0, 1), (0,), (1,)])
+def test_normal_is_adjoint_of_forward_bit_for_bit(rng, basis, oversampling, n_coils, axes):
+    model = make_model((6, 8), n_coils, axes, seed=3, oversampling=oversampling, basis=basis)
+    for kept in (rng.permutation(model.candidates.L)[: model.candidates.L // 3 + 1], []):
+        op = EncodingOperator(model, kept, 0)
+        x = rng.standard_normal(model.N) + 1j * rng.standard_normal(model.N)
+        assert np.array_equal(op.normal(x), op.adjoint(op.forward(x)))
+
+
+@pytest.mark.parametrize("oversampling", [1.5, 2.0])
+def test_axis_phases_run_over_the_sorted_distinct_offsets(rng, oversampling):
+    model = make_model((6, 7), oversampling=oversampling)
+    locs = rng.choice(model.candidates.n_locations, 9, replace=False)
+    f1, f2, j1, j2 = _axis_phases(model, locs)
+    m, n1, n2 = model.candidates.kidx[locs], np.arange(6), np.arange(7)
+    for j, offsets in ((j1, m[:, 0]), (j2, m[:, 1])):
+        inverse = np.unique(offsets, return_inverse=True)[1]
+        assert j.dtype == inverse.dtype and np.array_equal(j, inverse)
+    row1 = np.exp(-2j * np.pi * (m[:, :1] * (n1[None, :] / (oversampling * 6))))
+    row2 = np.exp(-2j * np.pi * ((n2[:, None] / (oversampling * 7)) * m[:, 1][None, :]))
+    assert np.array_equal(f1[j1], row1) and np.array_equal(f2[:, j2], row2)
 
 
 def test_model_validates_map_shapes():

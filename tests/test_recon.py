@@ -18,9 +18,10 @@ from oedipus import (
     uniform_pattern,
 )
 from oedipus.phantoms import PhantomSpec, default_phantom_spec
-from oedipus.recon import TvOperator, WaveletOperator
+from oedipus.recon import TvOperator, WaveletOperator, _cg_solve
 
 from conftest import make_model
+from reference import tv_adjoint, tv_forward
 
 
 def full_pattern(model):
@@ -59,6 +60,30 @@ def test_tv_adjoint_random_pairs(rng):
         lhs = np.vdot(y, tv.forward(x))
         rhs = np.vdot(tv.adjoint(y), x)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (8, 6), (5, 9)])
+def test_tv_operator_equals_the_concatenated_differences(rng, dims):
+    tv, n = TvOperator(dims), dims[0] * dims[1]
+    zeros = rng.choice([0.0, -0.0, 1.0], n) + 1j * rng.choice([0.0, -0.0, 1.0], n)
+    for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n), zeros):
+        want = tv_forward(x, dims)  # bit for bit, signed zeros included
+        assert tv.forward(x).dtype == want.dtype and tv.forward(x).tobytes() == want.tobytes()
+        noise = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        for y in (want, np.where(rng.random(2 * n) < 0.3, -0.0, noise)):
+            assert tv.adjoint(y).tobytes() == tv_adjoint(y, dims).tobytes()
+
+
+def test_cg_solve_leaves_its_inputs_unchanged(rng):
+    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    h = h.conj().T @ h + np.eye(6)
+    b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    x0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    b_in, x0_in = b.copy(), x0.copy()
+    x, iters, converged = _cg_solve(lambda v: h @ v, b, x0, 1e-12, 50)
+    assert converged and 0 < iters <= 50
+    assert np.allclose(h @ x, b, atol=1e-9)
+    assert np.array_equal(b, b_in) and np.array_equal(x0, x0_in)
 
 
 def test_wavelet_operator_adjoint(rng):

@@ -198,6 +198,12 @@ def test_support_validation():
         SupportSet(indices=np.array([], dtype=int), q=4)
 
 
+def test_support_indices_are_sorted_ints():
+    support = SupportSet(indices=np.array([3.0, 0.0, 2.0]), q=4)
+    assert support.indices.dtype == int and support.indices.tolist() == [0, 2, 3]
+    assert support.S == 3
+
+
 @pytest.mark.parametrize("dims", [(48, 48), (32, 16), (16, 32)])
 @pytest.mark.parametrize("family", ["haar", "daub4", "identity"])
 @pytest.mark.parametrize("levels", [1, 2, 3])
