@@ -315,7 +315,9 @@ def _baselines(cfg, candidates, r: float):
         out.append((f"uniform_R{r:g}", uniform_pattern(candidates, r)))
     if cfg["caipi"]:
         ry, rz, shift = (cfg[f"baselines.caipi.{k}"] for k in ("ry", "rz", "shift"))
-        pattern = caipi_pattern(candidates, r, ry, int(r) if rz is None else rz, shift)
+        if rz is None and int(r) % ry:
+            raise ValueError(f"baselines.caipi.ry = {ry} does not divide the acceleration")
+        pattern = caipi_pattern(candidates, r, ry, int(r) // ry if rz is None else rz, shift)
         out.append((f"caipi_R{r:g}", pattern))
     block = cfg["baselines.poisson.center_block"]
     for seed in cfg["baselines.poisson.seeds"]:
@@ -512,7 +514,7 @@ def _selftest_checks():
     ispec = TransformSpec("identity")
     toy_support = SupportSet(indices=np.array([0, 2, 5]), q=8)
     pat = sbs_design(toy_model, [toy_support], DesignObjective("average"), 4, ispec)
-    opt = exhaustive_design(toy_model, toy_support, 4, ispec)
+    opt = exhaustive_design(toy_model, [toy_support], 4, ispec)
     ok = opt.log[0] <= pat.log[-1] * (1 + 1e-9)
     yield "exhaustive-leq-greedy", ok, f"opt {opt.log[0]:.6g} vs sbs {pat.log[-1]:.6g}"
 

@@ -50,7 +50,7 @@ from .crb import (
 )
 from .encoding import EncodingModel
 from .errors import InfeasibleDesignError
-from .sparsity import SupportSet, TransformSpec
+from .sparsity import TransformSpec
 
 __all__ = [
     "DesignObjective",
@@ -299,14 +299,9 @@ def _lazy_costs(objective, table, order, price):
                 n += len(idx)
 
 
-def _grams(rows) -> np.ndarray:
-    """Restricted Gram of each group of ``rows`` (g, C, S), shape (g, S, S)."""
-    return np.swapaxes(rows.conj(), 1, 2) @ rows
-
-
 def exhaustive_design(
     model: EncodingModel,
-    support: SupportSet,
+    supports,
     target_groups: int,
     spec: TransformSpec,
     objective: DesignObjective | None = None,
@@ -314,35 +309,25 @@ def exhaustive_design(
     """Globally optimal pattern by enumerating all group subsets.
 
     Intended as a test oracle for tiny instances; refuses to enumerate
-    more than 10^6 subsets.  Subsets with a singular restricted Gram are
-    excluded.  The log carries the single optimal objective value.
+    more than 10^6 subsets.  Each subset is scored by
+    :func:`evaluate_pattern_crb` over the ensemble ``supports``, so singular
+    subsets cost +inf and are never kept, and the first minimum wins.  The
+    log carries the single optimal objective value.
     """
-    cand = model.candidates
+    cand, supports = model.candidates, list(supports)
     objective = objective or DesignObjective("average")
     n_subsets = math.comb(cand.L, target_groups)
     if n_subsets > 10**6:
-        raise ValueError(
-            f"{n_subsets} subsets exceed the enumeration budget of 10^6"
-        )
-    # per-group Grams of every map set, (T, L, S, S)
-    grams = np.stack(
-        [_grams(compressed_rows(model, support, spec, t, range(cand.L))) for t in range(model.T)]
-    )
-    best_cost = math.inf
-    best_subset = None
+        raise ValueError(f"{n_subsets} subsets exceed the enumeration budget of 10^6")
+    best_cost, best_subset = math.inf, None
     for subset in itertools.combinations(range(cand.L), target_groups):
-        # singular subsets cost +inf and are never kept
-        cost = float(objective.combine(gram_trace(grams[:, subset].sum(axis=1))))
+        pattern = pattern_from_groups(cand, subset, mode="exhaustive")
+        cost = evaluate_pattern_crb(pattern, model, supports, objective, spec)
         if cost < best_cost:
-            best_cost = cost
-            best_subset = subset
+            best_cost, best_subset = cost, subset
     if best_subset is None:
-        raise InfeasibleDesignError(
-            "every subset of the requested size is singular"
-        )
-    return pattern_from_groups(
-        cand, best_subset, mode="exhaustive", log=[best_cost]
-    )
+        raise InfeasibleDesignError("every subset of the requested size is singular")
+    return pattern_from_groups(cand, best_subset, mode="exhaustive", log=[best_cost])
 
 
 def evaluate_pattern_crb(
@@ -363,8 +348,6 @@ def evaluate_pattern_crb(
             f"pattern grid {pattern.grid_dims} does not match candidate "
             f"grid {cand.grid_dims}"
         )
-    if pattern.kept_groups[-1] >= cand.L:
-        raise ValueError("pattern references groups outside the candidate set")
     kept, pairs = pattern.kept_groups, [(s, t) for s in supports for t in range(model.T)]
     grams = (restricted_gram(compressed_rows(model, s, spec, t, kept)) for s, t in pairs)
     return float(objective.combine([gram_trace(g) for g in grams]))

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from oedipus import cli, design, sbs_design, sparsity
+from oedipus import (
+    ImageGrid, build_cartesian_candidates, caipi_pattern, cli, design, sbs_design, sparsity,
+)
 from oedipus import io as oio
 from oedipus.errors import GenerationFailureError, SolverFailureError
 
@@ -333,6 +335,11 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
         ("baseline", {"baselines": {"caipi": {"rz": 0}}}, "baselines.caipi.rz"),
         ("design", {"transform": {"levels": 0}}, "transform.levels"),
         ("design", {"transform": {"family": "db8"}}, "transform.family"),
+        (
+            "baseline",
+            {"accelerations": [4], "baselines": {"caipi": {"ry": 3}}},
+            "acceleration 4: baselines.caipi.ry",
+        ),
     ],
 )
 def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):
@@ -393,6 +400,15 @@ def test_poisson_generation_failure_is_a_config_error(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.startswith("config error: acceleration 2:") and "bisection missed" in err
     assert not (tmp_path / "out" / "patterns").exists()
+
+
+def test_caipi_rz_defaults_to_r_over_ry(tmp_path):
+    config = write_config(tmp_path, accelerations=[4], baselines={"caipi": {"ry": 2}})
+    assert run("baseline", config) == 0
+    grid = ImageGrid((16, 16), (200.0, 200.0))
+    cand = build_cartesian_candidates(grid, undersample_axes=(0, 1), n_coils=1)
+    doc = json.loads((tmp_path / "out" / "patterns" / "caipi_R4.json").read_text())
+    assert tuple(doc["kept_groups"]) == caipi_pattern(cand, 4, 2, 2, 1).kept_groups
 
 
 def test_design_falls_back_when_the_largest_acceleration_is_infeasible(tmp_path, capsys):

@@ -87,7 +87,7 @@ def test_toy_greedy_vs_exhaustive():
     support = SupportSet(indices=np.array([1, 3]), q=4)
     objective = DesignObjective("average")
     pattern = sbs_design(model, [support], objective, 3, IDENT)
-    opt = exhaustive_design(model, support, 3, IDENT)
+    opt = exhaustive_design(model, [support], 3, IDENT)
     # enumeration covers C(6,3) = 20 subsets
     assert math.comb(6, 3) == 20
     assert opt.log[0] <= pattern.log[-1] * (1 + 1e-9)
@@ -353,22 +353,34 @@ def test_multi_ensemble_average_objective(rng):
 
 
 @pytest.mark.parametrize("mode", ["worst", "average"])
-@pytest.mark.parametrize("oversampling, basis", [(1.0, "dirac"), (1.5, "rect")])
-def test_direct_sbs_one_deletion_is_exhaustive(rng, mode, oversampling, basis):
-    # to L - 1 groups the one greedy deletion tries every subset; 2 map sets.
-    # On the full dirac grid every removal ties, so only the objective is
-    # unique; oversampled rect-weighted candidates have one best removal
+@pytest.mark.parametrize(
+    "oversampling, basis, n_supports",
+    [
+        pytest.param(1.0, "dirac", 1, id="1.0-dirac"),
+        pytest.param(1.5, "rect", 1, id="1.5-rect"),
+        pytest.param(1.0, "dirac", 2, id="1.0-dirac-2supports"),
+        pytest.param(1.5, "rect", 2, id="1.5-rect-2supports"),
+    ],
+)
+def test_direct_sbs_one_deletion_is_exhaustive(rng, mode, oversampling, basis, n_supports):
+    # to L - 1 groups the one greedy deletion tries every subset; 2 map sets,
+    # one or two supports.  On the full dirac grid every removal ties, so only
+    # the objective is unique; oversampled rect-weighted candidates have one
+    # best removal
     grid = ImageGrid((4, 4), (100.0, 100.0))
     cand = build_cartesian_candidates(grid, oversampling, undersample_axes=(0, 1), n_coils=2)
     maps = tuple(synthesize_coil_maps(grid, 2, seed=s) for s in (1, 2))
     model = EncodingModel(grid=grid, candidates=cand, coil_maps=maps, basis=VoxelBasis(basis))
-    support = random_support(rng, 16, 6)
+    supports = [random_support(rng, 16, 6) for _ in range(n_supports)]
     objective = DesignObjective(mode)
-    direct = direct_sbs(model, [support], objective, cand.L - 1, IDENT)
-    opt = exhaustive_design(model, support, cand.L - 1, IDENT, objective)
+    direct = direct_sbs(model, supports, objective, cand.L - 1, IDENT)
+    opt = exhaustive_design(model, supports, cand.L - 1, IDENT, objective)
     assert direct.log == pytest.approx(opt.log, rel=1e-9)
     if basis == "rect":
-        costs = sorted(brute_force_costs(model, support, list(range(cand.L)), objective, IDENT))
+        active = list(range(cand.L))
+        costs = sorted(objective.combine(
+            [brute_force_costs(model, s, active, objective, IDENT) for s in supports]
+        ))
         assert costs[1] > costs[0] * (1 + 1e-6)
         assert direct.kept_groups == opt.kept_groups
 
@@ -409,15 +421,15 @@ def test_all_groups_mandatory_reported_with_iteration():
 def test_exhaustive_design_toy_and_guards():
     model = toy_1d_model()
     support = SupportSet(indices=np.array([0, 3]), q=4)
-    full = exhaustive_design(model, support, model.candidates.L, IDENT)
+    full = exhaustive_design(model, [support], model.candidates.L, IDENT)
     assert full.kept_groups == tuple(range(model.candidates.L))
     with pytest.raises(ValueError):
         big_model = make_model((8, 8))
-        exhaustive_design(big_model, support, 20, IDENT)
+        exhaustive_design(big_model, [support], 20, IDENT)
     # every subset singular: S exceeds subset row count
     support_big = SupportSet(indices=np.arange(4), q=4)
     with pytest.raises(InfeasibleDesignError):
-        exhaustive_design(model, support_big, 2, IDENT)
+        exhaustive_design(model, [support_big], 2, IDENT)
 
 
 def test_exhaustive_matches_manual_enumeration(rng):
@@ -439,7 +451,7 @@ def test_exhaustive_matches_manual_enumeration(rng):
         if cost < best_cost:
             best_cost = cost
             best_subset = subset
-    opt = exhaustive_design(model, support, target, IDENT)
+    opt = exhaustive_design(model, [support], target, IDENT)
     # cost ties at float noise make the argmin subset ambiguous; the
     # optimum value is the contract
     assert opt.log[0] == pytest.approx(best_cost, rel=1e-9)
@@ -467,6 +479,19 @@ def test_evaluate_matches_final_log(rng):
     pattern = sbs_design(model, [support], objective, 5, IDENT)
     rescored = evaluate_pattern_crb(pattern, model, [support], objective, IDENT)
     assert rescored == pytest.approx(pattern.log[-1], rel=1e-8)
+
+
+def test_evaluate_rejects_groups_outside_the_candidate_set(rng):
+    # a pattern of 4x4 point groups (L = 16) against the line groups of the
+    # same grid (L = 4): the grids match, group 9 does not exist
+    points, lines = make_model((4, 4)), make_model((4, 4), undersample_axes=(1,))
+    assert points.candidates.grid_dims == lines.candidates.grid_dims
+    assert lines.candidates.L == 4
+    pattern = pattern_from_groups(points.candidates, [0, 9], mode="x")
+    with pytest.raises(ValueError, match=r"group index outside \[0, 4\)"):
+        evaluate_pattern_crb(
+            pattern, lines, [random_support(rng, 16, 2)], DesignObjective("average"), IDENT
+        )
 
 
 def test_uniform_lattice_aliasing_gives_infinite_objective():
