@@ -4,12 +4,19 @@ All experiment parameters live in a YAML config; ``CONFIG_KEYS`` lists
 every accepted key with its converter and default (see the README).  Exit codes:
 0 success, 1 selftest failure, 2 config error, 3 infeasible acceleration,
 4 I/O error, 5 some evaluation cells have ``status`` ``solver_failure``.
+
+``evaluate`` builds its tasks in this process: each Poisson pattern's CRB
+objective, then every (pattern, phantom, regularizer) reconstruction cell.
+It runs them on a ``fork`` process pool with one worker per usable CPU, or
+in this process when only one CPU is usable or ``fork`` is unavailable, and
+reads the results in task order, so the outputs do not depend on the pool.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -358,35 +365,40 @@ def _load_patterns(cfg, candidates):
 
 
 def _cells(cfg, supports, golds):
-    """Every evaluation cell: (model, pattern, gold, data, record).
+    """The work of ``evaluate``: ``crbs``, (channels, pattern_id) -> the
+    arguments of its Poisson pattern's ``_pattern_crb``, and ``cells``, the
+    arguments (cfg, model, pattern, gold, data, record) of every ``_run_cell``.
 
     The noise seed [noise_seed, phantom seed, 0 single or 1 multi] names the
     acquisition, so every pattern of one (channels, phantom) subsamples the
-    same noisy data, synthesized once per pattern for all its regularizers;
-    ``record`` holds the cell's key columns and, for Poisson patterns, the
-    CRB objective.
+    same noisy data, synthesized here once per pattern for all its
+    regularizers; ``record`` holds the cell's key columns.
     """
     noise_seed = cfg["test_phantoms.noise_seed"]
+    crbs, cells = {}, []
     for mode in cfg["evaluate_channels"]:
         model = _model(cfg, mode, (cfg["channels.multi.eval_map_seed"],))
         for stem, pattern in _load_patterns(cfg, model.candidates):
             if stem.startswith("designed") and f"_{mode}_" not in stem:
                 continue  # designs are channel-specific; baselines are shared
-            crb = None
             if stem.startswith("poisson"):
-                crb = evaluate_pattern_crb(
-                    pattern, model, supports, cfg["objective"], cfg["transform"]
-                )
+                crbs[mode, stem] = (cfg, pattern, model, supports)
             for label, seed, gold in golds:
                 data = retrospective_undersample(
                     gold, pattern, model, cfg["test_phantoms.noise_sigma"],
                     [noise_seed, seed, int(mode == "multi")],
                 )
                 for reg in cfg["recon.regularizers"]:
-                    yield model, pattern, gold, data, {
+                    cells.append((cfg, model, pattern, gold, data, {
                         "pattern_id": stem, "R": pattern.R, "channels": mode, "regularizer": reg,
-                        "lambda": cfg["recon.lambda"], "phantom": label, "crb_objective": crb,
-                    }
+                        "lambda": cfg["recon.lambda"], "phantom": label,
+                    }))
+    return crbs, cells
+
+
+def _pattern_crb(cfg, pattern, model, supports) -> float:
+    """The CRB objective of ``pattern`` over the exemplar supports."""
+    return evaluate_pattern_crb(pattern, model, supports, cfg["objective"], cfg["transform"])
 
 
 def _run_cell(cfg, model, pattern, gold, data, record) -> dict:
@@ -411,6 +423,19 @@ def _run_cell(cfg, model, pattern, gold, data, record) -> dict:
     return {**record, "iters": result.iterations, "nrmse": err, "status": status}
 
 
+def _call(task):
+    """Result of one task of ``evaluate``: a module-level function and its arguments."""
+    func, args = task
+    return func(*args)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _write_csv(path: Path, preamble, columns, records) -> None:
     """One line per record, sorted by pattern, channels, regularizer, phantom."""
     def fmt(value):
@@ -432,9 +457,29 @@ def cmd_evaluate(cfg) -> int:
         (f"phantom{seed}", seed, render_phantom(default_phantom_spec(cfg["grid"], seed)))
         for seed in cfg["test_phantoms.seeds"]
     ]
-    cells = list(_cells(cfg, supports, golds))  # reads every pattern file first (exit 4)
+    crbs, cells = _cells(cfg, supports, golds)  # reads every pattern file first (exit 4)
     (out / "recon").mkdir(parents=True, exist_ok=True)
-    records = [_run_cell(cfg, *cell) for cell in cells]
+    tasks = [(_pattern_crb, args) for args in crbs.values()]
+    tasks += [(_run_cell, cell) for cell in cells]
+    # imported here, not at the top: design and baseline would pay their ~15 ms
+    import concurrent.futures
+    import multiprocessing
+
+    workers = min(_usable_cpus(), len(tasks))
+    pool = None
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        fork = multiprocessing.get_context("fork")
+        pool = concurrent.futures.ProcessPoolExecutor(workers, mp_context=fork)
+    try:
+        results = list((map if pool is None else pool.map)(_call, tasks))
+    finally:  # after a failed task: drop the queued ones and join every worker
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    objectives = dict(zip(crbs, results))
+    records = [
+        {**rec, "crb_objective": objectives.get((rec["channels"], rec["pattern_id"]))}
+        for rec in results[len(crbs):]
+    ]
 
     # the report keeps, per cell and nominal R (the pattern name without its
     # seed), the Poisson seed of least NRMSE (failed seeds last, ties to the

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -155,20 +157,81 @@ def test_adding_a_cell_leaves_every_existing_cell_unchanged(tmp_path, section, k
 def test_every_regularizer_reconstructs_from_the_acquisition_of_its_phantom(
     tmp_path, monkeypatch
 ):
-    solve, seen = cli.irls_solve, {}
+    # the cells may run in the pool's worker processes: one log line per call
+    solve, log = cli.irls_solve, tmp_path / "solves.log"
 
     def recording(problem):
-        key = (problem.pattern.mode, problem.data.tobytes())
-        seen.setdefault(key, []).append(problem.regularizer)
+        digest = hashlib.sha256(problem.data.tobytes()).hexdigest()
+        with open(log, "a") as fh:
+            fh.write(f"{problem.pattern.mode}\t{digest}\t{problem.regularizer}\n")
         return solve(problem)
 
     monkeypatch.setattr(cli, "irls_solve", recording)
     config = write_config(tmp_path, test_phantoms={"seeds": [3, 4], "noise_sigma": 0.001})
     assert run("baseline", config) == 0
     assert run("evaluate", config) == 0
+    seen = {}
+    for line in log.read_text().splitlines():
+        mode, digest, regularizer = line.split("\t")
+        seen.setdefault((mode, digest), []).append(regularizer)
     # 4 patterns x 2 phantoms: 8 acquisitions, each reconstructed by both regularizers
     assert len(seen) == 8
     assert all(sorted(regs) == ["tv", "wavelet"] for regs in seen.values())
+
+
+@pytest.mark.parametrize(
+    "recon, code", [({"max_iters": 10}, 0), ({"inner_max_iters": 1}, 5)], ids=["ok", "exit5"]
+)
+def test_the_process_pool_leaves_every_output_unchanged(tmp_path, monkeypatch, recon, code):
+    solve = cli.irls_solve
+
+    def solved_in(log):
+        def recording(problem):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return solve(problem)
+        return recording
+
+    trees = {}
+    for cpus in (1, 2):
+        log, base = tmp_path / f"pids{cpus}.log", tmp_path / f"cpus{cpus}"
+        base.mkdir()
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "irls_solve", solved_in(log))
+        config = write_config(base, recon=recon)
+        assert run("baseline", config) == 0
+        assert run("evaluate", config) == code
+        pids = {int(pid) for pid in log.read_text().split()}
+        assert (pids == {os.getpid()}) == (cpus == 1)  # the pool's cells ran in its workers
+        out = config.parent / "out"
+        files = [out / "report.csv", out / "poisson_seeds.csv", *(out / "recon").iterdir()]
+        trees[cpus] = {f.relative_to(out): f.read_bytes() for f in files}
+    assert trees[1] == trees[2]
+    assert len(trees[1]) == (10 if code == 0 else 2)  # 8 images when no cell failed
+    # each Poisson row carries the CRB objective of its own pattern
+    cfg = cli.load_config(config)
+    model, (_, supports) = cli._model(cfg, "single", ()), cli._exemplars(cfg)
+    patterns = dict(cli._load_patterns(cfg, model.candidates))
+    for row in read_csv(out / "poisson_seeds.csv"):
+        crb = cli._pattern_crb(cfg, patterns[row["pattern_id"]], model, supports)
+        assert float(row["crb_objective"]) == pytest.approx(crb, rel=1e-9)
+
+
+def test_a_failing_task_exits_4_and_leaves_no_worker(tmp_path, monkeypatch, capsys):
+    write_pgm = oio.write_pgm
+
+    def failing(path, *args, **kwargs):
+        if path.name == "caipi_R2_single_phantom3_tv.pgm":
+            raise OSError(f"{path}: injected write failure")
+        return write_pgm(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(oio, "write_pgm", failing)
+    config = write_config(tmp_path)
+    assert run("baseline", config) == 0
+    assert run("evaluate", config) == 4
+    assert "i/o error" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_solver_failures_are_rows_and_exit_5(tmp_path, capsys):
