@@ -7,9 +7,9 @@ applied to the S support atoms; :func:`restricted_matrix` builds them from 1D
 atom spectra, with no atom image.  The layer passes plain arrays: a group
 is its (C, S) restricted rows, and which groups a state holds is the caller's
 bookkeeping.  A group enters only through its Gram, so every Gram and
-downdate is taken from :func:`compressed_rows`: r <= C rows B of the same
-Gram, which for a readout line come from one SVD per coil of the readout
-spectra shared by every line.
+downdate is taken from :func:`compressed_rows`: r <= min(C, S) rows B of
+the same Gram, which for a readout line come from one SVD per coil of the
+readout spectra shared by every line.
 
 Groups are removed via the matrix inversion lemma, a rank-r "downdate"
 that inverts an r x r system.  Removing B from the rows of Gram A leaves
@@ -142,35 +142,41 @@ def compressed_rows(
     model: EncodingModel, support: SupportSet, spec: TransformSpec, t: int, groups
 ) -> np.ndarray:
     """Rows (len(groups), r, S) with the Grams of the :func:`restricted_matrix`
-    rows of ``groups``, r <= C.
+    rows of ``groups``, r <= min(C, S).
 
-    Groups of one location, or no groups, keep their C rows.  The locations
-    of a line share the index j of the undersampled axis and cover every
-    offset of the readout axis, so by :func:`_spectra` the rows of coil c
-    are ``X_c D_j``: ``X_c`` (n_read, K S) stacks the readout spectra
-    ``P_read[k]`` of the K terms and is the same for every line, and ``D_j``
-    stacks ``diag(P_fixed[k, j])`` over k.  With one thin SVD
+    No groups keep C rows, and groups of one location do too when C <= S.
+    The locations of a line share the index j of the undersampled axis and
+    cover every offset of the readout axis, so by :func:`_spectra` the rows
+    of coil c are ``X_c D_j``: ``X_c`` (n_read, K S) stacks the readout
+    spectra ``P_read[k]`` of the K terms and is the same for every line, and
+    ``D_j`` stacks ``diag(P_fixed[k, j])`` over k.  With one thin SVD
     ``X_c = U Sigma W^H`` per coil and its m_c terms within numpy's
     ``matrix_rank`` rule, the rows ``Sigma W^H D_j`` have the Gram of the
     raw rows up to rounding, so the traces and singularity of every
-    downdate are theirs: r = sum_c m_c.
+    downdate are theirs: r = sum_c m_c.  When that, or C, exceeds S, each
+    group's rows B become the S rows of R in ``B = Q R`` (one batched thin
+    QR), of the same Gram ``R^H R``.
     """
     cand = model.candidates
     n_read = cand.group_locs.shape[1]
-    if n_read == 1 or len(groups) == 0:
+    if len(groups) == 0:
         return restricted_matrix(model, support, spec, t, groups)
-    j1, j2, terms = _spectra(model, support, spec, t, groups)
-    along0 = cand.undersample_axes == (0,)  # lines are grid rows, read out along axis 1
-    j = (j1 if along0 else j2)[::n_read]
-    out = []
-    for p1, p2 in terms:
-        fixed, read = (p1, p2) if along0 else (p2, p1)
-        x = np.swapaxes(read, 0, 1).reshape(read.shape[1], -1)
-        _, sv, wh = np.linalg.svd(x, full_matrices=False)
-        m = int((sv > sv[:1] * max(x.shape) * np.finfo(float).eps).sum())
-        y = (sv[:m, None] * wh[:m]).reshape(m, len(read), support.S)
-        out.append(np.einsum("iks,kgs->gis", y, fixed[:, j]))
-    return np.concatenate(out, axis=1)
+    if n_read == 1:
+        rows = restricted_matrix(model, support, spec, t, groups)
+    else:
+        j1, j2, terms = _spectra(model, support, spec, t, groups)
+        along0 = cand.undersample_axes == (0,)  # lines are grid rows, read out along axis 1
+        j = (j1 if along0 else j2)[::n_read]
+        out = []
+        for p1, p2 in terms:
+            fixed, read = (p1, p2) if along0 else (p2, p1)
+            x = np.swapaxes(read, 0, 1).reshape(read.shape[1], -1)
+            _, sv, wh = np.linalg.svd(x, full_matrices=False)
+            m = int((sv > sv[:1] * max(x.shape) * np.finfo(float).eps).sum())
+            y = (sv[:m, None] * wh[:m]).reshape(m, len(read), support.S)
+            out.append(np.einsum("iks,kgs->gis", y, fixed[:, j]))
+        rows = np.concatenate(out, axis=1)
+    return np.linalg.qr(rows, mode="r") if rows.shape[1] > support.S else rows
 
 
 def _h(a: np.ndarray) -> np.ndarray:

@@ -4,15 +4,15 @@ Starting from the full candidate set, the driver repeatedly deletes the
 acquisition group whose removal degrades the design objective least, until
 the measurement budget is reached.  The objective aggregates the CRB traces
 over an ensemble of (exemplar support, coil-map set) pairs, either as their
-sum (average case) or their maximum (worst case).  The restricted rows of
-every ensemble pair are assembled once as (groups, r, S) rows of the same
-per-group Grams, r <= C (:func:`~oedipus.crb.compressed_rows`).
-Each iteration prices the remaining groups of each pair with the matrix
-inversion lemma (r x r systems, not S x S inversions), then commits the
-chosen deletion with one rank-r downdate.  Both steps, and the downdate
-forms a price is read from, are the algebra of :mod:`oedipus.crb`; this
-module holds the policy around them: which pairs keep their forms, when
-kept forms are rebuilt, which groups are priced and how ties are broken.
+sum (average case) or their maximum (worst case).  Each pair is one
+:class:`_Pair`, which holds its restricted rows, assembled once as
+(groups, r, S) rows of the same per-group Grams, r <= min(C, S)
+(:func:`~oedipus.crb.compressed_rows`), and its CRB state.  Its ``prices``
+reads removal traces with the matrix inversion lemma (r x r systems, not
+S x S inversions) and its ``commit`` applies a deletion with one rank-r
+downdate: the algebra of :mod:`oedipus.crb`, with the policy of when kept
+forms are updated or rebuilt.  The driver chooses which pairs keep forms,
+which groups are priced and how ties are broken.
 
 When every pair has ``r S + 4 r^2 < S^2``, updating a group's forms after a
 deletion (~r S + 4 r^2) costs less than building them afresh (~S^2), so
@@ -38,27 +38,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crb import (
-    compressed_rows,
-    downdate_forms,
-    downdate_traces,
-    forms_traces,
-    gram_trace,
-    restricted_gram,
-    smw_removal,
-    state_from_gram,
-    update_forms,
+    compressed_rows, downdate_forms, downdate_traces, forms_traces, gram_trace,
+    restricted_gram, smw_removal, state_from_gram, update_forms,
 )
 from .encoding import EncodingModel
 from .errors import InfeasibleDesignError
 from .sparsity import TransformSpec
 
 __all__ = [
-    "DesignObjective",
-    "SamplingPattern",
-    "pattern_from_groups",
-    "sbs_design",
-    "exhaustive_design",
-    "evaluate_pattern_crb",
+    "DesignObjective", "SamplingPattern", "pattern_from_groups",
+    "sbs_design", "exhaustive_design", "evaluate_pattern_crb",
 ]
 
 # Relative slack for treating two candidate costs as tied; the first
@@ -154,125 +143,138 @@ def _select(costs) -> int:
     return int(np.argmax(costs <= best * (1.0 + _TIE_RTOL)))
 
 
-def _precheck(supports, target_groups: int, c: int):
-    if target_groups < 1:
-        raise ValueError(f"target_groups must be >= 1, got {target_groups}")
+def _ensemble(supports) -> list:
+    """The exemplar supports as a list; an empty ensemble has no objective."""
+    supports = list(supports)
+    if not supports:
+        raise ValueError("supports must hold at least one exemplar support")
+    return supports
+
+
+def _precheck(supports, target_groups: int, cand):
+    if not 1 <= target_groups <= cand.L:
+        raise ValueError(f"target_groups must be in 1..{cand.L}, got {target_groups}")
     for k, support in enumerate(supports):
-        if support.S > target_groups * c:
+        if support.S > target_groups * cand.C:
             raise InfeasibleDesignError(
                 f"support {k} has size {support.S} but the budget keeps only "
-                f"{target_groups * c} measurements",
-                iteration=0,
+                f"{target_groups * cand.C} measurements", iteration=0,
             )
 
 
+class _Pair:
+    """SBS state of one (exemplar, map set) pair ``key``: the rows (groups, r, S)
+    of every candidate group, never copied, the CRB state of the groups left,
+    the downdate forms when kept, the last exact price of each group and the
+    drift and rebuilds of the forms."""
+
+    def __init__(self, key, rows):
+        self.key, self.rows = key, rows
+        self.state = state_from_gram(restricted_gram(rows))
+        self.forms, self.last = None, np.zeros(len(rows))
+        self.drift, self.rebuilds = 0.0, 0
+
+    @property
+    def trace(self) -> float:
+        return self.state.trace
+
+    def keep_forms(self):
+        self.forms = downdate_forms(self.state.inv_gram, self.rows)
+
+    def prices(self, groups):
+        """Exact removal traces of ``groups``, from the kept forms or fresh ones."""
+        if self.forms is not None:
+            return forms_traces(self.state.trace, *(m[groups] for m in self.forms))
+        traces = downdate_traces(self.state, self.rows[groups])
+        self.last[groups] = traces
+        return traces
+
+    def bounds(self, groups):
+        """Lower bounds on the removal traces of ``groups``: a trace only rises."""
+        return np.maximum(self.last[groups], self.state.trace)
+
+    def commit(self, c: int):
+        """Remove group ``c`` and update the kept forms, rebuilt on drift."""
+        inv_gram = self.state.inv_gram
+        self.state, u, k = smw_removal(self.state, self.rows[c])
+        if self.forms is not None:
+            drift = update_forms(self.forms, self.rows, inv_gram, c, u, k)
+            self.drift = max(self.drift, drift)
+            if not drift < _DRIFT_LIMIT:
+                self.keep_forms()
+                self.rebuilds += 1
+
+
 def sbs_design(
-    model: EncodingModel,
-    supports,
-    objective: DesignObjective,
-    target_groups: int,
+    model: EncodingModel, supports, objective: DesignObjective, target_groups: int,
     spec: TransformSpec,
 ) -> SamplingPattern:
     """Greedy backward selection down to ``target_groups`` groups.
 
-    At every iteration the removed group attains the minimum objective
-    value among all removable groups (ties resolved towards the lowest
-    group index), with groups whose removal would make any ensemble member
-    unidentifiable priced at ``+inf`` and therefore never removed.  The
-    result is deterministic.
-
-    Each (exemplar, map set) pair keeps its restricted rows in one
-    (groups, r, S) array from :func:`~oedipus.crb.compressed_rows`, built
-    once and never copied: a mask marks the active groups.  A line group
-    gets r = sum over coils of the rank of that coil's readout spectra,
-    with no decomposition per group.  Every deletion is committed with
-    :func:`~oedipus.crb.smw_removal` and logged as the committed
-    objective.  The pricing mode is chosen once per design: when every pair
-    has ``r S + 4 r^2 < S^2``, every pair keeps its downdate forms and
-    prices every group; otherwise no pair does, and each group is priced
-    afresh only while its bound from its last exact price can still win
-    (:func:`_lazy_costs`), so the deletions are those of full pricing.
+    Each deletion removes the group of least objective, the lowest index
+    within the tie slack, so the result is deterministic; a group whose
+    removal makes any pair unidentifiable costs ``+inf`` and is never
+    removed.  ``log`` holds the committed objective after each deletion.
     ``extra`` holds the largest relative drift of a committed group's forms
-    (``max_drift``), the drift rebuilds, the form pairs, the exact (pair,
-    group) prices (``priced``), the count full pricing makes
-    (``full_pricing``) and each pair's r (``rows_per_group``).
+    (``max_drift``), the drift rebuilds, the pairs that keep forms, the
+    exact (pair, group) prices (``priced``) against the count of full
+    pricing (``full_pricing``) and each pair's r (``rows_per_group``).
 
-    Raises :class:`InfeasibleDesignError` if the initial full-candidate
-    CRB cannot be built or every remaining group becomes mandatory before
-    the budget is reached.
+    Raises :class:`ValueError` for an empty ensemble or a target outside
+    1..L, and :class:`InfeasibleDesignError` if the full-candidate CRB
+    cannot be built or every remaining group becomes mandatory first.
     """
-    cand = model.candidates
-    supports = list(supports)
-    _precheck(supports, target_groups, cand.C)
-    if target_groups > cand.L:
-        raise ValueError(f"target_groups {target_groups} exceeds group count {cand.L}")
-
-    pairs = [(k, t) for k in range(len(supports)) for t in range(model.T)]
-    rows = {(k, t): compressed_rows(model, supports[k], spec, t, range(cand.L)) for k, t in pairs}
+    cand, supports = model.candidates, _ensemble(supports)
+    _precheck(supports, target_groups, cand)
     try:
-        states = {p: state_from_gram(restricted_gram(rows[p])) for p in pairs}
+        pairs = [_Pair((k, t), compressed_rows(model, s, spec, t, range(cand.L)))
+                 for k, s in enumerate(supports) for t in range(model.T)]
     except InfeasibleDesignError as err:
         raise InfeasibleDesignError(
             f"full-candidate CRB build failed: {err}", iteration=0, cond=err.cond
         ) from err
-    forms = {}  # kept where updating them, ~r S + 4 r^2 a group, beats building, ~S^2
-    if all(r * s + 4 * r * r < s * s for r, s in (rows[p].shape[1:] for p in pairs)):
-        forms = {p: downdate_forms(states[p].inv_gram, rows[p]) for p in pairs}
+    # forms are kept where updating them, ~r S + 4 r^2 a group, beats building, ~S^2
+    if all(r * s + 4 * r * r < s * s for r, s in (p.rows.shape[1:] for p in pairs)):
+        for p in pairs:
+            p.keep_forms()
 
     alive = np.ones(cand.L, dtype=bool)
-    last = np.zeros((len(pairs), cand.L))  # last exact removal trace of each (pair, group)
-    log, deleted = [], []
-    max_drift, rebuilds, priced, full = 0.0, 0, 0, 0
+    log, deleted, priced, full = [], [], 0, 0
     while len(deleted) < cand.L - target_groups:
-        iteration = len(deleted) + 1
         active = np.flatnonzero(alive)
-        full += len(pairs) * len(active)
-        if forms:
-            costs = objective.combine([
-                forms_traces(states[p].trace, *(m[active] for m in forms[p])) for p in pairs
-            ])
-            priced += len(pairs) * len(active)
-        else:
-            trace = [states[p].trace for p in pairs]
-            table = np.maximum(last[:, active], np.array(trace)[:, None])  # lower bounds
-            costs, n = _lazy_costs(
-                objective, table, sorted(range(len(pairs)), key=lambda j: -trace[j]),
-                lambda j, idx: downdate_traces(states[pairs[j]], rows[pairs[j]][active[idx]]),
-            )
-            last[:, active] = table
-            priced += n
+        costs, n = _costs(objective, pairs, active)
+        priced, full = priced + n, full + len(pairs) * len(active)
         i = _select(costs)
         if i < 0:
             raise InfeasibleDesignError(
-                "every remaining group is mandatory; acceleration "
-                f"infeasible at iteration {iteration} "
-                f"({cand.L - len(deleted)} groups left, target {target_groups})",
-                iteration=iteration,
+                "every remaining group is mandatory; acceleration infeasible at iteration "
+                f"{len(deleted) + 1} ({len(active)} groups left, target {target_groups})",
+                iteration=len(deleted) + 1,
             )
         c = int(active[i])
         for p in pairs:
-            inv_gram = states[p].inv_gram
-            states[p], u, k = smw_removal(states[p], rows[p][c])
-            if forms:
-                drift = update_forms(forms[p], rows[p], inv_gram, c, u, k)
-                max_drift = max(max_drift, drift)
-                if not drift < _DRIFT_LIMIT:
-                    forms[p] = downdate_forms(states[p].inv_gram, rows[p])
-                    rebuilds += 1
+            p.commit(c)
         alive[c] = False
         deleted.append(c)
-        log.append(objective.combine([states[p].trace for p in pairs]))  # as committed
+        log.append(objective.combine([p.trace for p in pairs]))  # as committed
 
     return pattern_from_groups(
-        cand,
-        np.flatnonzero(alive),
-        mode=f"sbs/{objective.mode}",
-        log=log,
-        deleted=deleted,
-        extra={"max_drift": max_drift, "rebuilds": rebuilds, "form_pairs": list(forms),
-               "priced": priced, "full_pricing": full,
-               "rows_per_group": [rows[p].shape[1] for p in pairs]},
+        cand, np.flatnonzero(alive), f"sbs/{objective.mode}", log, deleted, extra={
+            "max_drift": max(p.drift for p in pairs), "rebuilds": sum(p.rebuilds for p in pairs),
+            "form_pairs": [p.key for p in pairs if p.forms is not None], "priced": priced,
+            "full_pricing": full, "rows_per_group": [p.rows.shape[1] for p in pairs],
+        },
     )
+
+
+def _costs(objective, pairs, active):
+    """Costs of removing each group of ``active`` and the prices made, from the
+    kept forms or lazily by :func:`_lazy_costs`, pairs of highest trace first."""
+    if pairs[0].forms is not None:  # every pair keeps forms, or none does
+        return objective.combine([p.prices(active) for p in pairs]), len(pairs) * len(active)
+    table = np.array([p.bounds(active) for p in pairs])
+    order = sorted(range(len(pairs)), key=lambda j: -pairs[j].trace)
+    return _lazy_costs(objective, table, order, lambda j, idx: pairs[j].prices(active[idx]))
 
 
 def _lazy_costs(objective, table, order, price):
@@ -300,10 +302,7 @@ def _lazy_costs(objective, table, order, price):
 
 
 def exhaustive_design(
-    model: EncodingModel,
-    supports,
-    target_groups: int,
-    spec: TransformSpec,
+    model: EncodingModel, supports, target_groups: int, spec: TransformSpec,
     objective: DesignObjective | None = None,
 ) -> SamplingPattern:
     """Globally optimal pattern by enumerating all group subsets.
@@ -314,7 +313,7 @@ def exhaustive_design(
     subsets cost +inf and are never kept, and the first minimum wins.  The
     log carries the single optimal objective value.
     """
-    cand, supports = model.candidates, list(supports)
+    cand, supports = model.candidates, _ensemble(supports)
     objective = objective or DesignObjective("average")
     n_subsets = math.comb(cand.L, target_groups)
     if n_subsets > 10**6:
@@ -331,16 +330,14 @@ def exhaustive_design(
 
 
 def evaluate_pattern_crb(
-    pattern: SamplingPattern,
-    model: EncodingModel,
-    supports,
-    objective: DesignObjective,
+    pattern: SamplingPattern, model: EncodingModel, supports, objective: DesignObjective,
     spec: TransformSpec,
 ) -> float:
     """Design objective of an arbitrary pattern, rebuilt from scratch.
 
     Returns ``+inf`` when any ensemble member's restricted Gram is
-    singular for the retained groups.
+    singular for the retained groups; raises :class:`ValueError` for an
+    empty ensemble.
     """
     cand = model.candidates
     if pattern.grid_dims != cand.grid_dims:
@@ -348,6 +345,7 @@ def evaluate_pattern_crb(
             f"pattern grid {pattern.grid_dims} does not match candidate "
             f"grid {cand.grid_dims}"
         )
-    kept, pairs = pattern.kept_groups, [(s, t) for s in supports for t in range(model.T)]
+    kept = pattern.kept_groups
+    pairs = [(s, t) for s in _ensemble(supports) for t in range(model.T)]
     grams = (restricted_gram(compressed_rows(model, s, spec, t, kept)) for s, t in pairs)
     return float(objective.combine([gram_trace(g) for g in grams]))

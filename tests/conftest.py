@@ -29,6 +29,15 @@ def make_model(
     return EncodingModel(grid=grid, candidates=cand, coil_maps=maps, basis=basis)
 
 
+def noise_map_model(rng, dims, n_coils, undersample_axes):
+    """Model with one map set of random complex coil maps, each of full rank
+    as a dims matrix, so every SVD term of every coil counts."""
+    model = make_model(dims, n_coils, undersample_axes)
+    shape = (n_coils, model.N)
+    maps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return EncodingModel(model.grid, model.candidates, (maps,), model.basis)
+
+
 def random_support(rng, q, s):
     return SupportSet(indices=rng.choice(q, size=s, replace=False), q=q)
 

@@ -13,7 +13,9 @@ from oedipus import (
 from oedipus import crb
 from oedipus.crb import CrbState, smw_removal
 
-from conftest import dense_candidate_matrix, dense_transform_matrix, make_model, random_support
+from conftest import (
+    dense_candidate_matrix, dense_transform_matrix, make_model, noise_map_model, random_support,
+)
 from reference import group_rows, restricted_rows, row_indices
 
 
@@ -308,6 +310,22 @@ def test_compressed_rows_keep_the_grams_of_the_raw_rows(
         want, got = crb.downdate_traces(state, rows), crb.downdate_traces(state, small)
         assert np.isinf(want).tolist() == np.isinf(got).tolist()
         np.testing.assert_allclose(got[~np.isinf(got)], want[~np.isinf(want)], rtol=1e-12)
+
+
+@pytest.mark.parametrize("dims,n_coils,axes,s", [((8, 12), 3, (0,), 11), ((8, 8), 4, (0, 1), 3)])
+def test_compressed_rows_keep_at_most_s_rows_per_group(rng, dims, n_coils, axes, s):
+    # random full-rank coil maps give a line more compressed rows than the
+    # 11 support columns, and 4 coils a location 4 rows of 3 columns: each
+    # group keeps S rows of the same Gram
+    model = noise_map_model(rng, dims, n_coils, axes)
+    support, spec, groups = random_support(rng, model.N, s), TransformSpec("identity", 0), [5, 1]
+    rows = crb.restricted_matrix(model, support, spec, 0, groups)
+    small = crb.compressed_rows(model, support, spec, 0, groups)
+    assert small.shape == (2, s, s)
+    want, got = crb.restricted_gram(rows), crb.restricted_gram(small)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+    want, got = (np.swapaxes(b.conj(), 1, 2) @ b for b in (rows, small))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _middle_matrix(rng, c, lam_min):

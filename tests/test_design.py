@@ -23,7 +23,7 @@ from oedipus import (
 from oedipus import design
 from oedipus.design import _select
 
-from conftest import make_model, random_support
+from conftest import make_model, noise_map_model, random_support
 from reference import direct_sbs
 
 IDENT = TransformSpec("identity", 0)
@@ -245,6 +245,34 @@ def test_lazy_costs_select_what_full_pricing_selects(rng, mode):
         assert costs[i] == full[i] and np.all(costs <= full)
         assert n == np.count_nonzero(seen) - n_seen
         np.testing.assert_array_equal(table[seen], exact[seen])
+
+
+def test_lines_of_more_rows_than_support_columns_match_direct(rng):
+    # 3 random full-rank coils on 12-point lines against a support of 11:
+    # each line keeps 11 rows, priced afresh
+    model = noise_map_model(rng, (8, 12), 3, (0,))
+    supports = [random_support(rng, model.N, 11)]
+    objective = DesignObjective("average")
+    pattern = sbs_design(model, supports, objective, 2, IDENT)
+    direct = direct_sbs(model, supports, objective, 2, IDENT)
+    assert pattern.extra["rows_per_group"] == [11] and pattern.extra["form_pairs"] == []
+    assert pattern.deleted == direct.deleted
+    np.testing.assert_allclose(pattern.log, direct.log, rtol=1e-7)
+
+
+def test_an_empty_ensemble_is_rejected():
+    # with no pair every cost is 0, so a design would keep the highest groups
+    model = make_model((8, 12), undersample_axes=(0,))
+    pattern = pattern_from_groups(model.candidates, [4, 5, 6, 7], mode="x")
+    objective = DesignObjective("average")
+    calls = (
+        lambda: sbs_design(model, [], objective, 4, IDENT),
+        lambda: exhaustive_design(model, iter([]), 4, IDENT),
+        lambda: evaluate_pattern_crb(pattern, model, [], objective, IDENT),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="exemplar support"):
+            call()
 
 
 def test_worst_case_pair_ensemble_prices_fewer_removals(rng):
