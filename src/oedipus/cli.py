@@ -154,10 +154,7 @@ CONFIG_KEYS = {
     "baselines.poisson.center_block": (_number(int, least=0), 16),
     "recon.lambda": (_number(float, above=0), 0.01),
     "recon.max_iters": (_number(int, least=1), 50),
-    "recon.tol": (_number(float), 1e-6),
-    "recon.inner_tol": (_number(float, above=0), 1e-6),
-    "recon.inner_max_iters": (_number(int, least=1), 200),
-    "recon.epsilon_scale": (_number(float, above=0), 1e-6),
+    "recon.tol": (_number(float, above=0), 1e-6),
     "recon.regularizers": (
         _list(str, allowed={"wavelet", "tv"}, distinct=True), ("wavelet", "tv")
     ),
@@ -403,10 +400,9 @@ def _pattern_crb(cfg, pattern, model, supports) -> float:
 
 def _run_cell(cfg, model, pattern, gold, data, record) -> dict:
     """Reconstruct one cell; returns its record with iters, nrmse and status."""
-    limits = ("max_iters", "tol", "inner_tol", "inner_max_iters", "epsilon_scale")
     problem = ReconProblem(
         data, pattern, model, record["regularizer"], cfg["transform"], cfg["recon.lambda"],
-        **{key: cfg[f"recon.{key}"] for key in limits},
+        cfg["recon.max_iters"], cfg["recon.tol"],
     )
     try:
         result = irls_solve(problem)
@@ -588,9 +584,7 @@ def _selftest_checks():
     noise = (
         rng.standard_normal((8, n_draws)) + 1j * rng.standard_normal((8, n_draws))
     ) / np.sqrt(2.0)
-    est = np.stack(
-        [oracle_lsq_estimate(draw, rows, support3)[support3.indices] for draw in noise.T], axis=1
-    )
+    est = oracle_lsq_estimate(noise, rows, support3)[support3.indices]
     emp = (est @ est.conj().T) / n_draws
     se = np.sqrt(np.outer(np.diag(cov).real, np.diag(cov).real) / n_draws)
     max_dev = float(np.max(np.abs(emp - cov) / se))

@@ -384,19 +384,22 @@ def oracle_lsq_estimate(
     """Least-squares coefficient estimate with known support, zero-filled.
 
     ``rows`` is the (M, S) stacked restricted row matrix actually used for
-    acquisition.  The estimator is unbiased for data generated with the
-    truth on the support, and its covariance attains the CRB.
+    acquisition.  ``data`` is one (M,) acquisition, giving a (q,) estimate,
+    or k of them as the columns of an (M, k) array, giving (q, k).  The
+    estimator is unbiased for data generated with the truth on the support,
+    and its covariance attains the CRB.
     """
     rows = np.asarray(rows)
     if rows.shape[1] != support.S:
         raise ValueError(
             f"rows have {rows.shape[1]} columns, support has size {support.S}"
         )
-    sol, _, rank, _ = np.linalg.lstsq(rows, np.asarray(data), rcond=None)
+    data = np.asarray(data)
+    sol, _, rank, _ = np.linalg.lstsq(rows, data, rcond=None)
     if rank < support.S:
         raise InfeasibleDesignError(
             f"restricted row matrix is rank deficient ({rank} < {support.S})"
         )
-    out = np.zeros(support.q, dtype=complex)
+    out = np.zeros((support.q, *data.shape[1:]), dtype=complex)
     out[support.indices] = sol
     return out

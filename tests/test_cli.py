@@ -16,6 +16,7 @@ from oedipus import (
     ImageGrid, build_cartesian_candidates, caipi_pattern, cli, design, sbs_design, sparsity,
 )
 from oedipus import io as oio
+from oedipus import recon
 from oedipus.errors import GenerationFailureError, SolverFailureError
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.yaml"))
@@ -98,8 +99,7 @@ def test_evaluate_two_channel_modes_shares_only_the_baselines(tmp_path):
     channels = {"single": True, "multi": {"n_coils": 2}}
     modes = ["single", "multi"]
     config = write_config(
-        tmp_path, channels=channels, evaluate_channels=modes, baselines={"uniform": True},
-        recon={"max_iters": 10, "inner_max_iters": 1000},  # 2-coil CG needs over 200 steps
+        tmp_path, channels=channels, evaluate_channels=modes, baselines={"uniform": True}
     )
     for command in ("design", "baseline", "evaluate"):
         assert run(command, config) == 0
@@ -179,10 +179,10 @@ def test_every_regularizer_reconstructs_from_the_acquisition_of_its_phantom(
     assert all(sorted(regs) == ["tv", "wavelet"] for regs in seen.values())
 
 
-@pytest.mark.parametrize(
-    "recon, code", [({"max_iters": 10}, 0), ({"inner_max_iters": 1}, 5)], ids=["ok", "exit5"]
-)
-def test_the_process_pool_leaves_every_output_unchanged(tmp_path, monkeypatch, recon, code):
+@pytest.mark.parametrize("cap, code", [(recon._INNER_MAX_ITERS, 0), (1, 5)], ids=["ok", "exit5"])
+def test_the_process_pool_leaves_every_output_unchanged(tmp_path, monkeypatch, cap, code):
+    # a CG cap of one step fails every cell; forked workers inherit the patch
+    monkeypatch.setattr(recon, "_INNER_MAX_ITERS", cap)
     solve = cli.irls_solve
 
     def solved_in(log):
@@ -198,7 +198,7 @@ def test_the_process_pool_leaves_every_output_unchanged(tmp_path, monkeypatch, r
         base.mkdir()
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(cli, "irls_solve", solved_in(log))
-        config = write_config(base, recon=recon)
+        config = write_config(base)
         assert run("baseline", config) == 0
         assert run("evaluate", config) == code
         pids = {int(pid) for pid in log.read_text().split()}
@@ -234,8 +234,9 @@ def test_a_failing_task_exits_4_and_leaves_no_worker(tmp_path, monkeypatch, caps
     assert multiprocessing.active_children() == []
 
 
-def test_solver_failures_are_rows_and_exit_5(tmp_path, capsys):
-    config = write_config(tmp_path, recon={"max_iters": 10, "inner_max_iters": 1})
+def test_solver_failures_are_rows_and_exit_5(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(recon, "_INNER_MAX_ITERS", 1)
+    config = write_config(tmp_path)
     assert run("baseline", config) == 0
     assert run("evaluate", config) == 5
     out = tmp_path / "out"
@@ -307,6 +308,9 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
     )
 
 
+IRLS_INTERNALS = ("recon.inner_tol", "recon.inner_max_iters", "recon.epsilon_scale")
+
+
 @pytest.mark.parametrize(
     "command, override, key",
     [
@@ -336,7 +340,7 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
             "channels.multi.map_seeds",
         ),
         ("evaluate", {"recon": {"max_iters": 0}}, "recon.max_iters"),
-        ("evaluate", {"recon": {"inner_max_iters": 0}}, "recon.inner_max_iters"),
+        ("evaluate", {"recon": {"inner_max_iters": 200}}, "recon.inner_max_iters"),
         ("evaluate", {"recon": {"regularizers": []}}, "recon.regularizers"),
         ("evaluate", {"recon": {"regularizers": ["l2"]}}, "recon.regularizers"),
         ("evaluate", {"evaluate_channels": []}, "evaluate_channels"),
@@ -344,9 +348,9 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
         ("baseline", {"undersample_axes": [0]}, "baselines.caipi"),
         ("design", {"channels": {"single": False}}, "channels.single"),
         ("evaluate", {"evaluate_channels": ["multi"]}, "channels.multi"),
-        ("evaluate", {"recon": {"inner_tol": 0.0}}, "recon.inner_tol"),
-        ("evaluate", {"recon": {"epsilon_scale": 0.0}}, "recon.epsilon_scale"),
-        ("evaluate", {"recon": {"epsilon_scale": -1.0}}, "recon.epsilon_scale"),
+        ("evaluate", {"recon": {"inner_tol": 1e-6}}, "recon.inner_tol"),
+        ("evaluate", {"recon": {"epsilon_scale": 1e-6}}, "recon.epsilon_scale"),
+        ("evaluate", {"recon": {"epsilon_scale": 1e-3}}, "recon.epsilon_scale"),
         ("evaluate", {"test_phantoms": {"noise_sigma": -0.5}}, "test_phantoms.noise_sigma"),
         (
             "baseline",
@@ -403,6 +407,8 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
             {"accelerations": [4], "baselines": {"caipi": {"ry": 3}}},
             "acceleration 4: baselines.caipi.ry",
         ),
+        ("evaluate", {"recon": {"tol": -1.0}}, "recon.tol"),
+        ("evaluate", {"recon": {"tol": 0.0}}, "recon.tol"),
     ],
 )
 def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):
@@ -410,6 +416,8 @@ def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, 
     assert run(command, config) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+    if key in IRLS_INTERNALS:  # constants of recon, whatever the value
+        assert f"unknown config key {key!r}" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -442,7 +442,11 @@ def test_oracle_estimator_unbiased_and_efficient(rng):
     n = 20_000
     noise = (rng.standard_normal((8, n)) + 1j * rng.standard_normal((8, n))) / np.sqrt(2)
     data = rows @ truth[:, None] + noise
-    est = np.linalg.pinv(rows) @ data
+    support = SupportSet(indices=np.array([1, 4, 6]), q=8)
+    est = oracle_lsq_estimate(data, rows, support)[support.indices]
+    for j in (0, n - 1):  # each column is the estimate from that draw alone
+        alone = oracle_lsq_estimate(data[:, j], rows, support)[support.indices]
+        np.testing.assert_allclose(est[:, j], alone, rtol=1e-12)
     err = est - truth[:, None]
     emp = (err @ err.conj().T) / n
     diag = np.diag(cov).real

@@ -17,6 +17,7 @@ from oedipus import (
     synthesize_coil_maps,
     uniform_pattern,
 )
+from oedipus import recon
 from oedipus.phantoms import PhantomSpec, default_phantom_spec
 from oedipus.recon import TvOperator, WaveletOperator, _cg_solve
 
@@ -187,9 +188,6 @@ def test_irls_objective_monotone_random_problems(rng):
             transform=spec,
             lam=0.05,
             max_iters=8,
-            epsilon_scale=1e-3,
-            inner_tol=1e-8,
-            inner_max_iters=500,
         )
         result = irls_solve(problem)
         log = np.array(result.objective_log)
@@ -214,15 +212,13 @@ def test_tv_recon_beats_zero_fill_on_piecewise_constant():
         regularizer="tv",
         lam=0.01,
         max_iters=30,
-        epsilon_scale=1e-3,
-        inner_tol=1e-6,
-        inner_max_iters=600,
     )
     result = irls_solve(problem)
     assert nrmse(result.image, gold) < nrmse(zero_fill, gold)
 
 
-def test_solver_failure_carries_log():
+def test_solver_failure_carries_log(monkeypatch):
+    monkeypatch.setattr(recon, "_INNER_MAX_ITERS", 1)  # the first solve takes 2
     model, gold = _phantom_model()
     pattern = uniform_pattern(model.candidates, 2)
     d = retrospective_undersample(gold, pattern, model)
@@ -234,8 +230,6 @@ def test_solver_failure_carries_log():
         transform=TransformSpec("daub4", 2),
         lam=0.01,
         max_iters=5,
-        inner_tol=1e-12,
-        inner_max_iters=2,
     )
     with pytest.raises(SolverFailureError) as exc:
         irls_solve(problem)
@@ -248,7 +242,7 @@ def test_problem_validation(rng):
     d = retrospective_undersample(gold, pattern, model)
     with pytest.raises(ValueError):
         ReconProblem(data=d, pattern=pattern, model=model, regularizer="tikhonov")
-    for key in ("lam", "epsilon_scale", "inner_tol"):
+    for key in ("lam", "tol"):
         for value in (0.0, -1.0):
             with pytest.raises(ValueError, match=f"{key} must be positive"):
                 ReconProblem(data=d, pattern=pattern, model=model, **{key: value})
