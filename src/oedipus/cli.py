@@ -7,9 +7,13 @@ every accepted key with its converter and default (see the README).  Exit codes:
 
 ``evaluate`` builds its tasks in this process: each Poisson pattern's CRB
 objective, then every (pattern, phantom, regularizer) reconstruction cell.
-It runs them on a ``fork`` process pool with one worker per usable CPU, or
-in this process when only one CPU is usable or ``fork`` is unavailable, and
-reads the results in task order, so the outputs do not depend on the pool.
+``_run_tasks`` forks one child per usable CPU but one; the children take
+tasks from the head of the list (the CRB objectives, which need the most
+memory) and this process takes them from the tail, so it works beside them
+rather than waiting.  With one usable CPU, or without ``fork``, it runs them
+all itself.  The children inherit the tasks and send back only (index,
+result), and results are stored by index, so the outputs do not depend on
+who ran what.
 """
 
 from __future__ import annotations
@@ -419,10 +423,84 @@ def _run_cell(cfg, model, pattern, gold, data, record) -> dict:
     return {**record, "iters": result.iterations, "nrmse": err, "status": status}
 
 
-def _call(task):
-    """Result of one task of ``evaluate``: a module-level function and its arguments."""
-    func, args = task
-    return func(*args)
+def _take(bounds, head: bool):
+    """Claim the first (``head``) or the last task index of ``bounds`` = [lo, hi),
+    the tasks no process has taken; None when none is left."""
+    with bounds.get_lock():
+        lo, hi = bounds
+        if lo >= hi:
+            return None
+        if head:
+            bounds[0] = lo + 1
+            return lo
+        bounds[1] = hi - 1
+        return hi - 1
+
+
+def _stop(bounds) -> None:
+    """Leave no task for any process to take."""
+    with bounds.get_lock():
+        bounds[0] = bounds[1]
+
+
+def _child(tasks, bounds, conn) -> None:
+    """Run tasks from the head; send (index, ok, result or exception) of each."""
+    while (i := _take(bounds, head=True)) is not None:
+        func, args = tasks[i]
+        try:
+            conn.send((i, True, func(*args)))
+        except Exception as err:
+            _stop(bounds)
+            conn.send((i, False, err))
+
+
+def _run_tasks(tasks) -> list:
+    """Results of ``tasks``, (function, arguments) pairs, in task order; see the
+    module docstring.  After a failed task no process starts another, and
+    every child is joined before the failure is raised."""
+    # imported here, not at the top: design and baseline would pay for it
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if fork else None)
+    n_children = min(_usable_cpus(), len(tasks)) - 1 if fork else 0
+    bounds = ctx.Array("q", [0, len(tasks)])  # shared, with its lock
+    results, failures, children, pipes = {}, {}, [], []
+
+    def receive(conns):
+        for conn in conns:
+            try:
+                i, ok, value = conn.recv()
+                (results if ok else failures)[i] = value
+            except EOFError:  # the child has exited
+                pipes.remove(conn)
+                conn.close()
+
+    try:
+        for _ in range(n_children):  # a child inherits the tasks; none is pickled
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child, args=(tasks, bounds, writer), daemon=True)
+            child.start()
+            writer.close()
+            children.append(child)
+            pipes.append(reader)
+        while (i := _take(bounds, head=False)) is not None:
+            func, args = tasks[i]
+            results[i] = func(*args)
+            receive(wait(pipes, timeout=0))
+    finally:
+        _stop(bounds)
+        while pipes:
+            receive(wait(pipes))
+        for child in children:
+            child.join()
+    if failures:
+        raise failures[min(failures)]
+    if len(results) < len(tasks):
+        codes = sorted({child.exitcode for child in children} - {0})
+        raise ChildProcessError(f"an evaluate child exited with code {codes}")
+    return [results[i] for i in range(len(tasks))]
 
 
 def _usable_cpus() -> int:
@@ -457,20 +535,7 @@ def cmd_evaluate(cfg) -> int:
     (out / "recon").mkdir(parents=True, exist_ok=True)
     tasks = [(_pattern_crb, args) for args in crbs.values()]
     tasks += [(_run_cell, cell) for cell in cells]
-    # imported here, not at the top: design and baseline would pay their ~15 ms
-    import concurrent.futures
-    import multiprocessing
-
-    workers = min(_usable_cpus(), len(tasks))
-    pool = None
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        fork = multiprocessing.get_context("fork")
-        pool = concurrent.futures.ProcessPoolExecutor(workers, mp_context=fork)
-    try:
-        results = list((map if pool is None else pool.map)(_call, tasks))
-    finally:  # after a failed task: drop the queued ones and join every worker
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    results = _run_tasks(tasks)
     objectives = dict(zip(crbs, results))
     records = [
         {**rec, "crb_objective": objectives.get((rec["channels"], rec["pattern_id"]))}

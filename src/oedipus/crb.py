@@ -64,6 +64,10 @@ COND_LIMIT = 1e12
 # per slice.  Keeps peak memory flat however large the candidate set.
 SLICE_ENTRIES = 2**13
 _TINY = np.finfo(float).tiny
+# Largest matrix handed whole to one numpy call: a Gram's trace takes
+# eigvalsh, which up to this size is no slower than the Cholesky route, and
+# _lower_inverse inverts a triangular block with inv.
+_DENSE_MAX = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,9 +196,49 @@ def _cond(w: np.ndarray) -> np.ndarray:
         return np.where(w[..., 0] > 0, w[..., -1] / w[..., 0], np.inf)
 
 
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of lower-triangular matrices (..., n, n) by 2 x 2 block recursion,
+    ``[[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]``, down to blocks
+    of at most :data:`_DENSE_MAX` rows."""
+    n = low.shape[-1]
+    if n <= _DENSE_MAX:
+        return np.linalg.inv(low)
+    h = n // 2
+    a, d = _lower_inverse(low[..., :h, :h]), _lower_inverse(low[..., h:, h:])
+    out = np.zeros_like(low)
+    out[..., :h, :h] = a
+    out[..., h:, h:] = d
+    out[..., h:, :h] = -(d @ low[..., h:, :h]) @ a
+    return out
+
+
+def _cholesky_trace(gram: np.ndarray):
+    """Traces of the inverses of Hermitian Grams (..., S, S) when the Cholesky of
+    every ``G - (tr G / COND_LIMIT) I`` succeeds, else None.
+
+    Success proves ``lambda_min > tr G / COND_LIMIT >= lambda_max / COND_LIMIT``,
+    so no Gram is singular by :func:`_cond`; the trace is then ``||L^-1||_F^2``
+    from the Cholesky factor L of G.
+    """
+    shift = np.trace(gram, axis1=-2, axis2=-1).real / COND_LIMIT
+    try:
+        np.linalg.cholesky(gram - shift[..., None, None] * np.eye(gram.shape[-1]))
+    except np.linalg.LinAlgError:
+        return None
+    inv = _lower_inverse(np.linalg.cholesky(gram))
+    return (inv.real**2 + inv.imag**2).sum(axis=(-2, -1))
+
+
 def gram_trace(gram: np.ndarray) -> np.ndarray:
-    """Trace of the inverse of Hermitian Grams (..., S, S) from their
-    eigenvalues w alone, ``sum 1/w``; ``+inf`` where singular by :func:`_cond`."""
+    """Trace of the inverse of Hermitian Grams (..., S, S); ``+inf`` where
+    singular by :func:`_cond`.
+
+    Above :data:`_DENSE_MAX` rows the trace comes from :func:`_cholesky_trace`
+    where that proves every Gram of the batch regular.  Otherwise it is
+    ``sum 1/w`` of the eigenvalues w, with :func:`_cond`'s rule.
+    """
+    if gram.shape[-1] > _DENSE_MAX and (trace := _cholesky_trace(gram)) is not None:
+        return trace
     w = np.linalg.eigvalsh(0.5 * (gram + _h(gram)))
     with np.errstate(divide="ignore", invalid="ignore"):
         trace = (1.0 / w).sum(axis=-1)

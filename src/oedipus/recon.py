@@ -114,7 +114,7 @@ class ReconProblem:
     def __post_init__(self):
         if self.regularizer not in ("wavelet", "tv"):
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
-        for name in ("lam", "tol"):
+        for name in ("lam", "tol", "max_iters"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if np.asarray(self.data).size != self.pattern.M:

@@ -179,30 +179,33 @@ def test_every_regularizer_reconstructs_from_the_acquisition_of_its_phantom(
     assert all(sorted(regs) == ["tv", "wavelet"] for regs in seen.values())
 
 
+def count_started_children(monkeypatch) -> list:
+    """A list that gains one entry per process started from now on."""
+    started, start = [], multiprocessing.process.BaseProcess.start
+
+    def counted(self):
+        started.append(self)
+        return start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    return started
+
+
 @pytest.mark.parametrize("cap, code", [(recon._INNER_MAX_ITERS, 0), (1, 5)], ids=["ok", "exit5"])
 def test_the_process_pool_leaves_every_output_unchanged(tmp_path, monkeypatch, cap, code):
-    # a CG cap of one step fails every cell; forked workers inherit the patch
+    # a CG cap of one step fails every cell; forked children inherit the patch
     monkeypatch.setattr(recon, "_INNER_MAX_ITERS", cap)
-    solve = cli.irls_solve
-
-    def solved_in(log):
-        def recording(problem):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return solve(problem)
-        return recording
-
     trees = {}
     for cpus in (1, 2):
-        log, base = tmp_path / f"pids{cpus}.log", tmp_path / f"cpus{cpus}"
+        base = tmp_path / f"cpus{cpus}"
         base.mkdir()
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(cli, "irls_solve", solved_in(log))
         config = write_config(base)
         assert run("baseline", config) == 0
+        started = count_started_children(monkeypatch)
         assert run("evaluate", config) == code
-        pids = {int(pid) for pid in log.read_text().split()}
-        assert (pids == {os.getpid()}) == (cpus == 1)  # the pool's cells ran in its workers
+        assert len(started) == cpus - 1  # the parent takes the last share itself
+        assert multiprocessing.active_children() == []
         out = config.parent / "out"
         files = [out / "report.csv", out / "poisson_seeds.csv", *(out / "recon").iterdir()]
         trees[cpus] = {f.relative_to(out): f.read_bytes() for f in files}
@@ -231,6 +234,56 @@ def test_a_failing_task_exits_4_and_leaves_no_worker(tmp_path, monkeypatch, caps
     assert run("baseline", config) == 0
     assert run("evaluate", config) == 4
     assert "i/o error" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def failing_in(where, task, parent, reached):
+    """``task`` that raises an ``OSError`` when it runs in the ``parent`` process
+    (``where`` "parent") or in a child; the child sets ``reached`` first, and
+    the parent's tasks wait for it, so a child is sure to take one."""
+    def wrapped(*args):
+        in_parent = os.getpid() == parent
+        if in_parent == (where == "parent"):
+            reached.set()
+            raise OSError(f"injected failure in the {where}")
+        if in_parent:
+            assert reached.wait(30)
+        return task(*args)
+    return wrapped
+
+
+@pytest.mark.parametrize("where", ["parent", "child"])
+def test_a_failing_task_in_either_share_exits_4_and_joins_every_child(
+    tmp_path, monkeypatch, capsys, where
+):
+    reached = multiprocessing.get_context("fork").Event()
+    for name in ("_pattern_crb", "_run_cell"):
+        monkeypatch.setattr(cli, name, failing_in(where, getattr(cli, name), os.getpid(), reached))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    config = write_config(tmp_path)
+    assert run("baseline", config) == 0
+    assert run("evaluate", config) == 4
+    assert f"i/o error: injected failure in the {where}" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_tasks_run_in_order_and_a_dead_child_is_an_error(monkeypatch):
+    tasks = [(pow, (2, i)) for i in range(40)]
+    for cpus in (1, 2, 3, 64):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert cli._run_tasks(tasks) == [2**i for i in range(40)]
+    assert cli._run_tasks([]) == []
+    # a child that exits without a result fails the run once it is joined
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    parent, reached = os.getpid(), multiprocessing.get_context("fork").Event()
+
+    def exit_in_child():
+        if os.getpid() != parent:
+            reached.set()
+            os._exit(3)
+
+    with pytest.raises(ChildProcessError, match=r"exited with code \[3\]"):
+        cli._run_tasks([(exit_in_child, ()), (reached.wait, (30,))])
     assert multiprocessing.active_children() == []
 
 
@@ -311,104 +364,134 @@ def test_one_failing_pattern_leaves_the_other_cells(tmp_path, monkeypatch):
 IRLS_INTERNALS = ("recon.inner_tol", "recon.inner_max_iters", "recon.epsilon_scale")
 
 
+def _row(n: int, command: str, override: dict, key: str):
+    """A row of the test below; its id, ``{command}-override{n}-{key}``, holds a
+    row number fixed in the source, so deleting a row renames no other test.
+    A new row takes the next free number."""
+    return pytest.param(command, override, key, id=f"{command}-override{n}-{key}")
+
+
 @pytest.mark.parametrize(
     "command, override, key",
     [
-        ("design", {"channels": "single"}, "channels"),
-        ("baseline", {"baselines": {"caipi": True}}, "baselines.caipi"),
-        ("evaluate", {"recon": {"lamda": 5.0}}, "recon.lamda"),
-        ("design", {"transform": {"levels": 5}}, "transform.levels"),
-        ("design", {"recon": {"lambda": 0.0}}, "recon.lambda"),
-        ("design", {"accelerations": [0]}, "accelerations"),
-        ("design", {"accelerations": [2, 0.5]}, "accelerations"),
-        ("design", {"fraction": 0}, "fraction"),
-        ("design", {"fraction": 1.5}, "fraction"),
-        ("design", {"fraction": -0.1}, "fraction"),
-        ("design", {"oversampling": 0.5}, "oversampling"),
-        ("design", {"oversampling": 0}, "oversampling"),
-        ("design", {"undersample_axes": [], "baselines": None}, "undersample_axes"),
-        ("design", {"undersample_axes": [2], "baselines": None}, "undersample_axes"),
-        ("design", {"channels": {"multi": {"n_coils": 0}}}, "channels.multi.n_coils"),
-        ("design", {"channels": {"multi": {"decay": -1}}}, "channels.multi.decay"),
-        ("design", {"grid": {"dims": [16, 16], "fov": [200.0]}}, "grid.fov"),
-        ("baseline", {"grid": {"dims": [16]}}, "grid.dims"),
-        ("design", {"exemplars": {"phantom_seeds": []}}, "exemplars.phantom_seeds"),
-        ("evaluate", {"test_phantoms": {"seeds": []}}, "test_phantoms.seeds"),
-        (
+        _row(0, "design", {"channels": "single"}, "channels"),
+        _row(1, "baseline", {"baselines": {"caipi": True}}, "baselines.caipi"),
+        _row(2, "evaluate", {"recon": {"lamda": 5.0}}, "recon.lamda"),
+        _row(3, "design", {"transform": {"levels": 5}}, "transform.levels"),
+        _row(4, "design", {"recon": {"lambda": 0.0}}, "recon.lambda"),
+        _row(5, "design", {"accelerations": [0]}, "accelerations"),
+        _row(6, "design", {"accelerations": [2, 0.5]}, "accelerations"),
+        _row(7, "design", {"fraction": 0}, "fraction"),
+        _row(8, "design", {"fraction": 1.5}, "fraction"),
+        _row(9, "design", {"fraction": -0.1}, "fraction"),
+        _row(10, "design", {"oversampling": 0.5}, "oversampling"),
+        _row(11, "design", {"oversampling": 0}, "oversampling"),
+        _row(12, "design", {"undersample_axes": [], "baselines": None}, "undersample_axes"),
+        _row(13, "design", {"undersample_axes": [2], "baselines": None}, "undersample_axes"),
+        _row(14, "design", {"channels": {"multi": {"n_coils": 0}}}, "channels.multi.n_coils"),
+        _row(15, "design", {"channels": {"multi": {"decay": -1}}}, "channels.multi.decay"),
+        _row(16, "design", {"grid": {"dims": [16, 16], "fov": [200.0]}}, "grid.fov"),
+        _row(17, "baseline", {"grid": {"dims": [16]}}, "grid.dims"),
+        _row(18, "design", {"exemplars": {"phantom_seeds": []}}, "exemplars.phantom_seeds"),
+        _row(19, "evaluate", {"test_phantoms": {"seeds": []}}, "test_phantoms.seeds"),
+        _row(
+            20,
             "design",
             {"channels": {"multi": {"map_seeds": [], "eval_map_seed": 9}}},
             "channels.multi.map_seeds",
         ),
-        ("evaluate", {"recon": {"max_iters": 0}}, "recon.max_iters"),
-        ("evaluate", {"recon": {"inner_max_iters": 200}}, "recon.inner_max_iters"),
-        ("evaluate", {"recon": {"regularizers": []}}, "recon.regularizers"),
-        ("evaluate", {"recon": {"regularizers": ["l2"]}}, "recon.regularizers"),
-        ("evaluate", {"evaluate_channels": []}, "evaluate_channels"),
-        ("evaluate", {"evaluate_channels": ["dual"]}, "evaluate_channels"),
-        ("baseline", {"undersample_axes": [0]}, "baselines.caipi"),
-        ("design", {"channels": {"single": False}}, "channels.single"),
-        ("evaluate", {"evaluate_channels": ["multi"]}, "channels.multi"),
-        ("evaluate", {"recon": {"inner_tol": 1e-6}}, "recon.inner_tol"),
-        ("evaluate", {"recon": {"epsilon_scale": 1e-6}}, "recon.epsilon_scale"),
-        ("evaluate", {"recon": {"epsilon_scale": 1e-3}}, "recon.epsilon_scale"),
-        ("evaluate", {"test_phantoms": {"noise_sigma": -0.5}}, "test_phantoms.noise_sigma"),
-        (
+        _row(21, "evaluate", {"recon": {"max_iters": 0}}, "recon.max_iters"),
+        _row(22, "evaluate", {"recon": {"inner_max_iters": 200}}, "recon.inner_max_iters"),
+        _row(23, "evaluate", {"recon": {"regularizers": []}}, "recon.regularizers"),
+        _row(24, "evaluate", {"recon": {"regularizers": ["l2"]}}, "recon.regularizers"),
+        _row(25, "evaluate", {"evaluate_channels": []}, "evaluate_channels"),
+        _row(26, "evaluate", {"evaluate_channels": ["dual"]}, "evaluate_channels"),
+        _row(27, "baseline", {"undersample_axes": [0]}, "baselines.caipi"),
+        _row(28, "design", {"channels": {"single": False}}, "channels.single"),
+        _row(29, "evaluate", {"evaluate_channels": ["multi"]}, "channels.multi"),
+        _row(30, "evaluate", {"recon": {"inner_tol": 1e-6}}, "recon.inner_tol"),
+        _row(31, "evaluate", {"recon": {"epsilon_scale": 1e-6}}, "recon.epsilon_scale"),
+        _row(32, "evaluate", {"recon": {"epsilon_scale": 1e-3}}, "recon.epsilon_scale"),
+        _row(
+            33,
+            "evaluate",
+            {"test_phantoms": {"noise_sigma": -0.5}},
+            "test_phantoms.noise_sigma",
+        ),
+        _row(
+            34,
             "baseline",
             {"baselines": {"poisson": {"seeds": [1], "center_block": -6}}},
             "baselines.poisson.center_block",
         ),
-        ("evaluate", {"recon": {"regularizers": ["wavelet", "wavelet"]}}, "recon.regularizers"),
-        ("evaluate", {"evaluate_channels": ["single", "single"]}, "evaluate_channels"),
-        ("evaluate", {"test_phantoms": {"seeds": [3, 3]}}, "test_phantoms.seeds"),
-        ("design", {"exemplars": {"phantom_seeds": [-1]}}, "exemplars.phantom_seeds"),
-        ("design", {"channels": {"multi": {"map_seeds": [-2]}}}, "channels.multi.map_seeds"),
-        ("evaluate", {"test_phantoms": {"seeds": [-1]}}, "test_phantoms.seeds"),
-        (
+        _row(
+            35,
+            "evaluate",
+            {"recon": {"regularizers": ["wavelet", "wavelet"]}},
+            "recon.regularizers",
+        ),
+        _row(36, "evaluate", {"evaluate_channels": ["single", "single"]}, "evaluate_channels"),
+        _row(37, "evaluate", {"test_phantoms": {"seeds": [3, 3]}}, "test_phantoms.seeds"),
+        _row(38, "design", {"exemplars": {"phantom_seeds": [-1]}}, "exemplars.phantom_seeds"),
+        _row(
+            39,
+            "design",
+            {"channels": {"multi": {"map_seeds": [-2]}}},
+            "channels.multi.map_seeds",
+        ),
+        _row(40, "evaluate", {"test_phantoms": {"seeds": [-1]}}, "test_phantoms.seeds"),
+        _row(
+            41,
             "evaluate",
             {"test_phantoms": {"seeds": [3], "noise_sigma": 0.1, "noise_seed": -3}},
             "test_phantoms.noise_seed",
         ),
-        (
+        _row(
+            42,
             "evaluate",
             {"channels": {"multi": {"eval_map_seed": -1}}, "evaluate_channels": ["multi"]},
             "channels.multi.eval_map_seed",
         ),
-        (
+        _row(
+            43,
             "baseline",
             {"baselines": {"poisson": {"seeds": [-1], "center_block": 4}}},
             "baselines.poisson.seeds",
         ),
-        (
+        _row(
+            44,
             "evaluate",
             {"grid": {"dims": [1, 16]}, "transform": {"family": "identity"},
              "recon": {"regularizers": ["tv"]}},
             "recon.regularizers",
         ),
-        ("design", {"oversampling": math.inf}, "oversampling"),
-        ("baseline", {"oversampling": math.inf}, "oversampling"),
-        ("evaluate", {"oversampling": math.inf}, "oversampling"),
-        ("design", {"grid": {"dims": [16.5, 16]}}, "grid.dims"),
-        ("design", {"grid": {"dims": [16, 16], "fov": [math.nan, 200.0]}}, "grid.fov"),
-        ("design", {"channels": {"single": "false"}}, "channels.single"),
-        ("evaluate", {"recon": {"max_iters": True}}, "recon.max_iters"),
-        (
+        _row(45, "design", {"oversampling": math.inf}, "oversampling"),
+        _row(46, "baseline", {"oversampling": math.inf}, "oversampling"),
+        _row(47, "evaluate", {"oversampling": math.inf}, "oversampling"),
+        _row(48, "design", {"grid": {"dims": [16.5, 16]}}, "grid.dims"),
+        _row(49, "design", {"grid": {"dims": [16, 16], "fov": [math.nan, 200.0]}}, "grid.fov"),
+        _row(50, "design", {"channels": {"single": "false"}}, "channels.single"),
+        _row(51, "evaluate", {"recon": {"max_iters": True}}, "recon.max_iters"),
+        _row(
+            52,
             "evaluate",
             {"test_phantoms": {"seeds": [3], "noise_sigma": math.inf}},
             "test_phantoms.noise_sigma",
         ),
-        ("design", {"accelerations": [2, 1000]}, "acceleration 1000: leaves none"),
-        ("baseline", {"accelerations": [2, 1000]}, "acceleration 1000: leaves none"),
-        ("baseline", {"baselines": {"caipi": {"ry": 0}}}, "baselines.caipi.ry"),
-        ("baseline", {"baselines": {"caipi": {"rz": 0}}}, "baselines.caipi.rz"),
-        ("design", {"transform": {"levels": 0}}, "transform.levels"),
-        ("design", {"transform": {"family": "db8"}}, "transform.family"),
-        (
+        _row(53, "design", {"accelerations": [2, 1000]}, "acceleration 1000: leaves none"),
+        _row(54, "baseline", {"accelerations": [2, 1000]}, "acceleration 1000: leaves none"),
+        _row(55, "baseline", {"baselines": {"caipi": {"ry": 0}}}, "baselines.caipi.ry"),
+        _row(56, "baseline", {"baselines": {"caipi": {"rz": 0}}}, "baselines.caipi.rz"),
+        _row(57, "design", {"transform": {"levels": 0}}, "transform.levels"),
+        _row(58, "design", {"transform": {"family": "db8"}}, "transform.family"),
+        _row(
+            59,
             "baseline",
             {"accelerations": [4], "baselines": {"caipi": {"ry": 3}}},
             "acceleration 4: baselines.caipi.ry",
         ),
-        ("evaluate", {"recon": {"tol": -1.0}}, "recon.tol"),
-        ("evaluate", {"recon": {"tol": 0.0}}, "recon.tol"),
+        _row(60, "evaluate", {"recon": {"tol": -1.0}}, "recon.tol"),
+        _row(61, "evaluate", {"recon": {"tol": 0.0}}, "recon.tol"),
     ],
 )
 def test_config_shape_errors_exit_2_and_name_the_key(tmp_path, capsys, command, override, key):

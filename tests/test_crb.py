@@ -209,6 +209,61 @@ def test_gram_trace_matches_gram_inverse(rng):
             crb.state_from_gram(gram)
 
 
+def eigenvalue_trace(gram):
+    """gram_trace by the eigenvalue rule alone: sum 1/w, +inf where _cond > COND_LIMIT."""
+    w = np.linalg.eigvalsh(0.5 * (gram + np.swapaxes(gram.conj(), -1, -2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(crb._cond(w) > crb.COND_LIMIT, np.inf, (1.0 / w).sum(axis=-1))
+
+
+def gram_of_spectrum(rng, w):
+    """A complex Hermitian Gram with eigenvalues w and random eigenvectors."""
+    s = len(w)
+    q = np.linalg.qr(rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)))[0]
+    return (q * w) @ q.conj().T
+
+
+@pytest.mark.parametrize("s", [20, 100, 346])
+def test_the_cholesky_trace_of_a_regular_batch_matches_the_eigenvalues(rng, monkeypatch, s):
+    assert crb._DENSE_MAX < 100  # so the triangular inverse recurses at 100 and 346
+    a = rng.standard_normal((2, 2 * s, s)) + 1j * rng.standard_normal((2, 2 * s, s))
+    grams = np.swapaxes(a.conj(), 1, 2) @ a
+    grams[1] = gram_of_spectrum(rng, np.logspace(-4, 0, s))  # cond 1e4
+    expected = eigenvalue_trace(grams)
+    np.testing.assert_allclose(crb._cholesky_trace(grams), expected, rtol=1e-12)
+    np.testing.assert_allclose(crb._cholesky_trace(grams[0]), expected[0], rtol=1e-12)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a regular batch took the eigenvalue path")
+
+    # above _DENSE_MAX rows, gram_trace takes the Cholesky route
+    if s > crb._DENSE_MAX:
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    np.testing.assert_allclose(crb.gram_trace(grams), expected, rtol=1e-12)
+
+
+def test_gram_trace_falls_back_to_the_eigenvalue_rule(rng):
+    s = crb._DENSE_MAX + 12
+    near = gram_of_spectrum(rng, np.r_[1e-11, np.ones(s - 1)])  # cond ~1e11: regular
+    a = rng.standard_normal((s - 3, s)) + 1j * rng.standard_normal((s - 3, s))
+    singular = a.conj().T @ a  # rank s - 3
+    b = rng.standard_normal((2 * s, s)) + 1j * rng.standard_normal((2 * s, s))
+    regular = b.conj().T @ b
+    # the shifted Cholesky fails on the first two, so they take _cond's rule
+    for gram, finite in ((near, True), (singular, False)):
+        assert crb._cholesky_trace(gram) is None
+        got = crb.gram_trace(gram)
+        assert np.isfinite(got) == finite
+        assert got == eigenvalue_trace(gram)
+    # one singular Gram sends its whole batch to the eigenvalue rule, as in
+    # tests/reference.py::direct_sbs, whose batches drop one group each
+    batch = np.stack([regular, singular, near, regular])
+    got = crb.gram_trace(batch)
+    assert np.isinf(got).tolist() == [False, True, False, False]
+    np.testing.assert_array_equal(got, eigenvalue_trace(batch))
+    assert got[0] == pytest.approx(crb.gram_trace(regular), rel=1e-12)
+
+
 def test_smw_removal_equals_the_out_of_place_update(rng):
     model = make_model((4, 8), n_coils=2, undersample_axes=(1,), seed=1)
     support = random_support(rng, 32, 6)

@@ -248,3 +248,15 @@ def test_problem_validation(rng):
                 ReconProblem(data=d, pattern=pattern, model=model, **{key: value})
     with pytest.raises(ValueError):
         ReconProblem(data=d[:-1], pattern=pattern, model=model)
+
+
+def test_max_iters_below_one_is_rejected():
+    # without the check, max_iters=-3 returned the adjoint image after 0 iterations
+    model, gold = _phantom_model()
+    pattern = full_pattern(model)
+    d = retrospective_undersample(gold, pattern, model)
+    for value in (0, -3):
+        with pytest.raises(ValueError, match="max_iters must be positive"):
+            ReconProblem(data=d, pattern=pattern, model=model, max_iters=value)
+    result = irls_solve(ReconProblem(data=d, pattern=pattern, model=model, max_iters=1))
+    assert result.iterations == 1
