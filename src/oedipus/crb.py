@@ -23,10 +23,17 @@ O(r^2 S + r^3) per group (Hager, SIAM Review 1989).  So every step of the
 downdate forms (build, price, commit and update) lives here; the choice of
 when to keep, trust or rebuild them is the caller's.  The module also
 provides the support-aware least-squares estimator that attains the bound.
+
+One rule decides singularity: a Hermitian matrix is singular when its
+smallest eigenvalue is <= a shift, ``tr G / COND_LIMIT`` for a Gram G and
+``1 / COND_LIMIT`` for a middle matrix, whose eigenvalues lie in [0, 1]
+(:func:`_singular`).  A regular Gram is inverted one way, through ``L^-1``
+of its Cholesky factor L (:func:`_inverse_factor`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,32 +63,27 @@ __all__ = [
     "oracle_lsq_estimate",
 ]
 
-# Condition number beyond which a Gram matrix is treated as singular
-# (double precision rule of thumb).
+# A Gram G is singular when its smallest eigenvalue is <= tr G / COND_LIMIT,
+# so a regular one has condition number below COND_LIMIT (double precision
+# rule of thumb); a middle matrix, when its smallest eigenvalue is
+# <= 1 / COND_LIMIT.
 COND_LIMIT = 1e12
 
 # Complex entries of (groups x r x S) that building downdate forms may hold
 # per slice.  Keeps peak memory flat however large the candidate set.
 SLICE_ENTRIES = 2**13
 _TINY = np.finfo(float).tiny
-# Largest matrix handed whole to one numpy call: a Gram's trace takes
-# eigvalsh, which up to this size is no slower than the Cholesky route, and
-# _lower_inverse inverts a triangular block with inv.
+# Largest triangular block _lower_inverse hands whole to numpy's inv.
 _DENSE_MAX = 48
 
 
 @dataclass(frozen=True, eq=False)
 class CrbState:
-    """Inverse restricted Gram matrix of one row set.
-
-    ``inv_gram`` is S x S Hermitian, ``trace`` its real trace and ``cond``
-    the condition number of the Gram it was built from (a downdate keeps
-    it).
-    """
+    """Inverse restricted Gram matrix of one row set: ``inv_gram`` is S x S
+    Hermitian and ``trace`` its real trace."""
 
     inv_gram: np.ndarray
     trace: float
-    cond: float
 
 
 def _spectra(model: EncodingModel, support: SupportSet, spec: TransformSpec, t: int, groups):
@@ -188,12 +190,21 @@ def _h(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def _cond(w: np.ndarray) -> np.ndarray:
-    """Condition numbers of Hermitian Grams with ascending eigenvalues w (..., S),
-    ``+inf`` where the smallest is not positive.  A Gram whose condition number
-    exceeds :data:`COND_LIMIT` is treated as singular."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(w[..., 0] > 0, w[..., -1] / w[..., 0], np.inf)
+def _singular(mats: np.ndarray, shift: float) -> np.ndarray:
+    """Which Hermitian matrices (g, n, n) have smallest eigenvalue <= ``shift``.
+
+    A 1 x 1 matrix is its own eigenvalue and is compared elementwise.
+    Otherwise a batched Cholesky of ``mats - shift I`` clears a batch of
+    regular matrices at once; only a batch where it fails gets the
+    eigenvalue test.
+    """
+    if mats.shape[-1] == 1:
+        return mats[:, 0, 0].real <= shift
+    try:
+        np.linalg.cholesky(mats - shift * np.eye(mats.shape[-1]))
+        return np.zeros(len(mats), dtype=bool)
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvalsh(mats)[:, 0] <= shift
 
 
 def _lower_inverse(low: np.ndarray) -> np.ndarray:
@@ -212,37 +223,20 @@ def _lower_inverse(low: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cholesky_trace(gram: np.ndarray):
-    """Traces of the inverses of Hermitian Grams (..., S, S) when the Cholesky of
-    every ``G - (tr G / COND_LIMIT) I`` succeeds, else None.
-
-    Success proves ``lambda_min > tr G / COND_LIMIT >= lambda_max / COND_LIMIT``,
-    so no Gram is singular by :func:`_cond`; the trace is then ``||L^-1||_F^2``
-    from the Cholesky factor L of G.
-    """
-    shift = np.trace(gram, axis1=-2, axis2=-1).real / COND_LIMIT
-    try:
-        np.linalg.cholesky(gram - shift[..., None, None] * np.eye(gram.shape[-1]))
-    except np.linalg.LinAlgError:
+def _inverse_factor(gram: np.ndarray):
+    """``L^-1`` of the Cholesky factor L of a Hermitian Gram (S, S), so that
+    ``G^-1 = L^-H L^-1``; None when the Gram is singular, with smallest
+    eigenvalue <= ``tr G / COND_LIMIT`` by :func:`_singular`."""
+    if _singular(gram[None], np.trace(gram).real / COND_LIMIT)[0]:
         return None
-    inv = _lower_inverse(np.linalg.cholesky(gram))
-    return (inv.real**2 + inv.imag**2).sum(axis=(-2, -1))
+    return _lower_inverse(np.linalg.cholesky(gram))
 
 
-def gram_trace(gram: np.ndarray) -> np.ndarray:
-    """Trace of the inverse of Hermitian Grams (..., S, S); ``+inf`` where
-    singular by :func:`_cond`.
-
-    Above :data:`_DENSE_MAX` rows the trace comes from :func:`_cholesky_trace`
-    where that proves every Gram of the batch regular.  Otherwise it is
-    ``sum 1/w`` of the eigenvalues w, with :func:`_cond`'s rule.
-    """
-    if gram.shape[-1] > _DENSE_MAX and (trace := _cholesky_trace(gram)) is not None:
-        return trace
-    w = np.linalg.eigvalsh(0.5 * (gram + _h(gram)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        trace = (1.0 / w).sum(axis=-1)
-    return np.where(_cond(w) > COND_LIMIT, np.inf, trace)
+def gram_trace(gram: np.ndarray) -> float:
+    """Trace of the inverse of a Hermitian Gram (S, S), ``||L^-1||_F^2`` from
+    :func:`_inverse_factor`; ``+inf`` where the Gram is singular."""
+    inv = _inverse_factor(gram)
+    return math.inf if inv is None else float((inv.real**2 + inv.imag**2).sum())
 
 
 def restricted_gram(rows: np.ndarray) -> np.ndarray:
@@ -252,21 +246,18 @@ def restricted_gram(rows: np.ndarray) -> np.ndarray:
 
 
 def state_from_gram(gram: np.ndarray) -> CrbState:
-    """CRB state of a restricted Gram matrix, inverted from its eigenpairs.
+    """CRB state of a restricted Gram matrix, ``L^-H L^-1`` from
+    :func:`_inverse_factor`.
 
     Raises :class:`InfeasibleDesignError` when the support cannot be
-    identified (rank deficiency or condition above :data:`COND_LIMIT`).
+    identified: the Gram is singular.
     """
-    w, v = np.linalg.eigh(0.5 * (gram + _h(gram)))
-    cond = float(_cond(w))
-    if cond > COND_LIMIT:
-        raise InfeasibleDesignError(
-            f"restricted Gram is singular or near-singular (cond ~ {cond:.3g})",
-            cond=cond,
-        )
-    inv = (v / w) @ _h(v)
+    low = _inverse_factor(gram)
+    if low is None:
+        raise InfeasibleDesignError("restricted Gram is singular or near-singular")
+    inv = _h(low) @ low
     inv = 0.5 * (inv + _h(inv))
-    return CrbState(inv_gram=inv, trace=float(np.trace(inv).real), cond=cond)
+    return CrbState(inv_gram=inv, trace=float(np.trace(inv).real))
 
 
 def build_full_crb(
@@ -279,8 +270,7 @@ def build_full_crb(
     """CRB state for the candidate rows of ``groups`` (default: all groups).
 
     Raises :class:`InfeasibleDesignError` when the support cannot be
-    identified from the given rows (rank deficiency or condition above
-    :data:`COND_LIMIT`).
+    identified from the given rows: the Gram is singular.
     """
     groups = sorted(range(model.candidates.L) if groups is None else groups)
     n_rows = len(groups) * model.candidates.C
@@ -293,25 +283,6 @@ def build_full_crb(
     return state_from_gram(gram)
 
 
-def _singular(mid: np.ndarray) -> np.ndarray:
-    """Which middle matrices (g, r, r) have smallest eigenvalue <= 1/COND_LIMIT.
-
-    A middle matrix has eigenvalues in [0, 1] in exact arithmetic, so
-    near-singularity is tested on an absolute scale.  A 1 x 1 matrix is its
-    own eigenvalue and is compared elementwise.  Otherwise a batched
-    Cholesky of ``mid - I/COND_LIMIT`` clears a batch of regular groups at
-    once; only a batch where it fails gets the eigenvalue test.
-    """
-    tau = 1.0 / COND_LIMIT
-    if mid.shape[-1] == 1:
-        return mid[:, 0, 0].real <= tau
-    try:
-        np.linalg.cholesky(mid - tau * np.eye(mid.shape[-1]))
-        return np.zeros(len(mid), dtype=bool)
-    except np.linalg.LinAlgError:
-        return np.linalg.eigvalsh(mid)[:, 0] <= tau
-
-
 def smw_removal(state: CrbState, rows: np.ndarray):
     """CRB state after removing the rows B (r, S) of one group, with
     ``U = A^-1 B^H`` and ``K = (I - B U)^-1``: the new inverse is
@@ -322,7 +293,7 @@ def smw_removal(state: CrbState, rows: np.ndarray):
     u = state.inv_gram @ _h(rows)
     mid = np.eye(len(rows)) - rows @ u
     mid = 0.5 * (mid + _h(mid))
-    if _singular(mid[None])[0]:
+    if _singular(mid[None], 1.0 / COND_LIMIT)[0]:
         raise InfeasibleDesignError("removing the group makes the design singular")
     k = np.linalg.inv(mid)
     k = 0.5 * (k + _h(k))
@@ -330,7 +301,7 @@ def smw_removal(state: CrbState, rows: np.ndarray):
     inv += state.inv_gram
     inv += _h(inv)
     inv *= 0.5
-    return CrbState(inv_gram=inv, trace=float(np.trace(inv).real), cond=state.cond), u, k
+    return CrbState(inv_gram=inv, trace=float(np.trace(inv).real)), u, k
 
 
 def update_forms(forms, rows: np.ndarray, inv_gram: np.ndarray, c: int, u, k) -> float:
@@ -381,12 +352,12 @@ def forms_traces(trace: float, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     r = m1.shape[-1]
     if r == 1:  # a Hermitian 1 x 1 matrix is its real part
         mid = 1.0 - m1.real
-        singular = _singular(mid)
+        singular = _singular(mid, 1.0 / COND_LIMIT)
         x = m2[:, 0, 0].real / np.where(singular, 1.0, mid[:, 0, 0])
     else:
         mid = np.eye(r) - m1
         mid = 0.5 * (mid + _h(mid))
-        singular = _singular(mid)
+        singular = _singular(mid, 1.0 / COND_LIMIT)
         mid[singular] = np.eye(r)  # keeps the solve regular; priced +inf below
         x = np.trace(np.linalg.solve(mid, m2), axis1=-2, axis2=-1).real
     return np.where(singular, np.inf, trace + x)
@@ -431,19 +402,19 @@ def oracle_lsq_estimate(
     acquisition.  ``data`` is one (M,) acquisition, giving a (q,) estimate,
     or k of them as the columns of an (M, k) array, giving (q, k).  The
     estimator is unbiased for data generated with the truth on the support,
-    and its covariance attains the CRB.
+    and its covariance attains the CRB.  Raises
+    :class:`InfeasibleDesignError` where :func:`state_from_gram` of the rows'
+    Gram would: the Gram is singular.
     """
     rows = np.asarray(rows)
     if rows.shape[1] != support.S:
         raise ValueError(
             f"rows have {rows.shape[1]} columns, support has size {support.S}"
         )
+    if _inverse_factor(rows.conj().T @ rows) is None:
+        raise InfeasibleDesignError("restricted row matrix has a singular Gram")
     data = np.asarray(data)
-    sol, _, rank, _ = np.linalg.lstsq(rows, data, rcond=None)
-    if rank < support.S:
-        raise InfeasibleDesignError(
-            f"restricted row matrix is rank deficient ({rank} < {support.S})"
-        )
+    sol = np.linalg.lstsq(rows, data, rcond=None)[0]
     out = np.zeros((support.q, *data.shape[1:]), dtype=complex)
     out[support.indices] = sol
     return out

@@ -231,7 +231,7 @@ def sbs_design(
                  for k, s in enumerate(supports) for t in range(model.T)]
     except InfeasibleDesignError as err:
         raise InfeasibleDesignError(
-            f"full-candidate CRB build failed: {err}", iteration=0, cond=err.cond
+            f"full-candidate CRB build failed: {err}", iteration=0
         ) from err
     # forms are kept where updating them, ~r S + 4 r^2 a group, beats building, ~S^2
     if all(r * s + 4 * r * r < s * s for r, s in (p.rows.shape[1:] for p in pairs)):
@@ -310,23 +310,27 @@ def exhaustive_design(
     Intended as a test oracle for tiny instances; refuses to enumerate
     more than 10^6 subsets.  Each subset is scored by
     :func:`evaluate_pattern_crb` over the ensemble ``supports``, so singular
-    subsets cost +inf and are never kept, and the first minimum wins.  The
-    log carries the single optimal objective value.
+    subsets cost +inf and are never kept, and the first subset within the
+    tie slack of the minimum wins, as in SBS (:func:`_select`).  The log
+    carries the single optimal objective value.
     """
     cand, supports = model.candidates, _ensemble(supports)
     objective = objective or DesignObjective("average")
+    _precheck(supports, target_groups, cand)
     n_subsets = math.comb(cand.L, target_groups)
     if n_subsets > 10**6:
         raise ValueError(f"{n_subsets} subsets exceed the enumeration budget of 10^6")
-    best_cost, best_subset = math.inf, None
-    for subset in itertools.combinations(range(cand.L), target_groups):
-        pattern = pattern_from_groups(cand, subset, mode="exhaustive")
-        cost = evaluate_pattern_crb(pattern, model, supports, objective, spec)
-        if cost < best_cost:
-            best_cost, best_subset = cost, subset
-    if best_subset is None:
+    costs = np.array([
+        evaluate_pattern_crb(pattern_from_groups(cand, subset, mode="exhaustive"), model,
+                             supports, objective, spec)
+        for subset in itertools.combinations(range(cand.L), target_groups)
+    ])
+    i = _select(costs)
+    if i < 0:
         raise InfeasibleDesignError("every subset of the requested size is singular")
-    return pattern_from_groups(cand, best_subset, mode="exhaustive", log=[best_cost])
+    # the i-th subset is enumerated again rather than every subset held
+    kept = next(itertools.islice(itertools.combinations(range(cand.L), target_groups), i, None))
+    return pattern_from_groups(cand, kept, mode="exhaustive", log=[costs[i]])
 
 
 def evaluate_pattern_crb(

@@ -13,14 +13,17 @@ class InfeasibleDesignError(OedipusError):
     """A CRB matrix is singular or near-singular, so no unbiased estimator
     with finite variance exists for the requested candidate set.
 
-    ``iteration`` is the deletion index at which a design loop gave up
-    (0 for the initial full-candidate build, -1 when not applicable).
+    One rule decides this: a restricted Gram G is singular when its smallest
+    eigenvalue is <= ``tr G / crb.COND_LIMIT``, and a group is mandatory when
+    the middle matrix of its removal has smallest eigenvalue
+    <= ``1 / crb.COND_LIMIT``.  ``iteration`` is the deletion index at which a
+    design loop gave up (0 for the initial full-candidate build, -1 when not
+    applicable).
     """
 
-    def __init__(self, message, iteration=-1, cond=None):
+    def __init__(self, message, iteration=-1):
         super().__init__(message)
         self.iteration = iteration
-        self.cond = cond
 
 
 class GenerationFailureError(OedipusError):

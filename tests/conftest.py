@@ -7,6 +7,7 @@ from oedipus import (
     SupportSet,
     VoxelBasis,
     build_cartesian_candidates,
+    design,
     synthesize_coil_maps,
 )
 
@@ -64,3 +65,11 @@ def dense_transform_matrix(dims, spec):
         unit[j] = 1.0
         cols.append(forward_transform(unit.reshape(dims), spec).ravel())
     return np.stack(cols, axis=1)
+
+
+def perturb_gram_traces(monkeypatch, seed):
+    """Scale a random half of the ``gram_trace`` results that ``design``
+    scores with by (1 + 1e-13), far below the tie slack, as a change of trace
+    kernel might."""
+    draw, trace = np.random.default_rng(seed).random, design.gram_trace
+    monkeypatch.setattr(design, "gram_trace", lambda g: trace(g) * (1 + 1e-13 * (draw() < 0.5)))

@@ -4,7 +4,9 @@ Each candidate row is built here entry by entry from its definition, and
 restricted to a support by a forward transform of the conjugated row; the
 package builds the same rows in closed form from 1D atom spectra instead.
 :func:`direct_sbs` is the greedy backward selection rescored from scratch at
-every deletion, with none of the SBS engine's downdates, forms or bounds.
+every deletion, with none of the SBS engine's downdates, forms or bounds, and
+traces from eigenvalues (:func:`eigenvalue_traces`) rather than the
+package's Cholesky factors.
 :func:`reference_poisson_disc` throws darts by testing every position's
 distance at each acceptance, with no grid or stencil.
 :func:`tv_forward` and :func:`tv_adjoint` are the total-variation differences
@@ -24,7 +26,7 @@ from oedipus import (
     forward_transform,
     pattern_from_groups,
 )
-from oedipus.crb import gram_trace, restricted_matrix
+from oedipus.crb import COND_LIMIT, restricted_matrix
 
 
 def row_indices(cand, groups) -> np.ndarray:
@@ -114,15 +116,25 @@ def restricted_rows(rows, support, spec, dims):
     return np.conj(coeffs[:, support.indices])
 
 
+def eigenvalue_traces(grams) -> np.ndarray:
+    """Traces of the inverses of Hermitian Grams (..., S, S), ``sum 1/w`` of
+    their eigenvalues w; ``+inf`` where the condition number w_max / w_min
+    exceeds ``COND_LIMIT`` or w_min is not positive."""
+    w = np.linalg.eigvalsh(0.5 * (grams + np.swapaxes(grams.conj(), -1, -2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        regular = (w[..., 0] > 0) & (w[..., -1] <= COND_LIMIT * w[..., 0])
+        return np.where(regular, (1.0 / w).sum(axis=-1), np.inf)
+
+
 def direct_sbs(model, supports, objective, target_groups, spec):
     """Greedy backward selection by re-inverting every reduced Gram.
 
     Each (exemplar, map set) pair keeps the per-group Grams of its raw
     :func:`~oedipus.crb.restricted_matrix` rows.  Each deletion prices every
-    kept group by the :func:`~oedipus.crb.gram_trace` of the pair's Gram
-    without it, combines the pairs by ``objective`` and deletes the first
-    group whose cost is within 1e-9 (relative) of the minimum; the log holds
-    that cost.
+    kept group by the :func:`eigenvalue_traces` of the pair's Gram without
+    it, not the package's Cholesky kernel, combines the pairs by
+    ``objective`` and deletes the first group whose cost is within 1e-9
+    (relative) of the minimum; the log holds that cost.
     """
     cand = model.candidates
     grams = []
@@ -133,7 +145,7 @@ def direct_sbs(model, supports, objective, target_groups, spec):
     kept, log, deleted = list(range(cand.L)), [], []
     while len(kept) > target_groups:
         costs = objective.combine(
-            [gram_trace(g[kept].sum(axis=0) - g[kept]) for g in grams]
+            [eigenvalue_traces(g[kept].sum(axis=0) - g[kept]) for g in grams]
         )
         best = costs.min()
         if math.isinf(best):

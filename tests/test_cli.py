@@ -19,6 +19,8 @@ from oedipus import io as oio
 from oedipus import recon
 from oedipus.errors import GenerationFailureError, SolverFailureError
 
+from conftest import perturb_gram_traces
+
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.yaml"))
 
 
@@ -640,6 +642,23 @@ def test_selftest_exit_codes(capsys, monkeypatch):
     monkeypatch.setitem(sparsity._FILTERS, "daub4", sparsity._FILTERS["daub4"] + 1e-3)
     assert run("selftest") == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_selftest_exhaustive_pick_does_not_follow_rounding_noise(monkeypatch):
+    picks, exhaustive = [], cli.exhaustive_design
+
+    def recorded(*args):
+        pattern = exhaustive(*args)
+        picks.append(pattern.kept_groups)
+        return pattern
+
+    monkeypatch.setattr(cli, "exhaustive_design", recorded)
+    assert run("selftest") == 0
+    for seed in (1, 2):
+        with monkeypatch.context() as patch:
+            perturb_gram_traces(patch, seed)
+            assert run("selftest") == 0
+    assert len(picks) == 3 and picks[1] == picks[2] == picks[0]
 
 
 def test_selftest_covariance_check_runs_the_oracle_estimator(capsys, monkeypatch):

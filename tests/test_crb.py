@@ -16,7 +16,7 @@ from oedipus.crb import CrbState, smw_removal
 from conftest import (
     dense_candidate_matrix, dense_transform_matrix, make_model, noise_map_model, random_support,
 )
-from reference import group_rows, restricted_rows, row_indices
+from reference import eigenvalue_traces, group_rows, restricted_rows, row_indices
 
 
 def dense_crb_oracle(model, support, spec, t=0, groups=None):
@@ -39,7 +39,6 @@ def test_full_dft_identity_support():
     state = build_full_crb(grid_model, support, spec, t=0)
     assert np.allclose(state.inv_gram, np.eye(4) / 4.0, atol=1e-12)
     assert state.trace == pytest.approx(1.0)
-    assert state.cond == pytest.approx(1.0)
 
 
 def test_support_larger_than_rows_infeasible():
@@ -72,7 +71,6 @@ def test_smw_zero_block_is_bookkeeping_only():
     after = smw_removal(state, zero)[0]
     assert np.allclose(after.inv_gram, state.inv_gram)
     assert after.trace == pytest.approx(state.trace)
-    assert after.cond == state.cond
     assert crb.downdate_traces(state, zero[None])[0] == pytest.approx(state.trace)
 
 
@@ -81,7 +79,7 @@ def test_rank_one_downdate_sherman_morrison_oracle(rng):
     rows = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     gram = rows.conj().T @ rows
     inv = np.linalg.inv(gram)
-    state = CrbState(inv_gram=inv, trace=float(np.trace(inv).real), cond=1.0)
+    state = CrbState(inv_gram=inv, trace=float(np.trace(inv).real))
     v = rows[4:5]  # row being removed
     after = smw_removal(state, v)[0]
     # Sherman-Morrison for a rank-one removal
@@ -194,26 +192,19 @@ def test_removal_traces_only_rise_after_a_commit(rng):
 
 
 def test_gram_trace_matches_gram_inverse(rng):
-    # the trace from eigenvalues alone equals that of the inverse state, and
-    # both call the same Grams singular: rank deficient, or above COND_LIMIT
+    # gram_trace and the inverse state call the same Grams singular: rank
+    # deficient, or of condition number above COND_LIMIT
     a = rng.standard_normal((3, 8, 6)) + 1j * rng.standard_normal((3, 8, 6))
     grams = np.swapaxes(a.conj(), 1, 2) @ a
     grams[1] = grams[1] - np.linalg.eigvalsh(grams[1])[0] * np.eye(6)  # rank 5
     w, v = np.linalg.eigh(grams[2])
     grams[2] = (v * np.r_[w[-1] / 1e13, w[1:]]) @ v.conj().T  # cond 1e13
-    got = crb.gram_trace(grams)
+    got = [crb.gram_trace(g) for g in grams]
     assert np.isinf(got).tolist() == [False, True, True]
     assert got[0] == pytest.approx(crb.state_from_gram(grams[0]).trace, rel=1e-12)
     for gram in grams[1:]:
         with pytest.raises(InfeasibleDesignError):
             crb.state_from_gram(gram)
-
-
-def eigenvalue_trace(gram):
-    """gram_trace by the eigenvalue rule alone: sum 1/w, +inf where _cond > COND_LIMIT."""
-    w = np.linalg.eigvalsh(0.5 * (gram + np.swapaxes(gram.conj(), -1, -2)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(crb._cond(w) > crb.COND_LIMIT, np.inf, (1.0 / w).sum(axis=-1))
 
 
 def gram_of_spectrum(rng, w):
@@ -223,45 +214,39 @@ def gram_of_spectrum(rng, w):
     return (q * w) @ q.conj().T
 
 
-@pytest.mark.parametrize("s", [20, 100, 346])
-def test_the_cholesky_trace_of_a_regular_batch_matches_the_eigenvalues(rng, monkeypatch, s):
+@pytest.mark.parametrize("s", [1, 20, 100, 346])
+def test_gram_inverse_matches_inv_and_eigenvalues(rng, monkeypatch, s):
     assert crb._DENSE_MAX < 100  # so the triangular inverse recurses at 100 and 346
-    a = rng.standard_normal((2, 2 * s, s)) + 1j * rng.standard_normal((2, 2 * s, s))
-    grams = np.swapaxes(a.conj(), 1, 2) @ a
-    grams[1] = gram_of_spectrum(rng, np.logspace(-4, 0, s))  # cond 1e4
-    expected = eigenvalue_trace(grams)
-    np.testing.assert_allclose(crb._cholesky_trace(grams), expected, rtol=1e-12)
-    np.testing.assert_allclose(crb._cholesky_trace(grams[0]), expected[0], rtol=1e-12)
+    a = rng.standard_normal((2 * s, s)) + 1j * rng.standard_normal((2 * s, s))
+    grams = [a.conj().T @ a, gram_of_spectrum(rng, np.logspace(-4, 0, s))]  # cond ~30, 1e4
+    want = [np.linalg.inv(g) for g in grams]
 
     def refused(*args, **kwargs):
-        raise AssertionError("a regular batch took the eigenvalue path")
+        raise AssertionError("a regular Gram took the eigenvalue path")
 
-    # above _DENSE_MAX rows, gram_trace takes the Cholesky route
-    if s > crb._DENSE_MAX:
-        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
-    np.testing.assert_allclose(crb.gram_trace(grams), expected, rtol=1e-12)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    got = [(crb.gram_trace(g), crb.state_from_gram(g)) for g in grams]
+    monkeypatch.undo()
+    for gram, inv, (trace, state) in zip(grams, want, got):
+        for value in (trace, state.trace):
+            assert value == pytest.approx(np.trace(inv).real, rel=1e-12)
+            assert value == pytest.approx((1.0 / np.linalg.eigvalsh(gram)).sum(), rel=1e-12)
+        assert np.linalg.norm(state.inv_gram - inv) <= 1e-12 * np.linalg.norm(inv)
+        np.testing.assert_array_equal(state.inv_gram, state.inv_gram.conj().T)
 
 
-def test_gram_trace_falls_back_to_the_eigenvalue_rule(rng):
-    s = crb._DENSE_MAX + 12
-    near = gram_of_spectrum(rng, np.r_[1e-11, np.ones(s - 1)])  # cond ~1e11: regular
+def test_a_gram_is_singular_below_its_trace_over_the_limit(rng):
+    # condition number 1e11, below COND_LIMIT, but tr G / lambda_min = 5.9e12:
+    # singular by the trace rule, regular by the eigenvalue ratio
+    s = 60
+    gram = gram_of_spectrum(rng, np.r_[1e-11, np.ones(s - 1)])
+    assert np.isfinite(eigenvalue_traces(gram))
+    assert crb.gram_trace(gram) == np.inf
+    with pytest.raises(InfeasibleDesignError):
+        crb.state_from_gram(gram)
+    # rank deficient: singular by both rules
     a = rng.standard_normal((s - 3, s)) + 1j * rng.standard_normal((s - 3, s))
-    singular = a.conj().T @ a  # rank s - 3
-    b = rng.standard_normal((2 * s, s)) + 1j * rng.standard_normal((2 * s, s))
-    regular = b.conj().T @ b
-    # the shifted Cholesky fails on the first two, so they take _cond's rule
-    for gram, finite in ((near, True), (singular, False)):
-        assert crb._cholesky_trace(gram) is None
-        got = crb.gram_trace(gram)
-        assert np.isfinite(got) == finite
-        assert got == eigenvalue_trace(gram)
-    # one singular Gram sends its whole batch to the eigenvalue rule, as in
-    # tests/reference.py::direct_sbs, whose batches drop one group each
-    batch = np.stack([regular, singular, near, regular])
-    got = crb.gram_trace(batch)
-    assert np.isinf(got).tolist() == [False, True, False, False]
-    np.testing.assert_array_equal(got, eigenvalue_trace(batch))
-    assert got[0] == pytest.approx(crb.gram_trace(regular), rel=1e-12)
+    assert crb.gram_trace(a.conj().T @ a) == np.inf == eigenvalue_traces(a.conj().T @ a)
 
 
 def test_smw_removal_equals_the_out_of_place_update(rng):
@@ -383,24 +368,27 @@ def test_compressed_rows_keep_at_most_s_rows_per_group(rng, dims, n_coils, axes,
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _middle_matrix(rng, c, lam_min):
-    """Hermitian C x C matrix with eigenvalues from lam_min to 1."""
-    q, _ = np.linalg.qr(rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c)))
-    mid = (q * np.linspace(lam_min, 1.0, c)) @ q.conj().T
-    return 0.5 * (mid + mid.conj().T)
-
-
-def test_singularity_rule_flags_eigenvalues_up_to_the_limit(rng, monkeypatch):
-    tau = 1.0 / crb.COND_LIMIT
-    mids = np.stack([_middle_matrix(rng, 6, lam) for lam in (0.5 * tau, 2 * tau, 0.5)])
-    assert crb._singular(mids).tolist() == [True, False, False]
-    assert [bool(crb._singular(m[None])[0]) for m in mids] == [True, False, False]
+@pytest.mark.parametrize("scale", [1.0, 1e3], ids=["middle", "gram"])
+def test_singularity_rule_flags_eigenvalues_up_to_the_shift(rng, monkeypatch, scale):
+    # middle matrices with eigenvalues in [lam, 1] against 1/COND_LIMIT, and
+    # Grams with eigenvalues in [lam, 1e3] against tr G / COND_LIMIT
+    others = scale * np.linspace(0.5, 1.0, 5)
+    shift = (1.0 if scale == 1.0 else others.sum()) / crb.COND_LIMIT
+    mats = np.stack([gram_of_spectrum(rng, np.r_[f * shift, others]) for f in (0.5, 2, 1e9)])
+    mats = 0.5 * (mats + np.swapaxes(mats.conj(), 1, 2))
+    assert crb._singular(mats, shift).tolist() == [True, False, False]
+    assert [bool(crb._singular(m[None], shift)[0]) for m in mats] == [True, False, False]
+    if scale != 1.0:
+        assert [np.isinf(crb.gram_trace(m)) for m in mats] == [True, False, False]
 
     def no_fallback(_):
-        raise AssertionError("a regular slice took the eigenvalue test")
+        raise AssertionError("a regular batch took the eigenvalue test")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_fallback)
-    assert crb._singular(mids[1:]).tolist() == [False, False]
+    assert crb._singular(mats[1:], shift).tolist() == [False, False]
+    assert crb._singular(mats[1:2], shift).tolist() == [False]
+    ones = np.array([0.5, 2.0, 1e9])[:, None, None] * shift  # 1 x 1: elementwise
+    assert crb._singular(ones, shift).tolist() == [True, False, False]
 
 
 def test_mandatory_one_row_group_is_priced_without_lapack(monkeypatch):
@@ -486,6 +474,26 @@ def test_oracle_lsq_rank_deficiency():
     support = SupportSet(indices=np.array([0, 1]), q=4)
     with pytest.raises(InfeasibleDesignError):
         oracle_lsq_estimate(np.ones(4, dtype=complex), rows, support)
+
+
+@pytest.mark.parametrize("ratio", [0.9e12, 1.1e12])
+def test_oracle_lsq_follows_the_gram_rule(rng, ratio):
+    # rows of full rank whose Gram has tr G / lambda_min = ratio: the
+    # estimator raises exactly where the inverse state does
+    u = np.linalg.qr(rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    lam = np.array([1.0, 2.0, 3.0 / (ratio - 1.0)])  # lambda_min = tr G / ratio
+    rows = (u * np.sqrt(lam)) @ v.conj().T
+    support = SupportSet(indices=np.array([0, 2, 5]), q=6)
+    data = np.ones(8, dtype=complex)
+    if ratio < crb.COND_LIMIT:
+        crb.state_from_gram(crb.restricted_gram(rows[None]))
+        assert np.isfinite(oracle_lsq_estimate(data, rows, support)).all()
+        return
+    with pytest.raises(InfeasibleDesignError):
+        crb.state_from_gram(crb.restricted_gram(rows[None]))
+    with pytest.raises(InfeasibleDesignError):
+        oracle_lsq_estimate(data, rows, support)
 
 
 def test_oracle_estimator_unbiased_and_efficient(rng):

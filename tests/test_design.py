@@ -23,7 +23,7 @@ from oedipus import (
 from oedipus import design
 from oedipus.design import _select
 
-from conftest import make_model, noise_map_model, random_support
+from conftest import make_model, noise_map_model, perturb_gram_traces, random_support
 from reference import direct_sbs
 
 IDENT = TransformSpec("identity", 0)
@@ -411,6 +411,37 @@ def test_direct_sbs_one_deletion_is_exhaustive(rng, mode, oversampling, basis, n
         ))
         assert costs[1] > costs[0] * (1 + 1e-6)
         assert direct.kept_groups == opt.kept_groups
+
+
+def toy_exhaustive_cases():
+    """(model, supports, target, objective) of toy enumerations like those of
+    the tests above: the 1D toy at 3 of 6 groups, and the 4 x 4 two-map grids
+    at one deletion."""
+    rng = np.random.default_rng(0)
+    toy = toy_1d_model()
+    cases = [(toy, [SupportSet(indices=np.array(ix), q=4)], 3, DesignObjective("average"))
+             for ix in ([1, 3], [0, 3], [0, 2], [1, 2])]
+    grid = ImageGrid((4, 4), (100.0, 100.0))
+    cand = build_cartesian_candidates(grid, undersample_axes=(0, 1), n_coils=2)
+    maps = tuple(synthesize_coil_maps(grid, 2, seed=s) for s in (1, 2))
+    grid_cases = itertools.product(("dirac", "rect"), (1, 2), ("worst", "average"))
+    for basis, n_supports, mode in grid_cases:
+        model = EncodingModel(grid, cand, maps, VoxelBasis(basis))
+        supports = [random_support(rng, 16, 6) for _ in range(n_supports)]
+        cases.append((model, supports, cand.L - 1, DesignObjective(mode)))
+    return cases
+
+
+def test_exhaustive_ties_do_not_follow_rounding_noise(monkeypatch):
+    # exact ties are common on these grids (every removal of the full dirac
+    # grid ties); the first subset within the tie slack wins whatever the noise
+    cases = toy_exhaustive_cases()
+    want = [exhaustive_design(m, s, k, IDENT, o).kept_groups for m, s, k, o in cases]
+    for seed in (1, 2):
+        with monkeypatch.context() as patch:
+            perturb_gram_traces(patch, seed)
+            got = [exhaustive_design(m, s, k, IDENT, o).kept_groups for m, s, k, o in cases]
+        assert got == want, seed
 
 
 def test_worst_case_objective_uses_max(rng):
