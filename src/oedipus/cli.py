@@ -35,6 +35,7 @@ from .crb import (
     downdate_traces,
     image_domain_crb_trace,
     oracle_lsq_estimate,
+    restricted_gram,
     restricted_matrix,
     smw_removal,
 )
@@ -643,7 +644,7 @@ def _selftest_checks():
     # reduced Monte-Carlo covariance of the oracle estimator (8 SE gate)
     rows = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
     support3 = SupportSet(indices=np.array([1, 4, 6]), q=16)
-    gram = rows.conj().T @ rows
+    gram = restricted_gram(rows)
     cov = np.linalg.inv(gram)
     n_draws = 10_000
     noise = (

@@ -9,7 +9,8 @@ is its (C, S) restricted rows, and which groups a state holds is the caller's
 bookkeeping.  A group enters only through its Gram, so every Gram and
 downdate is taken from :func:`compressed_rows`: r <= min(C, S) rows B of
 the same Gram, which for a readout line come from one SVD per coil of the
-readout spectra shared by every line.
+readout spectra shared by every line.  Every Gram is formed by
+:func:`restricted_gram`, exactly Hermitian.
 
 Groups are removed via the matrix inversion lemma, a rank-r "downdate"
 that inverts an r x r system.  Removing B from the rows of Gram A leaves
@@ -19,10 +20,12 @@ downdate forms ``M1 = B A^-1 B^H`` and ``M2 = B A^-2 B^H``: built by
 :func:`forms_traces`, elementwise for one-row groups and by batched r x r
 solves otherwise.  :func:`smw_removal` commits a removal and returns the
 ``U`` and ``K`` from which :func:`update_forms` applies it to kept forms at
-O(r^2 S + r^3) per group (Hager, SIAM Review 1989).  So every step of the
-downdate forms (build, price, commit and update) lives here; the choice of
-when to keep, trust or rebuild them is the caller's.  The module also
-provides the support-aware least-squares estimator that attains the bound.
+O(r^2 S + r^3) per group (Hager, SIAM Review 1989).  For one-row groups
+``U`` is a vector and ``K`` a scalar, so commits and updates are elementwise
+too, with no LAPACK call.  So every step of the downdate forms (build,
+price, commit and update) lives here; the choice of when to keep, trust or
+rebuild them is the caller's.  The module also provides the support-aware
+least-squares estimator that attains the bound.
 
 One rule decides singularity: a Hermitian matrix is singular when its
 smallest eigenvalue is <= a shift, ``tr G / COND_LIMIT`` for a Gram G and
@@ -240,9 +243,16 @@ def gram_trace(gram: np.ndarray) -> float:
 
 
 def restricted_gram(rows: np.ndarray) -> np.ndarray:
-    """Restricted Gram sum_g B_g^H B_g of stacked rows (groups, C, S), one GEMM."""
-    b = rows.reshape(-1, rows.shape[-1])
-    return b.conj().T @ b
+    """Restricted Gram sum_g B_g^H B_g of stacked rows (groups, C, S) or (M, S),
+    exactly Hermitian: with ``B = X + iY``, ``X^T X + Y^T Y + i (X^T Y - Y^T X)``.
+    Every block is in ``Z^T Z`` for the real (M, 2S) view Z of B, whose
+    columns interleave X and Y: one SYRK, half a complex GEMM, and no copy."""
+    z = np.ascontiguousarray(rows, dtype=complex).reshape(-1, rows.shape[-1]).view(np.float64)
+    p = z.T @ z  # numpy sends the product of a matrix with its transpose to SYRK
+    gram = np.empty((rows.shape[-1],) * 2, dtype=complex)
+    np.add(p[::2, ::2], p[1::2, 1::2], out=gram.real)
+    np.subtract(p[::2, 1::2], p[1::2, ::2], out=gram.imag)
+    return gram
 
 
 def state_from_gram(gram: np.ndarray) -> CrbState:
@@ -290,15 +300,24 @@ def smw_removal(state: CrbState, rows: np.ndarray):
     the reduced Gram.  Raises :class:`InfeasibleDesignError` when removing
     the rows destroys identifiability (``I - B U`` singular within tolerance).
     """
-    u = state.inv_gram @ _h(rows)
-    mid = np.eye(len(rows)) - rows @ u
-    mid = 0.5 * (mid + _h(mid))
-    if _singular(mid[None], 1.0 / COND_LIMIT)[0]:
-        raise InfeasibleDesignError("removing the group makes the design singular")
-    k = np.linalg.inv(mid)
-    k = 0.5 * (k + _h(k))
-    inv = (u @ k) @ _h(u)  # updated in place: one S x S temporary besides it
-    inv += state.inv_gram
+    if len(rows) == 1:  # U is a vector and K a scalar: no LAPACK call
+        u = state.inv_gram @ rows[0].conj()
+        mid = 1.0 - (rows[0] @ u).real
+        if _singular(np.full((1, 1, 1), mid), 1.0 / COND_LIMIT)[0]:
+            raise InfeasibleDesignError("removing the group makes the design singular")
+        k = 1.0 / mid
+        inv = np.multiply.outer(k * u, u.conj())
+        u, k = u[:, None], np.array([[k]])
+    else:
+        u = state.inv_gram @ _h(rows)
+        mid = np.eye(len(rows)) - rows @ u
+        mid = 0.5 * (mid + _h(mid))
+        if _singular(mid[None], 1.0 / COND_LIMIT)[0]:
+            raise InfeasibleDesignError("removing the group makes the design singular")
+        k = np.linalg.inv(mid)
+        k = 0.5 * (k + _h(k))
+        inv = (u @ k) @ _h(u)
+    inv += state.inv_gram  # updated in place: one S x S temporary besides it
     inv += _h(inv)
     inv *= 0.5
     return CrbState(inv_gram=inv, trace=float(np.trace(inv).real)), u, k
@@ -315,6 +334,15 @@ def update_forms(forms, rows: np.ndarray, inv_gram: np.ndarray, c: int, u, k) ->
     m1, m2 = forms
     g, r, s = rows.shape
     xy = rows.reshape(-1, s) @ np.concatenate([u, inv_gram @ u], axis=1)
+    if r == 1:  # elementwise on the (g,) views of the 1 x 1 forms
+        x, uhu = xy[:, 0], float(np.vdot(u, u).real)
+        xc, m1c, m2c = complex(x[c]), complex(m1[c, 0, 0]), complex(m2[c, 0, 0])
+        drift = max(abs(m1c - xc) / max(abs(xc), _TINY), abs(m2c - uhu) / max(uhu, _TINY))
+        v = k[0, 0] * x
+        w = xy[:, 1] + 0.5 * uhu * v
+        m1[:, 0, 0] += v * x.conj()
+        m2[:, 0, 0] += 2.0 * (w * v.conj()).real
+        return drift
     uhu = _h(u) @ u
     v = xy[:, :r] @ k
     w = xy[:, r:] + 0.5 * (v @ uhu)
@@ -411,7 +439,7 @@ def oracle_lsq_estimate(
         raise ValueError(
             f"rows have {rows.shape[1]} columns, support has size {support.S}"
         )
-    if _inverse_factor(rows.conj().T @ rows) is None:
+    if _inverse_factor(restricted_gram(rows)) is None:
         raise InfeasibleDesignError("restricted row matrix has a singular Gram")
     data = np.asarray(data)
     sol = np.linalg.lstsq(rows, data, rcond=None)[0]

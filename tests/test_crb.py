@@ -10,7 +10,7 @@ from oedipus import (
     image_domain_crb_trace,
     oracle_lsq_estimate,
 )
-from oedipus import crb
+from oedipus import crb, design
 from oedipus.crb import CrbState, smw_removal
 
 from conftest import (
@@ -402,17 +402,63 @@ def test_mandatory_one_row_group_is_priced_without_lapack(monkeypatch):
     groups = [g for g in range(cand.L) if cand.kidx[g, 1] % 2 == 0] + odd[:1]
     rows = crb.restricted_matrix(model, support, spec, 0, groups)
     state = crb.state_from_gram(crb.restricted_gram(rows))
+    forms = crb.downdate_forms(state.inv_gram, rows)
     calls = []
-    for name in ("eigvalsh", "cholesky"):
+    for name in ("eigvalsh", "cholesky", "inv", "solve"):
         fn = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, n=name, f=fn: calls.append(n) or f(a))
+        monkeypatch.setattr(np.linalg, name, lambda *a, n=name, f=fn: calls.append(n) or f(*a))
     got = crb.downdate_traces(state, rows)
     assert np.isinf(got).tolist() == [False] * 8 + [True]
     for block, trace in zip(rows[:-1], got):
         assert trace == pytest.approx(crb.downdate_traces(state, block[None])[0], rel=1e-12)
+    after, u, k = smw_removal(state, rows[3])  # a regular group is committed
+    crb.update_forms(forms, rows, state.inv_gram, 3, u, k)
+    assert after.trace == pytest.approx(got[3], rel=1e-12)
     with pytest.raises(InfeasibleDesignError):
         smw_removal(state, rows[-1])[0]
-    assert calls == []  # one-row groups are decided elementwise
+    assert calls == []  # one-row groups are decided, committed and updated elementwise
+
+
+def test_one_row_commits_match_a_rebuild(rng):
+    # a chain of one-row commits keeps the state and the updated forms of the
+    # groups left equal to those of the reduced Gram, built afresh
+    model = make_model((8, 8))
+    support = random_support(rng, 64, 12)
+    rows = crb.compressed_rows(model, support, TransformSpec("daub4", 1), 0, range(64))
+    assert rows.shape == (64, 1, 12)
+    state = crb.state_from_gram(crb.restricted_gram(rows))
+    forms = crb.downdate_forms(state.inv_gram, rows)
+    alive = list(range(64))
+    for c in (5, 40, 17, 63, 2, 31):
+        before = state.inv_gram
+        state, u, k = smw_removal(state, rows[c])
+        alive.remove(c)
+        rebuilt = crb.state_from_gram(crb.restricted_gram(rows[alive]))
+        err = np.abs(state.inv_gram - rebuilt.inv_gram).max()
+        assert err <= 1e-10 * np.abs(rebuilt.inv_gram).max()
+        assert state.trace == pytest.approx(rebuilt.trace, rel=1e-10)
+        assert crb.update_forms(forms, rows, before, c, u, k) < design._DRIFT_LIMIT
+        for got, want in zip(forms, crb.downdate_forms(state.inv_gram, rows[alive])):
+            assert np.abs(got[alive] - want).max() <= 1e-10 * np.abs(want).max()
+    forms[0][alive[0]] *= 1 + 1e-6  # the drift reads the committed group's stored forms
+    _, u, k = smw_removal(state, rows[alive[0]])
+    assert crb.update_forms(forms, rows, state.inv_gram, alive[0], u, k) == pytest.approx(1e-6)
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 7), (1, 1, 7), (6, 3, 7), (9, 7)])
+def test_restricted_gram_is_exactly_hermitian(rng, shape):
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gram = crb.restricted_gram(rows)
+    b = rows.reshape(-1, 7)
+    want = b.conj().T @ b
+    assert gram.shape == (7, 7)
+    assert np.array_equal(gram, gram.conj().T)
+    assert np.all(np.diag(gram).imag == 0)
+    assert np.abs(gram - want).max() <= 1e-13 * np.abs(want).max()
+    strided = rows[..., ::2]  # a view whose rows are not contiguous
+    assert np.array_equal(crb.restricted_gram(strided), crb.restricted_gram(strided.copy()))
+    # real rows are taken as complex rows
+    np.testing.assert_allclose(crb.restricted_gram(rows.real), b.real.T @ b.real, atol=1e-13)
 
 
 def test_image_domain_trace_identity():
