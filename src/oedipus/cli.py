@@ -32,12 +32,14 @@ from . import sparsity
 from .baselines import caipi_pattern, poisson_disc_pattern, uniform_pattern
 from .crb import (
     build_full_crb,
-    downdate_traces,
+    downdate_forms,
+    forms_traces,
     image_domain_crb_trace,
     oracle_lsq_estimate,
     restricted_gram,
     restricted_matrix,
     smw_removal,
+    state_from_gram,
 )
 from .design import (
     DesignObjective,
@@ -586,26 +588,30 @@ def _selftest_checks():
     rt = np.linalg.norm(back - img) / np.linalg.norm(img)
     yield "wavelet-roundtrip", rt < 1e-12, f"rel err {rt:.2e}"
 
-    # SMW downdate vs from-scratch rebuild
+    # SMW commits with kept forms vs from-scratch rebuilds of the inverse and
+    # the forms, for groups of a location's two coil rows and of one row each
     grid = ImageGrid((8, 8), (100.0, 100.0))
     cand = build_cartesian_candidates(grid, undersample_axes=(0, 1), n_coils=2)
     maps = synthesize_coil_maps(grid, 2, seed=3)
     model = EncodingModel(grid=grid, candidates=cand, coil_maps=(maps,))
     tspec = TransformSpec("haar", 1)
     support = SupportSet(indices=rng.choice(64, size=12, replace=False), q=64)
-    state = build_full_crb(model, support, tspec, t=0)
-    groups = rng.choice(cand.L, size=5, replace=False).tolist()
-    kept = list(range(cand.L))
+    full = build_full_crb(model, support, tspec, t=0)
+    groups = rng.choice(cand.L, size=5, replace=False)
+    coil_rows = restricted_matrix(model, support, tspec, 0, range(cand.L))
     worst = 0.0
-    for g, rows in zip(groups, restricted_matrix(model, support, tspec, 0, groups)):
-        tr = downdate_traces(state, rows[None])[0]
-        state = smw_removal(state, rows)[0]
-        kept.remove(g)
-        rebuilt = build_full_crb(model, support, tspec, 0, groups=kept)
-        err = np.linalg.norm(state.inv_gram - rebuilt.inv_gram) / np.linalg.norm(
-            rebuilt.inv_gram
-        )
-        worst = max(worst, err, abs(tr - state.trace) / state.trace)
+    for r in (2, 1):
+        rows, state = coil_rows.reshape(-1, r, support.S), full
+        forms, kept = downdate_forms(state.inv_gram, rows), list(range(len(rows)))
+        for c in (groups * (2 // r)).tolist():  # a location's first row when r = 1
+            tr = forms_traces(state.trace, *(m[[c]] for m in forms))[0]
+            state = smw_removal(state, rows, c, forms)[0]
+            kept.remove(c)
+            rebuilt = state_from_gram(restricted_gram(rows[kept]))
+            fresh = zip((state.inv_gram, *(m[kept] for m in forms)),
+                        (rebuilt.inv_gram, *downdate_forms(rebuilt.inv_gram, rows[kept])))
+            errs = [np.linalg.norm(a - b) / np.linalg.norm(b) for a, b in fresh]
+            worst = max(worst, *errs, abs(tr - state.trace) / state.trace)
     yield "smw-vs-rebuild", worst < 1e-7, f"worst rel err {worst:.2e}"
 
     # trace equality across coefficient/image domains

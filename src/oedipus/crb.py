@@ -18,14 +18,14 @@ the trace ``tr(A^-1) + tr(mid^-1 M2)``, ``mid = I - M1``, from the group's
 downdate forms ``M1 = B A^-1 B^H`` and ``M2 = B A^-2 B^H``: built by
 :func:`downdate_forms` at O(r S^2) per group and priced by
 :func:`forms_traces`, elementwise for one-row groups and by batched r x r
-solves otherwise.  :func:`smw_removal` commits a removal and returns the
-``U`` and ``K`` from which :func:`update_forms` applies it to kept forms at
-O(r^2 S + r^3) per group (Hager, SIAM Review 1989).  For one-row groups
-``U`` is a vector and ``K`` a scalar, so commits and updates are elementwise
-too, with no LAPACK call.  So every step of the downdate forms (build,
-price, commit and update) lives here; the choice of when to keep, trust or
-rebuild them is the caller's.  The module also provides the support-aware
-least-squares estimator that attains the bound.
+solves otherwise.  :func:`smw_removal` commits a removal in one call: it
+downdates the inverse and, when forms are kept, updates every group's forms
+in place at O(r^2 S + r^3) per group (Hager, SIAM Review 1989), returning
+how far the removed group's stored forms had drifted.  For one-row groups
+the commit and the update are elementwise, with no LAPACK call.  So every
+step of the downdate forms (build, price and commit) lives here; the choice
+of when to keep, trust or rebuild them is the caller's.  The module also
+provides the support-aware least-squares estimator that attains the bound.
 
 One rule decides singularity: a Hermitian matrix is singular when its
 smallest eigenvalue is <= a shift, ``tr G / COND_LIMIT`` for a Gram G and
@@ -58,7 +58,6 @@ __all__ = [
     "build_full_crb",
     "smw_removal",
     "downdate_forms",
-    "update_forms",
     "forms_traces",
     "downdate_traces",
     "downdate_trace",
@@ -257,7 +256,8 @@ def restricted_gram(rows: np.ndarray) -> np.ndarray:
 
 def state_from_gram(gram: np.ndarray) -> CrbState:
     """CRB state of a restricted Gram matrix, ``L^-H L^-1`` from
-    :func:`_inverse_factor`.
+    :func:`_inverse_factor`: the Gram of the rows of ``L^-1``, so exactly
+    Hermitian by :func:`restricted_gram`.
 
     Raises :class:`InfeasibleDesignError` when the support cannot be
     identified: the Gram is singular.
@@ -265,8 +265,7 @@ def state_from_gram(gram: np.ndarray) -> CrbState:
     low = _inverse_factor(gram)
     if low is None:
         raise InfeasibleDesignError("restricted Gram is singular or near-singular")
-    inv = _h(low) @ low
-    inv = 0.5 * (inv + _h(inv))
+    inv = restricted_gram(low)
     return CrbState(inv_gram=inv, trace=float(np.trace(inv).real))
 
 
@@ -293,66 +292,59 @@ def build_full_crb(
     return state_from_gram(gram)
 
 
-def smw_removal(state: CrbState, rows: np.ndarray):
-    """CRB state after removing the rows B (r, S) of one group, with
-    ``U = A^-1 B^H`` and ``K = (I - B U)^-1``: the new inverse is
-    ``A^-1 + U K U^H`` (matrix inversion lemma), equal to re-inversion of
-    the reduced Gram.  Raises :class:`InfeasibleDesignError` when removing
-    the rows destroys identifiability (``I - B U`` singular within tolerance).
+def smw_removal(state: CrbState, rows: np.ndarray, c: int, forms=None):
+    """Remove group ``c`` of ``rows`` (g, r, S): the new state and the relative
+    drift of group c's kept ``forms`` from their exact values (0.0 without).
+
+    With ``B = rows[c]``, ``U = A^-1 B^H`` and ``K = (I - B U)^-1`` the inverse
+    becomes ``A^-1 + U K U^H`` (matrix inversion lemma).  Kept forms (M1, M2)
+    are updated in place: with ``X = B_g U``, ``Y = B_g A^-1 U``, ``V = X K``
+    and ``W = Y + V U^H U / 2``, ``M1 += V X^H`` and ``M2 += W V^H + (W V^H)^H``;
+    group c's exact forms are ``X_c`` and ``U^H U``.  Raises
+    :class:`InfeasibleDesignError`, updating nothing, when ``I - B U`` is singular.
     """
-    if len(rows) == 1:  # U is a vector and K a scalar: no LAPACK call
-        u = state.inv_gram @ rows[0].conj()
-        mid = 1.0 - (rows[0] @ u).real
+    a, (g, r, s), drift = state.inv_gram, rows.shape, 0.0
+    if r == 1:  # U is a vector and K a scalar: no LAPACK call
+        u = a @ rows[c, 0].conj()
+        mid = 1.0 - (rows[c, 0] @ u).real
         if _singular(np.full((1, 1, 1), mid), 1.0 / COND_LIMIT)[0]:
             raise InfeasibleDesignError("removing the group makes the design singular")
         k = 1.0 / mid
         inv = np.multiply.outer(k * u, u.conj())
-        u, k = u[:, None], np.array([[k]])
+        if forms is not None:  # elementwise on the (g,) views of the 1 x 1 forms
+            m1, m2 = forms[0][:, 0, 0], forms[1][:, 0, 0]
+            xy = rows.reshape(-1, s) @ np.concatenate([u[:, None], (a @ u)[:, None]], axis=1)
+            x, uhu = xy[:, 0], float(np.vdot(u, u).real)
+            drift = abs(m1[c] - x[c]) / max(abs(x[c]), _TINY)
+            drift = max(drift, abs(m2[c] - uhu) / max(uhu, _TINY))
+            v = k * x
+            m1 += v * x.conj()
+            m2 += 2.0 * ((xy[:, 1] + 0.5 * uhu * v) * v.conj()).real
     else:
-        u = state.inv_gram @ _h(rows)
-        mid = np.eye(len(rows)) - rows @ u
+        u = a @ _h(rows[c])
+        mid = np.eye(r) - rows[c] @ u
         mid = 0.5 * (mid + _h(mid))
         if _singular(mid[None], 1.0 / COND_LIMIT)[0]:
             raise InfeasibleDesignError("removing the group makes the design singular")
         k = np.linalg.inv(mid)
         k = 0.5 * (k + _h(k))
         inv = (u @ k) @ _h(u)
-    inv += state.inv_gram  # updated in place: one S x S temporary besides it
+        if forms is not None:
+            m1, m2 = forms
+            xy = rows.reshape(-1, s) @ np.concatenate([u, a @ u], axis=1)
+            uhu = _h(u) @ u
+            v = xy[:, :r] @ k
+            w = xy[:, r:] + 0.5 * (v @ uhu)
+            x, v, w = (t.reshape(g, r, r) for t in (xy[:, :r], v, w))
+            exact = ((m1[c], x[c]), (m2[c], uhu))
+            drift = float(max(np.abs(p - q).max() / max(np.abs(q).max(), _TINY) for p, q in exact))
+            m1 += v @ _h(x)
+            wv = w @ _h(v)
+            m2 += wv + _h(wv)
+    inv += a  # updated in place: one S x S temporary besides it
     inv += _h(inv)
     inv *= 0.5
-    return CrbState(inv_gram=inv, trace=float(np.trace(inv).real)), u, k
-
-
-def update_forms(forms, rows: np.ndarray, inv_gram: np.ndarray, c: int, u, k) -> float:
-    """Update the forms (M1, M2) of every group of ``rows`` (g, r, S) in place
-    for the removal of group ``c``, given ``inv_gram`` before it and the
-    ``U``, ``K`` of :func:`smw_removal`; returns the relative drift of group
-    c's stored forms from their exact values ``B_c U`` and ``U^H U``.  With
-    ``X = B U``, ``Y = B A^-1 U`` and ``V = X K`` (K is Hermitian):
-    ``M1 += V X^H`` and ``M2 += W V^H + (W V^H)^H`` with ``W = Y + V U^H U / 2``.
-    """
-    m1, m2 = forms
-    g, r, s = rows.shape
-    xy = rows.reshape(-1, s) @ np.concatenate([u, inv_gram @ u], axis=1)
-    if r == 1:  # elementwise on the (g,) views of the 1 x 1 forms
-        x, uhu = xy[:, 0], float(np.vdot(u, u).real)
-        xc, m1c, m2c = complex(x[c]), complex(m1[c, 0, 0]), complex(m2[c, 0, 0])
-        drift = max(abs(m1c - xc) / max(abs(xc), _TINY), abs(m2c - uhu) / max(uhu, _TINY))
-        v = k[0, 0] * x
-        w = xy[:, 1] + 0.5 * uhu * v
-        m1[:, 0, 0] += v * x.conj()
-        m2[:, 0, 0] += 2.0 * (w * v.conj()).real
-        return drift
-    uhu = _h(u) @ u
-    v = xy[:, :r] @ k
-    w = xy[:, r:] + 0.5 * (v @ uhu)
-    x, v, w = (a.reshape(g, r, r) for a in (xy[:, :r], v, w))
-    exact = ((m1[c], x[c]), (m2[c], uhu))
-    drift = max(np.abs(a - b).max() / max(np.abs(b).max(), _TINY) for a, b in exact)
-    m1 += v @ _h(x)
-    wv = w @ _h(v)
-    m2 += wv + _h(wv)
-    return float(drift)
+    return CrbState(inv_gram=inv, trace=float(np.trace(inv).real)), drift
 
 
 def downdate_forms(inv_gram: np.ndarray, rows: np.ndarray):

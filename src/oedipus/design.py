@@ -14,11 +14,13 @@ downdate: the algebra of :mod:`oedipus.crb`, with the policy of when kept
 forms are updated or rebuilt.  The driver chooses which pairs keep forms,
 which groups are priced and how ties are broken.
 
-When every pair has ``r S + 4 r^2 < S^2``, updating a group's forms after a
-deletion (~r S + 4 r^2) costs less than building them afresh (~S^2), so
-every pair keeps them and prices every group.  When a committed group's
-stored forms drift from their exact values by more than ``_DRIFT_LIMIT``
-(relative), all the pair's forms are rebuilt.
+When every pair has one-row groups or ``r S + 4 r^2 < S^2 / 2``, every pair
+keeps forms and prices every group.  Kept forms are updated for every group
+after a deletion (~r S + 4 r^2 each), while lazy pricing builds fresh ones
+(~S^2 each) for only about half of the multi-row groups, hence the half;
+for one-row groups lazy bounds are weak and forms are always kept.  When a
+committed group's stored forms drift from their exact values by more than
+``_DRIFT_LIMIT`` (relative), all the pair's forms are rebuilt.
 
 Otherwise no pair keeps them, and groups are priced lazily from fresh forms
 (Minoux's accelerated greedy, 1978).  Removing rows only raises a CRB trace
@@ -39,7 +41,7 @@ import numpy as np
 
 from .crb import (
     compressed_rows, downdate_forms, downdate_traces, forms_traces, gram_trace,
-    restricted_gram, smw_removal, state_from_gram, update_forms,
+    restricted_gram, smw_removal, state_from_gram,
 )
 from .encoding import EncodingModel
 from .errors import InfeasibleDesignError
@@ -194,15 +196,13 @@ class _Pair:
         return np.maximum(self.last[groups], self.state.trace)
 
     def commit(self, c: int):
-        """Remove group ``c`` and update the kept forms, rebuilt on drift."""
-        inv_gram = self.state.inv_gram
-        self.state, u, k = smw_removal(self.state, self.rows[c])
-        if self.forms is not None:
-            drift = update_forms(self.forms, self.rows, inv_gram, c, u, k)
-            self.drift = max(self.drift, drift)
-            if not drift < _DRIFT_LIMIT:
-                self.keep_forms()
-                self.rebuilds += 1
+        """Remove group ``c`` and update the kept forms, rebuilt on drift; a
+        pair without forms never builds them, whatever the limit."""
+        self.state, drift = smw_removal(self.state, self.rows, c, self.forms)
+        self.drift = max(self.drift, drift)
+        if self.forms is not None and not drift < _DRIFT_LIMIT:
+            self.keep_forms()
+            self.rebuilds += 1
 
 
 def sbs_design(
@@ -233,8 +233,7 @@ def sbs_design(
         raise InfeasibleDesignError(
             f"full-candidate CRB build failed: {err}", iteration=0
         ) from err
-    # forms are kept where updating them, ~r S + 4 r^2 a group, beats building, ~S^2
-    if all(r * s + 4 * r * r < s * s for r, s in (p.rows.shape[1:] for p in pairs)):
+    if all(r == 1 or r * s + 4 * r * r < s * s / 2 for r, s in (p.rows.shape[1:] for p in pairs)):
         for p in pairs:
             p.keep_forms()
 

@@ -68,7 +68,7 @@ def test_smw_zero_block_is_bookkeeping_only():
     support = SupportSet(indices=np.arange(4), q=4)
     state = build_full_crb(model, support, spec, t=0)
     zero = np.zeros((1, 4), dtype=complex)
-    after = smw_removal(state, zero)[0]
+    after = smw_removal(state, zero[None], 0)[0]
     assert np.allclose(after.inv_gram, state.inv_gram)
     assert after.trace == pytest.approx(state.trace)
     assert crb.downdate_traces(state, zero[None])[0] == pytest.approx(state.trace)
@@ -81,7 +81,7 @@ def test_rank_one_downdate_sherman_morrison_oracle(rng):
     inv = np.linalg.inv(gram)
     state = CrbState(inv_gram=inv, trace=float(np.trace(inv).real))
     v = rows[4:5]  # row being removed
-    after = smw_removal(state, v)[0]
+    after = smw_removal(state, v[None], 0)[0]
     # Sherman-Morrison for a rank-one removal
     u = inv @ v.conj().T
     denom = 1.0 - (v @ u)[0, 0]
@@ -100,7 +100,7 @@ def test_group_downdate_matches_rebuild(rng):
     g = 17
     block = crb.restricted_matrix(model, support, spec, 0, [g])[0]
     assert block.shape == (model.candidates.C, support.S)
-    after = smw_removal(state, block)[0]
+    after = smw_removal(state, block[None], 0)[0]
     rebuilt = build_full_crb(
         model, support, spec, 0, groups=[x for x in range(model.candidates.L) if x != g]
     )
@@ -120,7 +120,7 @@ def test_chained_downdates_match_rebuild(rng):
     order = rng.permutation(model.candidates.L)[:20]
     for g, block in zip(order, crb.restricted_matrix(model, support, spec, 0, order)):
         tr_pred = crb.downdate_traces(state, block[None])[0]
-        new_state = smw_removal(state, block)[0]
+        new_state = smw_removal(state, block[None], 0)[0]
         assert tr_pred == pytest.approx(new_state.trace, rel=1e-10)
         # monotonicity: information only shrinks
         assert new_state.trace >= state.trace - 1e-10
@@ -149,7 +149,7 @@ def test_mandatory_group_gives_infinite_trace():
     # removing one of three rows leaves 2 rows < S=3
     assert crb.downdate_traces(state, block)[0] == np.inf
     with pytest.raises(InfeasibleDesignError):
-        smw_removal(state, block[0])[0]
+        smw_removal(state, block, 0)
 
 
 def test_sliced_downdate_traces_match_per_group(monkeypatch):
@@ -184,7 +184,7 @@ def test_removal_traces_only_rise_after_a_commit(rng):
     alive = list(range(8))
     for c in (3, 0, 6, 1):
         before = np.delete(crb.downdate_traces(state, rows[alive]), alive.index(c))
-        state = smw_removal(state, rows[c])[0]
+        state = smw_removal(state, rows, c)[0]
         alive.remove(c)
         after = crb.downdate_traces(state, rows[alive])
         assert np.all(after >= before * (1 - 1e-12))
@@ -254,9 +254,14 @@ def test_smw_removal_equals_the_out_of_place_update(rng):
     support = random_support(rng, 32, 6)
     rows = crb.restricted_matrix(model, support, TransformSpec("haar", 1), 0, range(8))
     state = crb.state_from_gram(crb.restricted_gram(rows))
-    new, u, k = crb.smw_removal(state, rows[5])
+    new, drift = crb.smw_removal(state, rows, 5)
+    u = state.inv_gram @ rows[5].conj().T
+    mid = np.eye(len(rows[5])) - rows[5] @ u
+    k = np.linalg.inv(0.5 * (mid + mid.conj().T))
+    k = 0.5 * (k + k.conj().T)
     inv = state.inv_gram + (u @ k) @ u.conj().T
     np.testing.assert_array_equal(new.inv_gram, 0.5 * (inv + inv.conj().T))
+    assert drift == 0.0  # no forms are kept
 
 
 def test_compressed_rows_keep_grams_and_traces():
@@ -411,38 +416,62 @@ def test_mandatory_one_row_group_is_priced_without_lapack(monkeypatch):
     assert np.isinf(got).tolist() == [False] * 8 + [True]
     for block, trace in zip(rows[:-1], got):
         assert trace == pytest.approx(crb.downdate_traces(state, block[None])[0], rel=1e-12)
-    after, u, k = smw_removal(state, rows[3])  # a regular group is committed
-    crb.update_forms(forms, rows, state.inv_gram, 3, u, k)
-    assert after.trace == pytest.approx(got[3], rel=1e-12)
+    after, drift = smw_removal(state, rows, 3, forms)  # a regular group is committed
+    assert after.trace == pytest.approx(got[3], rel=1e-12) and drift < design._DRIFT_LIMIT
     with pytest.raises(InfeasibleDesignError):
-        smw_removal(state, rows[-1])[0]
+        smw_removal(state, rows, len(rows) - 1, forms)
     assert calls == []  # one-row groups are decided, committed and updated elementwise
 
 
-def test_one_row_commits_match_a_rebuild(rng):
-    # a chain of one-row commits keeps the state and the updated forms of the
-    # groups left equal to those of the reduced Gram, built afresh
-    model = make_model((8, 8))
+def commit_chain(rng, n_coils):
+    """Six commits with kept forms on an 8 x 8 model of ``n_coils``-row groups;
+    after each, the state and the updated forms of the groups left equal
+    those of the reduced Gram, built afresh.  Returns the final state, rows,
+    forms and groups left."""
+    model = make_model((8, 8), n_coils=n_coils)
     support = random_support(rng, 64, 12)
     rows = crb.compressed_rows(model, support, TransformSpec("daub4", 1), 0, range(64))
-    assert rows.shape == (64, 1, 12)
+    assert rows.shape == (64, n_coils, 12)
     state = crb.state_from_gram(crb.restricted_gram(rows))
     forms = crb.downdate_forms(state.inv_gram, rows)
     alive = list(range(64))
     for c in (5, 40, 17, 63, 2, 31):
-        before = state.inv_gram
-        state, u, k = smw_removal(state, rows[c])
+        state, drift = smw_removal(state, rows, c, forms)
         alive.remove(c)
         rebuilt = crb.state_from_gram(crb.restricted_gram(rows[alive]))
         err = np.abs(state.inv_gram - rebuilt.inv_gram).max()
         assert err <= 1e-10 * np.abs(rebuilt.inv_gram).max()
         assert state.trace == pytest.approx(rebuilt.trace, rel=1e-10)
-        assert crb.update_forms(forms, rows, before, c, u, k) < design._DRIFT_LIMIT
+        assert drift < design._DRIFT_LIMIT
         for got, want in zip(forms, crb.downdate_forms(state.inv_gram, rows[alive])):
             assert np.abs(got[alive] - want).max() <= 1e-10 * np.abs(want).max()
+    return state, rows, forms, alive
+
+
+def test_one_row_commits_match_a_rebuild(rng):
+    state, rows, forms, alive = commit_chain(rng, 1)
     forms[0][alive[0]] *= 1 + 1e-6  # the drift reads the committed group's stored forms
-    _, u, k = smw_removal(state, rows[alive[0]])
-    assert crb.update_forms(forms, rows, state.inv_gram, alive[0], u, k) == pytest.approx(1e-6)
+    assert smw_removal(state, rows, alive[0], forms)[1] == pytest.approx(1e-6)
+
+
+def test_two_row_commits_match_a_rebuild(rng):
+    state, rows, forms, alive = commit_chain(rng, 2)
+    forms[1][alive[0]] *= 1 + 1e-6
+    assert smw_removal(state, rows, alive[0], forms)[1] == pytest.approx(1e-6)
+
+
+@pytest.mark.parametrize("n_coils", [1, 2])
+def test_a_commit_without_forms_has_no_drift_and_the_same_state(rng, n_coils):
+    model = make_model((8, 8), n_coils=n_coils, seed=3)
+    support = random_support(rng, 64, 10)
+    rows = crb.compressed_rows(model, support, TransformSpec("haar", 1), 0, range(64))
+    state = crb.state_from_gram(crb.restricted_gram(rows))
+    forms = crb.downdate_forms(state.inv_gram, rows)
+    kept, drift = smw_removal(state, rows, 9, forms)
+    bare, none = smw_removal(state, rows, 9)
+    assert none == 0.0 and 0.0 <= drift < design._DRIFT_LIMIT
+    np.testing.assert_array_equal(bare.inv_gram, kept.inv_gram)
+    assert bare.trace == kept.trace
 
 
 @pytest.mark.parametrize("shape", [(0, 1, 7), (1, 1, 7), (6, 3, 7), (9, 7)])

@@ -13,10 +13,13 @@ from oedipus import (
     VoxelBasis,
     build_cartesian_candidates,
     build_full_crb,
+    default_phantom_spec,
     evaluate_pattern_crb,
     exhaustive_design,
+    extract_support,
     ImageGrid,
     pattern_from_groups,
+    render_phantom,
     sbs_design,
     synthesize_coil_maps,
 )
@@ -312,8 +315,8 @@ def recursion_case(case):
     if case == "12x12-C1-daub4":
         supports = [random_support(rng, 144, 22)]
         return make_model((12, 12)), supports, DesignObjective("average"), 72, spec
-    model = make_model((8, 8), n_coils=3, seed=2)  # "8x8-C3"
-    return model, [random_support(rng, 64, 10)], DesignObjective("average"), 32, spec
+    model = make_model((8, 8), n_coils=3, seed=2)  # "8x8-C3": 3*16 + 4*9 < 16^2 / 2 keeps forms
+    return model, [random_support(rng, 64, 16)], DesignObjective("average"), 32, spec
 
 
 @pytest.mark.parametrize("case", sorted(ALIASING_CASES) + ["12x12-C1-daub4", "8x8-C3"])
@@ -341,22 +344,44 @@ def test_form_recursion_matches_rebuilding_the_forms(monkeypatch, case):
 
 def test_pairs_keep_forms_only_when_updating_them_is_cheaper():
     # 8 lines of 8 rows: a support of 4 compresses each line to r = 4 rows
-    # (4*4 + 4*16 >= 4^2, priced afresh); one of 24 keeps r = 8 rows
-    # (8*24 + 4*64 < 24^2), which keeps forms alone but not beside the first
+    # (4*4 + 4*16 >= 4^2 / 2, priced afresh); one of 33 keeps r = 8 rows
+    # (8*33 + 4*64 < 33^2 / 2), which keeps forms alone but not beside the
+    # first; one of 32 sits on the boundary (8*32 + 4*64 = 32^2 / 2), priced afresh
     model = make_model((8, 8), undersample_axes=(0,))
     q = model.N
+    rows = [8 * r0 + r1 for r0 in range(4) for r1 in range(8)]
     supports = [
         SupportSet(indices=np.array([0, 9, 18, 27]), q=q),
-        SupportSet(indices=np.array([8 * r0 + r1 for r0 in range(3) for r1 in range(8)]), q=q),
+        SupportSet(indices=np.array(rows + [32]), q=q),
     ]
     objective = DesignObjective("average")
     assert sbs_design(model, supports[1:], objective, 5, IDENT).extra["form_pairs"] == [(0, 0)]
+    boundary = [SupportSet(indices=np.array(rows), q=q)]
+    assert sbs_design(model, boundary, objective, 5, IDENT).extra["form_pairs"] == []
     pattern = sbs_design(model, supports, objective, 5, IDENT)
     assert pattern.extra["form_pairs"] == [] and pattern.extra["rows_per_group"] == [4, 8]
     direct = direct_sbs(model, supports, objective, 5, IDENT)
     assert pattern.deleted == direct.deleted
     np.testing.assert_allclose(pattern.log, direct.log, rtol=1e-7)
     assert pattern.extra["full_pricing"] == 42
+
+
+def test_line_groups_of_many_coils_price_lazily():
+    # 32 lines of a 32 x 32 grid against a phantom support of S = 154 at daub4
+    # 3 levels: 3 coils compress a line to r = 51 rows (51*154 + 4*51^2 >=
+    # 154^2 / 2), priced lazily; 1 coil to r = 17 rows, whose forms are kept
+    grid = ImageGrid((32, 32), (200.0, 200.0))
+    spec = TransformSpec("daub4", 3)
+    image = render_phantom(default_phantom_spec(grid, 0)).reshape(grid.dims)
+    support = extract_support(image, spec, 0.15)
+    assert support.S == 154
+    for n_coils, r, form_pairs in ((3, 51, []), (1, 17, [(0, 0)])):
+        cand = build_cartesian_candidates(grid, undersample_axes=(0,), n_coils=n_coils)
+        maps = (synthesize_coil_maps(grid, n_coils, 5.0, 7),)
+        model = EncodingModel(grid=grid, candidates=cand, coil_maps=maps)
+        pattern = sbs_design(model, [support], DesignObjective("average"), 31, spec)
+        assert pattern.extra["rows_per_group"] == [r]
+        assert pattern.extra["form_pairs"] == form_pairs
 
 
 def test_multi_ensemble_average_objective(rng):
