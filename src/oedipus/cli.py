@@ -31,13 +31,12 @@ from . import io as oio
 from . import sparsity
 from .baselines import caipi_pattern, poisson_disc_pattern, uniform_pattern
 from .crb import (
-    build_full_crb,
+    candidate_rows,
     downdate_forms,
     forms_traces,
     image_domain_crb_trace,
     oracle_lsq_estimate,
     restricted_gram,
-    restricted_matrix,
     smw_removal,
     state_from_gram,
 )
@@ -589,21 +588,21 @@ def _selftest_checks():
     yield "wavelet-roundtrip", rt < 1e-12, f"rel err {rt:.2e}"
 
     # SMW commits with kept forms vs from-scratch rebuilds of the inverse and
-    # the forms, for groups of a location's two coil rows and of one row each
+    # the forms, for groups of a location's two coil rows and for one-row
+    # groups of the first coil alone, held as per-axis factors
     grid = ImageGrid((8, 8), (100.0, 100.0))
     cand = build_cartesian_candidates(grid, undersample_axes=(0, 1), n_coils=2)
     maps = synthesize_coil_maps(grid, 2, seed=3)
     model = EncodingModel(grid=grid, candidates=cand, coil_maps=(maps,))
+    one = EncodingModel(grid, build_cartesian_candidates(grid), (maps[:1],))
     tspec = TransformSpec("haar", 1)
     support = SupportSet(indices=rng.choice(64, size=12, replace=False), q=64)
-    full = build_full_crb(model, support, tspec, t=0)
     groups = rng.choice(cand.L, size=5, replace=False)
-    coil_rows = restricted_matrix(model, support, tspec, 0, range(cand.L))
     worst = 0.0
-    for r in (2, 1):
-        rows, state = coil_rows.reshape(-1, r, support.S), full
-        forms, kept = downdate_forms(state.inv_gram, rows), list(range(len(rows)))
-        for c in (groups * (2 // r)).tolist():  # a location's first row when r = 1
+    for rows in (candidate_rows(model, support, tspec, 0), candidate_rows(one, support, tspec, 0)):
+        state = state_from_gram(restricted_gram(rows))
+        forms, kept = downdate_forms(state.inv_gram, rows), list(range(rows.shape[0]))
+        for c in groups.tolist():
             tr = forms_traces(state.trace, *(m[[c]] for m in forms))[0]
             state = smw_removal(state, rows, c, forms)[0]
             kept.remove(c)

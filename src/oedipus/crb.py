@@ -9,8 +9,9 @@ is its (C, S) restricted rows, and which groups a state holds is the caller's
 bookkeeping.  A group enters only through its Gram, so every Gram and
 downdate is taken from :func:`compressed_rows`: r <= min(C, S) rows B of
 the same Gram, which for a readout line come from one SVD per coil of the
-readout spectra shared by every line.  Every Gram is formed by
-:func:`restricted_gram`, exactly Hermitian.
+readout spectra shared by every line; one-row 2D groups under a one-term
+map stay per-axis factors, :class:`SeparableRows` (:func:`candidate_rows`).
+Every Gram is formed by :func:`restricted_gram`, exactly Hermitian.
 
 Groups are removed via the matrix inversion lemma, a rank-r "downdate"
 that inverts an r x r system.  Removing B from the rows of Gram A leaves
@@ -22,10 +23,12 @@ solves otherwise.  :func:`smw_removal` commits a removal in one call: it
 downdates the inverse and, when forms are kept, updates every group's forms
 in place at O(r^2 S + r^3) per group (Hager, SIAM Review 1989), returning
 how far the removed group's stored forms had drifted.  For one-row groups
-the commit and the update are elementwise, with no LAPACK call.  So every
-step of the downdate forms (build, price and commit) lives here; the choice
-of when to keep, trust or rebuild them is the caller's.  The module also
-provides the support-aware least-squares estimator that attains the bound.
+the commit and the update are elementwise, with no LAPACK call or
+symmetrization pass, on real (g,) forms; from factors all B u are one GEMM
+on the k-space grid.  So every step of the downdate forms (build, price and
+commit) lives here; when to keep, trust or rebuild them is the caller's.
+The module also provides the support-aware least-squares estimator that
+attains the bound.
 
 One rule decides singularity: a Hermitian matrix is singular when its
 smallest eigenvalue is <= a shift, ``tr G / COND_LIMIT`` for a Gram G and
@@ -48,10 +51,12 @@ from .sparsity import SupportSet, TransformSpec, support_atoms
 __all__ = [
     "COND_LIMIT",
     "CrbState",
-    "SLICE_ENTRIES",
+    "SLICE_BYTES",
+    "SeparableRows",
     "restricted_matrix",
     "restricted_block",
     "compressed_rows",
+    "candidate_rows",
     "gram_trace",
     "restricted_gram",
     "state_from_gram",
@@ -71,9 +76,9 @@ __all__ = [
 # <= 1 / COND_LIMIT.
 COND_LIMIT = 1e12
 
-# Complex entries of (groups x r x S) that building downdate forms may hold
-# per slice.  Keeps peak memory flat however large the candidate set.
-SLICE_ENTRIES = 2**13
+# Bytes of (groups x r x S) complex rows that building downdate forms may
+# hold per slice.  Keeps peak memory flat however large the candidate set.
+SLICE_BYTES = 2**20
 _TINY = np.finfo(float).tiny
 # Largest triangular block _lower_inverse hands whole to numpy's inv.
 _DENSE_MAX = 48
@@ -187,6 +192,38 @@ def compressed_rows(
     return np.linalg.qr(rows, mode="r") if rows.shape[1] > support.S else rows
 
 
+class SeparableRows:
+    """One-row groups of one location each under a one-term coil map, held
+    as the per-axis factors of :func:`_spectra`: group g's row is
+    ``p1[j1[g]] * p2[j2[g]]``.  Indexing forms rows (n, 1, S) on demand."""
+
+    def __init__(self, j1, j2, p1, p2):
+        self.j1, self.j2, self.p1, self.p2 = j1, j2, p1, p2
+        self.shape = (len(j1), 1, p1.shape[1])
+        flat = j1 * len(p2) + j2  # the grid gather, None where it is a reshape
+        self.flat = None if np.array_equal(flat, np.arange(len(p1) * len(p2))) else flat
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return (self.p1[self.j1[idx]] * self.p2[self.j2[idx]])[..., None, :]
+
+    def products(self, w: np.ndarray) -> np.ndarray:
+        """``B_g w_i`` of every group g and vector w_i of w (n, S), as (n, g): the
+        grid ``(p1 * w_i) p2^T`` of all locations, by one GEMM, at (j1, j2)."""
+        grid = ((self.p1 * w[:, None]).reshape(-1, w.shape[1]) @ self.p2.T).reshape(len(w), -1)
+        return grid if self.flat is None else grid[:, self.flat]
+
+
+def candidate_rows(model: EncodingModel, support: SupportSet, spec: TransformSpec, t: int):
+    """Rows of every candidate group: :class:`SeparableRows` for one-row 2D groups
+    under a one-term map, else :func:`compressed_rows`."""
+    cand = model.candidates
+    if cand.C == 1 and cand.group_locs.shape[1] == 1:
+        j1, j2, [(p1, p2)] = _spectra(model, support, spec, t, range(cand.L))
+        if len(p1) == 1:
+            return SeparableRows(j1, j2, p1[0], p2[0])
+    return compressed_rows(model, support, spec, t, range(cand.L))
+
+
 def _h(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
     return np.swapaxes(a.conj(), -1, -2)
@@ -245,8 +282,14 @@ def restricted_gram(rows: np.ndarray) -> np.ndarray:
     """Restricted Gram sum_g B_g^H B_g of stacked rows (groups, C, S) or (M, S),
     exactly Hermitian: with ``B = X + iY``, ``X^T X + Y^T Y + i (X^T Y - Y^T X)``.
     Every block is in ``Z^T Z`` for the real (M, 2S) view Z of B, whose
-    columns interleave X and Y: one SYRK, half a complex GEMM, and no copy."""
-    z = np.ascontiguousarray(rows, dtype=complex).reshape(-1, rows.shape[-1]).view(np.float64)
+    columns interleave X and Y: one SYRK, half a complex GEMM, and no copy.
+    :class:`SeparableRows` of the whole grid give ``G1 * G2`` (elementwise), from
+    the Grams of the two factors, exactly Hermitian too; others are formed."""
+    if isinstance(rows, SeparableRows) and rows.flat is None:
+        gram = restricted_gram(rows.p1)
+        gram *= restricted_gram(rows.p2)
+        return gram
+    z = np.ascontiguousarray(rows[:], dtype=complex).reshape(-1, rows.shape[-1]).view(np.float64)
     p = z.T @ z  # numpy sends the product of a matrix with its transpose to SYRK
     gram = np.empty((rows.shape[-1],) * 2, dtype=complex)
     np.add(p[::2, ::2], p[1::2, 1::2], out=gram.real)
@@ -302,24 +345,29 @@ def smw_removal(state: CrbState, rows: np.ndarray, c: int, forms=None):
     and ``W = Y + V U^H U / 2``, ``M1 += V X^H`` and ``M2 += W V^H + (W V^H)^H``;
     group c's exact forms are ``X_c`` and ``U^H U``.  Raises
     :class:`InfeasibleDesignError`, updating nothing, when ``I - B U`` is singular.
+    For one row the inverse gains ``q q^H``, ``q = sqrt(K) U``, with no symmetrization.
     """
     a, (g, r, s), drift = state.inv_gram, rows.shape, 0.0
     if r == 1:  # U is a vector and K a scalar: no LAPACK call
-        u = a @ rows[c, 0].conj()
-        mid = 1.0 - (rows[c, 0] @ u).real
-        if _singular(np.full((1, 1, 1), mid), 1.0 / COND_LIMIT)[0]:
+        b, w = rows[c][0], np.empty((2, s), dtype=complex)
+        u = np.matmul(a, b.conj(), out=w[0])
+        mid = 1.0 - (b @ u).real
+        if mid <= 1.0 / COND_LIMIT:  # the 1 x 1 case of _singular
             raise InfeasibleDesignError("removing the group makes the design singular")
         k = 1.0 / mid
-        inv = np.multiply.outer(k * u, u.conj())
-        if forms is not None:  # elementwise on the (g,) views of the 1 x 1 forms
-            m1, m2 = forms[0][:, 0, 0], forms[1][:, 0, 0]
-            xy = rows.reshape(-1, s) @ np.concatenate([u[:, None], (a @ u)[:, None]], axis=1)
-            x, uhu = xy[:, 0], float(np.vdot(u, u).real)
+        if forms is not None:  # elementwise on the real (g,) forms
+            m1, m2 = forms
+            np.matmul(a, u, out=w[1])
+            x, y = rows.products(w) if isinstance(rows, SeparableRows) else w @ rows[:, 0].T
+            uhu = float(np.vdot(u, u).real)
             drift = abs(m1[c] - x[c]) / max(abs(x[c]), _TINY)
             drift = max(drift, abs(m2[c] - uhu) / max(uhu, _TINY))
             v = k * x
-            m1 += v * x.conj()
-            m2 += 2.0 * ((xy[:, 1] + 0.5 * uhu * v) * v.conj()).real
+            m1 += (v * x.conj()).real
+            m2 += 2.0 * ((y + 0.5 * uhu * v) * v.conj()).real
+        q = math.sqrt(k) * u  # k > 0, and q q^H is Hermitian up to rounding: no pass
+        inv = q[:, None] * q.conj()
+        inv += a
     else:
         u = a @ _h(rows[c])
         mid = np.eye(r) - rows[c] @ u
@@ -341,44 +389,44 @@ def smw_removal(state: CrbState, rows: np.ndarray, c: int, forms=None):
             m1 += v @ _h(x)
             wv = w @ _h(v)
             m2 += wv + _h(wv)
-    inv += a  # updated in place: one S x S temporary besides it
-    inv += _h(inv)
-    inv *= 0.5
-    return CrbState(inv_gram=inv, trace=float(np.trace(inv).real)), drift
+        inv += a  # updated in place: one S x S temporary besides it
+        inv += _h(inv)
+        inv *= 0.5
+    return CrbState(inv_gram=inv, trace=float(inv.trace().real)), drift
 
 
 def downdate_forms(inv_gram: np.ndarray, rows: np.ndarray):
     """Forms ``M1 = B A^-1 B^H`` and ``M2 = B A^-2 B^H`` (g, r, r) of each group
     B of ``rows`` (g, r, S), ``A^-1 = inv_gram``, built as many groups at a
-    time as fit in :data:`SLICE_ENTRIES` entries of (g, r, S), at least one.
+    time as fit in :data:`SLICE_BYTES` bytes of (g, r, S), at least one; real
+    (g,) for one row, whose 1 x 1 forms are real.
     """
     g, r, s = rows.shape
     m1 = np.empty((g, r, r), dtype=complex)
     m2 = np.empty_like(m1)
-    step = max(1, SLICE_ENTRIES // (r * s))
+    step = max(1, SLICE_BYTES // (16 * r * s))
     for i in range(0, g, step):
         b = rows[i : i + step]
         gh = (b.reshape(-1, s) @ inv_gram).reshape(b.shape)
         m1[i : i + step] = b @ _h(gh)
         m2[i : i + step] = gh @ _h(gh)
-    return m1, m2
+    return (m1[:, 0, 0].real.copy(), m2[:, 0, 0].real.copy()) if r == 1 else (m1, m2)
 
 
 def forms_traces(trace: float, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Trace after removing each group alone, ``trace + tr(mid^-1 M2)`` with
-    ``mid = I - M1`` from its forms (g, r, r), or ``+inf`` when the group is
+    ``mid = I - M1`` from its forms (g, r, r) or (g,), or ``+inf`` when the group is
     mandatory (``mid`` singular by :func:`_singular`): elementwise for one
     row, by batched r x r solves otherwise."""
-    r = m1.shape[-1]
-    if r == 1:  # a Hermitian 1 x 1 matrix is its real part
-        mid = 1.0 - m1.real
-        singular = _singular(mid, 1.0 / COND_LIMIT)
-        x = m2[:, 0, 0].real / np.where(singular, 1.0, mid[:, 0, 0])
+    if m1.ndim == 1:  # one-row forms are real
+        mid = 1.0 - m1
+        singular = _singular(mid[:, None, None], 1.0 / COND_LIMIT)
+        x = m2 / np.where(singular, 1.0, mid)
     else:
-        mid = np.eye(r) - m1
+        mid = np.eye(m1.shape[-1]) - m1
         mid = 0.5 * (mid + _h(mid))
         singular = _singular(mid, 1.0 / COND_LIMIT)
-        mid[singular] = np.eye(r)  # keeps the solve regular; priced +inf below
+        mid[singular] = np.eye(m1.shape[-1])  # keeps the solve regular; priced +inf below
         x = np.trace(np.linalg.solve(mid, m2), axis1=-2, axis2=-1).real
     return np.where(singular, np.inf, trace + x)
 

@@ -6,8 +6,9 @@ the measurement budget is reached.  The objective aggregates the CRB traces
 over an ensemble of (exemplar support, coil-map set) pairs, either as their
 sum (average case) or their maximum (worst case).  Each pair is one
 :class:`_Pair`, which holds its restricted rows, assembled once as
-(groups, r, S) rows of the same per-group Grams, r <= min(C, S)
-(:func:`~oedipus.crb.compressed_rows`), and its CRB state.  Its ``prices``
+(groups, r, S) rows of the same per-group Grams, r <= min(C, S), or for
+one-row 2D groups as per-axis factors (d, S) in place of (groups, 1, S)
+(:func:`~oedipus.crb.candidate_rows`), and its CRB state.  Its ``prices``
 reads removal traces with the matrix inversion lemma (r x r systems, not
 S x S inversions) and its ``commit`` applies a deletion with one rank-r
 downdate: the algebra of :mod:`oedipus.crb`, with the policy of when kept
@@ -15,8 +16,9 @@ forms are updated or rebuilt.  The driver chooses which pairs keep forms,
 which groups are priced and how ties are broken.
 
 When every pair has one-row groups or ``r S + 4 r^2 < S^2 / 2``, every pair
-keeps forms and prices every group.  Kept forms are updated for every group
-after a deletion (~r S + 4 r^2 each), while lazy pricing builds fresh ones
+keeps forms and prices every group from the whole form arrays, deleted
+groups masked to +inf.  Kept forms are updated for every group after a
+deletion (~r S + 4 r^2 each), while lazy pricing builds fresh ones
 (~S^2 each) for only about half of the multi-row groups, hence the half;
 for one-row groups lazy bounds are weak and forms are always kept.  When a
 committed group's stored forms drift from their exact values by more than
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crb import (
-    compressed_rows, downdate_forms, downdate_traces, forms_traces, gram_trace,
+    candidate_rows, compressed_rows, downdate_forms, downdate_traces, forms_traces, gram_trace,
     restricted_gram, smw_removal, state_from_gram,
 )
 from .encoding import EncodingModel
@@ -53,9 +55,9 @@ __all__ = [
 ]
 
 # Relative slack for treating two candidate costs as tied; the first
-# qualifying position, the lowest group index as ``active`` is ascending,
-# wins.  Keeps the selected sequence stable between the two pricing modes
-# and a rescoring of every reduced Gram from scratch.
+# qualifying position, the lowest group index, wins.  Keeps the selected
+# sequence stable between the two pricing modes and a rescoring of every
+# reduced Gram from scratch.
 _TIE_RTOL = 1e-9
 
 # Relative drift of a committed group's recursively updated forms from
@@ -173,7 +175,7 @@ class _Pair:
     def __init__(self, key, rows):
         self.key, self.rows = key, rows
         self.state = state_from_gram(restricted_gram(rows))
-        self.forms, self.last = None, np.zeros(len(rows))
+        self.forms, self.last = None, np.zeros(rows.shape[0])
         self.drift, self.rebuilds = 0.0, 0
 
     @property
@@ -184,9 +186,7 @@ class _Pair:
         self.forms = downdate_forms(self.state.inv_gram, self.rows)
 
     def prices(self, groups):
-        """Exact removal traces of ``groups``, from the kept forms or fresh ones."""
-        if self.forms is not None:
-            return forms_traces(self.state.trace, *(m[groups] for m in self.forms))
+        """Exact removal traces of ``groups``, from fresh forms."""
         traces = downdate_traces(self.state, self.rows[groups])
         self.last[groups] = traces
         return traces
@@ -227,7 +227,7 @@ def sbs_design(
     cand, supports = model.candidates, _ensemble(supports)
     _precheck(supports, target_groups, cand)
     try:
-        pairs = [_Pair((k, t), compressed_rows(model, s, spec, t, range(cand.L)))
+        pairs = [_Pair((k, t), candidate_rows(model, s, spec, t))
                  for k, s in enumerate(supports) for t in range(model.T)]
     except InfeasibleDesignError as err:
         raise InfeasibleDesignError(
@@ -240,17 +240,16 @@ def sbs_design(
     alive = np.ones(cand.L, dtype=bool)
     log, deleted, priced, full = [], [], 0, 0
     while len(deleted) < cand.L - target_groups:
-        active = np.flatnonzero(alive)
-        costs, n = _costs(objective, pairs, active)
-        priced, full = priced + n, full + len(pairs) * len(active)
-        i = _select(costs)
-        if i < 0:
+        left = cand.L - len(deleted)
+        costs, n = _costs(objective, pairs, alive)
+        priced, full = priced + n, full + len(pairs) * left
+        c = _select(costs)
+        if c < 0:
             raise InfeasibleDesignError(
                 "every remaining group is mandatory; acceleration infeasible at iteration "
-                f"{len(deleted) + 1} ({len(active)} groups left, target {target_groups})",
+                f"{len(deleted) + 1} ({left} groups left, target {target_groups})",
                 iteration=len(deleted) + 1,
             )
-        c = int(active[i])
         for p in pairs:
             p.commit(c)
         alive[c] = False
@@ -266,14 +265,20 @@ def sbs_design(
     )
 
 
-def _costs(objective, pairs, active):
-    """Costs of removing each group of ``active`` and the prices made, from the
-    kept forms or lazily by :func:`_lazy_costs`, pairs of highest trace first."""
+def _costs(objective, pairs, alive):
+    """Costs of removing each group, +inf where ``alive`` is False, and the prices
+    made: from the kept forms, or lazily by :func:`_lazy_costs`, pairs of highest
+    trace first."""
     if pairs[0].forms is not None:  # every pair keeps forms, or none does
-        return objective.combine([p.prices(active) for p in pairs]), len(pairs) * len(active)
+        costs = objective.combine([forms_traces(p.trace, *p.forms) for p in pairs])
+        return np.where(alive, costs, np.inf), len(pairs) * np.count_nonzero(alive)
+    active = np.flatnonzero(alive)
     table = np.array([p.bounds(active) for p in pairs])
     order = sorted(range(len(pairs)), key=lambda j: -pairs[j].trace)
-    return _lazy_costs(objective, table, order, lambda j, idx: pairs[j].prices(active[idx]))
+    costs = np.full(len(alive), np.inf)
+    costs[active], n = _lazy_costs(
+        objective, table, order, lambda j, idx: pairs[j].prices(active[idx]))
+    return costs, n
 
 
 def _lazy_costs(objective, table, order, price):

@@ -167,7 +167,7 @@ def test_sliced_downdate_traces_match_per_group(monkeypatch):
     want = [crb.downdate_traces(state, b[None])[0] for b in rows]
     assert np.isinf(want).tolist() == [False] * 4 + [True]
     c, s = rows.shape[1:]
-    monkeypatch.setattr(crb, "SLICE_ENTRIES", 2 * c * s)  # slices of 2, 2 and 1 groups
+    monkeypatch.setattr(crb, "SLICE_BYTES", 2 * 16 * c * s)  # slices of 2, 2 and 1 groups
     got = crb.downdate_traces(state, rows)
     np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
     np.testing.assert_allclose(got[:4], want[:4], rtol=1e-12)
@@ -472,6 +472,61 @@ def test_a_commit_without_forms_has_no_drift_and_the_same_state(rng, n_coils):
     assert none == 0.0 and 0.0 <= drift < design._DRIFT_LIMIT
     np.testing.assert_array_equal(bare.inv_gram, kept.inv_gram)
     assert bare.trace == kept.trace
+
+
+@pytest.mark.parametrize("oversampling,subset", [(1.0, False), (2.0, False), (1.0, True)])
+def test_separable_products_match_the_row_products(rng, oversampling, subset):
+    # the grid product gathers B u and B A^-1 u of every group: a reshape on a
+    # full candidate grid, a real gather on a subset of its groups
+    model = make_model((12, 8), oversampling=oversampling, seed=2)
+    support = random_support(rng, 96, 20)
+    spec = TransformSpec("daub4", 1)
+    rows = crb.candidate_rows(model, support, spec, 0)
+    assert isinstance(rows, crb.SeparableRows) and rows.shape == (model.candidates.L, 1, 20)
+    groups = np.arange(model.candidates.L)
+    if subset:
+        groups = np.sort(rng.choice(groups, size=40, replace=False))
+        rows = crb.SeparableRows(rows.j1[groups], rows.j2[groups], rows.p1, rows.p2)
+    assert (rows.flat is None) == (not subset)
+    dense = rows[:]
+    np.testing.assert_array_equal(dense, crb.restricted_matrix(model, support, spec, 0, groups))
+    w = rng.standard_normal((2, 20)) + 1j * rng.standard_normal((2, 20))
+    want = w @ dense[:, 0].T
+    assert np.abs(rows.products(w) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_one_row_commits_stay_hermitian(monkeypatch):
+    # the commit adds q q^H with no symmetrization pass: after every commit of
+    # a 24 x 24 design the inverse is Hermitian to rounding
+    model = make_model((24, 24))
+    support = random_support(np.random.default_rng(5), 576, 86)
+    worst = []
+
+    def commit(*args):
+        state, drift = smw_removal(*args)
+        inv = state.inv_gram
+        worst.append(np.abs(inv - inv.conj().T).max() / np.abs(inv).max())
+        return state, drift
+
+    monkeypatch.setattr(design, "smw_removal", commit)
+    design.sbs_design(model, [support], design.DesignObjective(), 288, TransformSpec("daub4", 2))
+    assert len(worst) == 288 and max(worst) <= 1e-14
+
+
+def test_candidate_rows_are_factors_only_for_one_row_one_term_groups(rng):
+    # a full-rank single-coil map, two coils or line groups keep the row array
+    support = random_support(rng, 64, 10)
+    spec = TransformSpec("haar", 1)
+    for model in (noise_map_model(rng, (8, 8), 1, (0, 1)), make_model((8, 8), n_coils=2),
+                  make_model((8, 8), undersample_axes=(0,))):
+        rows = crb.candidate_rows(model, support, spec, 0)
+        want = crb.compressed_rows(model, support, spec, 0, range(model.candidates.L))
+        np.testing.assert_array_equal(rows, want)
+    # on the whole grid the Gram is that of the axis factors, elementwise
+    rows = crb.candidate_rows(make_model((8, 8)), support, spec, 0)
+    gram, want = crb.restricted_gram(rows), crb.restricted_gram(rows[:])
+    np.testing.assert_array_equal(gram, gram.conj().T)
+    assert np.abs(gram - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("shape", [(0, 1, 7), (1, 1, 7), (6, 3, 7), (9, 7)])
